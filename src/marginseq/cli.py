@@ -16,6 +16,7 @@ diffed textually.  Exit codes: 0 success, 2 domain/feasibility error,
 import argparse
 import configparser
 import csv
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -25,14 +26,13 @@ from .regions import (
     MODE_CAUTIOUS,
     MODE_ENSEMBLE,
     build_attackable_region,
-    cautious_transferability,
     compound_transferability,
-    mc_transferability,
     region_area,
 )
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
+    candidate_scorer,
     check_boundary_feasibility,
     generate_candidate_pool,
     greedy_select_next,
@@ -111,9 +111,12 @@ def load_settings(path: str | None) -> Settings:
             return default
         raw = parser.get(section, key)
         try:
-            return cast(raw)
+            value = cast(raw)
         except ValueError:
             raise ScenarioFileError(f"[{section}] {key}={raw!r} is not a valid number")
+        if not math.isfinite(value):
+            raise ScenarioFileError(f"[{section}] {key}={raw!r} must be finite")
+        return value
 
     try:
         scenario = ScenarioConfig(
@@ -167,9 +170,7 @@ class ReportWriter:
 
 
 def _boundary_fields(boundary):
-    if boundary.kind == "sloped":
-        return boundary.kind, boundary.k, boundary.b, None
-    return boundary.kind, None, None, boundary.x0
+    return boundary.kind, boundary.k, boundary.b, boundary.x0
 
 
 def cmd_boundary(settings: Settings, args, out) -> int:
@@ -197,19 +198,6 @@ def cmd_boundary(settings: Settings, args, out) -> int:
     )
     writer.row(*row)
     return 0
-
-
-def _score_step(scenario, settings, prior_boundaries, target_boundary):
-    cfg = AttackSampleConfig(settings.attack_mode, settings.attack_samples, settings.attack_seed)
-    if cfg.n_samples == 0:
-        priors = [build_attackable_region(scenario, b) for b in prior_boundaries]
-        target = build_attackable_region(scenario, target_boundary)
-        if cfg.mode == MODE_CAUTIOUS:
-            score = cautious_transferability(priors, target)
-        else:
-            score = compound_transferability(priors, target)
-        return score.value if score.defined else None
-    return mc_transferability(scenario, list(prior_boundaries), target_boundary, cfg).value
 
 
 def cmd_plan(settings: Settings, args, out) -> int:
@@ -287,9 +275,10 @@ def cmd_pool(settings: Settings, args, out) -> int:
     baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed)
     versions = [bd for bd, _ in seed_plan.versions]
     for step, (hidden, boundary) in enumerate(baseline, start=3):
-        at = _score_step(scenario, settings, versions, boundary)
+        score = candidate_scorer(scenario, versions, cfg)(boundary)
         kind, k, b, x0 = _boundary_fields(boundary)
-        rows.append(("random", step, None, kind, k, b, x0, hidden.v, hidden.w, at))
+        rows.append(("random", step, None, kind, k, b, x0,
+                     hidden.v, hidden.w, score.value if score.defined else None))
         versions.append(boundary)
 
     writer = ReportWriter(
@@ -347,29 +336,25 @@ def write_svg(path: str, scenario: ScenarioConfig, boundaries, regions) -> None:
             pts = " ".join(f"{sx(p.x):.2f},{sy(p.y):.2f}" for p in piece.vertices)
             parts.append(f'<polygon points="{pts}" fill="#dd6666" fill-opacity="0.25"/>')
     for boundary in boundaries:
-        if boundary.kind == "vertical":
-            x = boundary.x0
-            parts.append(
-                f'<line x1="{sx(x):.2f}" y1="{sy(-y_lim):.2f}" x2="{sx(x):.2f}" '
-                f'y2="{sy(y_lim):.2f}" stroke="#222222" stroke-width="1"/>'
-            )
-        else:
-            xs = []
-            k, b = boundary.k, boundary.b
-            for y in (-y_lim, y_lim):
-                x = (y - b) / k
-                if -x_ext <= x <= x_ext:
-                    xs.append((x, y))
+        # where the line a*x + b*y = c meets the strip's edges inside the
+        # figure; a != 0 for every separator, b == 0 only for a vertical one
+        line = boundary.plus
+        xs = []
+        for y in (-y_lim, y_lim):
+            x = (line.c - line.b * y) / line.a
+            if -x_ext <= x <= x_ext:
+                xs.append((x, y))
+        if line.b != 0.0:
             for x in (-x_ext, x_ext):
-                y = k * x + b
+                y = (line.c - line.a * x) / line.b
                 if -y_lim <= y <= y_lim:
                     xs.append((x, y))
-            if len(xs) >= 2:
-                (x1, y1), (x2, y2) = xs[0], xs[-1]
-                parts.append(
-                    f'<line x1="{sx(x1):.2f}" y1="{sy(y1):.2f}" x2="{sx(x2):.2f}" '
-                    f'y2="{sy(y2):.2f}" stroke="#222222" stroke-width="1"/>'
-                )
+        if len(xs) >= 2:
+            (x1, y1), (x2, y2) = xs[0], xs[-1]
+            parts.append(
+                f'<line x1="{sx(x1):.2f}" y1="{sy(y1):.2f}" x2="{sx(x2):.2f}" '
+                f'y2="{sy(y2):.2f}" stroke="#222222" stroke-width="1"/>'
+            )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -159,7 +159,11 @@ def clip_convex(poly: ConvexPolygon, half: HalfPlane) -> ConvexPolygon:
     convex.  Vertices within rounding distance of the clip line are kept
     verbatim instead of being re-derived, so clipping a polygon by one of
     its own defining half-planes is an exact identity and the result never
-    has larger area than the input.
+    has larger area than the input.  Such a vertex also stands in for the
+    crossing of its edges: a crossing is emitted only where an edge runs
+    from strictly inside to strictly outside or back, since a second point
+    up to the tolerance away from the kept vertex can step backwards along
+    the boundary.
     """
     if poly.is_empty:
         return poly
@@ -179,9 +183,7 @@ def clip_convex(poly: ConvexPolygon, half: HalfPlane) -> ConvexPolygon:
         fs, fe = values[i], values[(i + 1) % n]
         if fs <= eps:
             out.append(s)
-            if fe > eps:
-                out.append(_edge_crossing(s, e, fs, fe))
-        elif fe <= eps:
+        if (fs < -eps and fe > eps) or (fs > eps and fe < -eps):
             out.append(_edge_crossing(s, e, fs, fe))
     if len(out) < 3:
         return ConvexPolygon.empty()

@@ -58,6 +58,11 @@ class TransferabilityScore:
             raise GeometryError(f"transferability ratio {value} outside [0, 1]")
         return cls(min(1.0, max(0.0, value)), True)
 
+    @classmethod
+    def ratio(cls, numer: float, denom: float) -> "TransferabilityScore":
+        """numer / denom, undefined when the reference area denom is zero."""
+        return cls.undefined() if denom == 0.0 else cls.of(numer / denom)
+
 
 @dataclass(frozen=True, slots=True)
 class AttackSampleConfig:
@@ -84,22 +89,6 @@ class MonteCarloEstimate:
     n_samples: int
 
 
-def plus_halfplane(boundary: DecisionBoundary) -> HalfPlane:
-    """The "+" side of a boundary as a closed half-plane."""
-    ps = boundary.plus_sign
-    if boundary.kind == "sloped":
-        return HalfPlane(ps * boundary.k, -ps, -ps * boundary.b)
-    return HalfPlane(-ps, 0.0, -ps * boundary.x0)
-
-
-def minus_halfplane(boundary: DecisionBoundary) -> HalfPlane:
-    """The "-" side (closed complement of :func:`plus_halfplane`)."""
-    ps = boundary.plus_sign
-    if boundary.kind == "sloped":
-        return HalfPlane(-ps * boundary.k, ps, ps * boundary.b)
-    return HalfPlane(ps, 0.0, ps * boundary.x0)
-
-
 def guard_extent(scenario: ScenarioConfig, boundary: DecisionBoundary) -> float:
     """Left clipping depth G for the conceptually unbounded band {x <= -delta}.
 
@@ -107,9 +96,8 @@ def guard_extent(scenario: ScenarioConfig, boundary: DecisionBoundary) -> float:
     region vertex landing on the guard is converted into a loud error.
     """
     c = scenario.c
-    if boundary.kind == "sloped":
-        return max(2.0 * c, (abs(boundary.b) + scenario.y_lim) / abs(boundary.k) + c)
-    return max(2.0 * c, abs(boundary.x0) + c)
+    line = boundary.plus
+    return max(2.0 * c, (abs(line.c) + abs(line.b) * scenario.y_lim) / abs(line.a) + c)
 
 
 def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolygon, ConvexPolygon]:
@@ -123,10 +111,9 @@ def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolyg
 def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary) -> AttackableRegion:
     """Exact attackable region of one boundary as convex pieces, one per band."""
     guard = guard_extent(scenario, boundary)
-    plus = plus_halfplane(boundary)
     pieces = []
     for band in band_rectangles(scenario, guard):
-        piece = halfplane_intersection([plus], band)
+        piece = halfplane_intersection([boundary.plus], band)
         for vert in piece.vertices:
             if vert.x <= -guard + 1e-9 * max(1.0, guard):
                 raise GeometryError("attackable region reached the left guard; invalid separator")
@@ -161,38 +148,35 @@ def _require_same_scenario(*regions: AttackableRegion) -> ScenarioConfig:
     return scenario
 
 
+def _shared_bands(*regions: AttackableRegion) -> tuple[ConvexPolygon, ConvexPolygon]:
+    """Both bands under the deepest guard of regions built in one scenario."""
+    return band_rectangles(_require_same_scenario(*regions), max(r.guard for r in regions))
+
+
+def _band_area(
+    piece: ConvexPolygon, plus: list[HalfPlane], minus: list[HalfPlane] | None = None
+) -> float:
+    """Area of ``piece`` cut by every half-plane in ``plus``.
+
+    With ``minus``, the "-" sides of some regions, only the part inside at
+    least one of those regions counts: the cut area less its part outside
+    all of them (union = band - intersection of complements).
+    """
+    cut = halfplane_intersection(plus, piece)
+    area = polygon_area(cut)
+    if minus is None:
+        return area
+    return area - polygon_area(halfplane_intersection(minus, cut))
+
+
 def directional_transferability(
     ar1: AttackableRegion, ar2: AttackableRegion
 ) -> TransferabilityScore:
     """Overlap of ar2 with ar1, relative to ar1: S(ar1 n ar2) / S(ar1)."""
     _require_same_scenario(ar1, ar2)
-    denom = region_area(ar1)
-    if denom == 0.0:
-        return TransferabilityScore.undefined()
-    plus2 = plus_halfplane(ar2.source_boundary)
-    numer = sum(polygon_area(halfplane_intersection([plus2], piece)) for piece in ar1.pieces)
-    return TransferabilityScore.of(numer / denom)
-
-
-def _union_and_target_areas(
-    priors: list[AttackableRegion], target: AttackableRegion | None
-) -> tuple[float, float]:
-    """(area of union of priors, area of target n union), both exact."""
-    extra = [target] if target is not None else []
-    scenario = _require_same_scenario(*priors, *extra)
-    guard = max(r.guard for r in priors + extra)
-    complements = [minus_halfplane(r.source_boundary) for r in priors]
-    union_total = 0.0
-    inter_total = 0.0
-    for band in band_rectangles(scenario, guard):
-        band_area = polygon_area(band)
-        union_total += band_area - polygon_area(halfplane_intersection(complements, band))
-        if target is not None:
-            plus_t = [plus_halfplane(target.source_boundary)]
-            t_area = polygon_area(halfplane_intersection(plus_t, band))
-            t_outside = polygon_area(halfplane_intersection(plus_t + complements, band))
-            inter_total += t_area - t_outside
-    return union_total, inter_total
+    plus2 = [ar2.source_boundary.plus]
+    numer = sum(_band_area(piece, plus2) for piece in ar1.pieces)
+    return TransferabilityScore.ratio(numer, region_area(ar1))
 
 
 def compound_transferability(
@@ -201,10 +185,12 @@ def compound_transferability(
     """S(target n union of priors) / S(union of priors), exactly."""
     if not priors:
         raise DomainError("compound transferability requires at least one prior region")
-    union_total, inter_total = _union_and_target_areas(list(priors), target)
-    if union_total == 0.0:
-        return TransferabilityScore.undefined()
-    return TransferabilityScore.of(inter_total / union_total)
+    bands = _shared_bands(*priors, target)
+    minus = [r.source_boundary.minus for r in priors]
+    plus_t = [target.source_boundary.plus]
+    union = sum(_band_area(band, [], minus) for band in bands)
+    inter = sum(_band_area(band, plus_t, minus) for band in bands)
+    return TransferabilityScore.ratio(inter, union)
 
 
 def cautious_transferability(
@@ -213,27 +199,19 @@ def cautious_transferability(
     """S(target n intersection of priors) / S(intersection of priors)."""
     if not priors:
         raise DomainError("cautious transferability requires at least one prior region")
-    scenario = _require_same_scenario(*priors, target)
-    guard = max([r.guard for r in priors] + [target.guard])
-    plus_priors = [plus_halfplane(r.source_boundary) for r in priors]
-    plus_t = plus_halfplane(target.source_boundary)
-    denom = 0.0
-    numer = 0.0
-    for band in band_rectangles(scenario, guard):
-        core = halfplane_intersection(plus_priors, band)
-        denom += polygon_area(core)
-        numer += polygon_area(halfplane_intersection([plus_t], core))
-    if denom == 0.0:
-        return TransferabilityScore.undefined()
-    return TransferabilityScore.of(numer / denom)
+    plus = [r.source_boundary.plus for r in priors]
+    cores = [halfplane_intersection(plus, band) for band in _shared_bands(*priors, target)]
+    plus_t = [target.source_boundary.plus]
+    numer = sum(_band_area(core, plus_t) for core in cores)
+    return TransferabilityScore.ratio(numer, sum(map(polygon_area, cores)))
 
 
 def union_area(priors: list[AttackableRegion]) -> float:
     """Exact area of the union of attackable regions."""
     if not priors:
         return 0.0
-    area, _ = _union_and_target_areas(list(priors), None)
-    return area
+    minus = [r.source_boundary.minus for r in priors]
+    return sum(_band_area(band, [], minus) for band in _shared_bands(*priors))
 
 
 def check_zero_transfer(

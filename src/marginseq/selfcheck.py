@@ -154,9 +154,7 @@ def check_area_closed_form(scenario: ScenarioConfig) -> CheckResult:
 def separates_training_disks(scenario: ScenarioConfig, boundary: DecisionBoundary) -> bool:
     """Both unit training disks strictly on their own sides of the boundary."""
     c = scenario.c
-    if boundary.kind == "vertical":
-        return 1.0 - c < boundary.x0 < c - 1.0
-    norm = math.hypot(boundary.k, 1.0)
+    norm = math.hypot(boundary.plus.a, boundary.plus.b)
     return (
         boundary.signed_value(c, 0.0) / norm > 1.0
         and boundary.signed_value(-c, 0.0) / norm < -1.0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .geometry import Point2, TangentLines, tangents_to_unit_circle
+from .geometry import HalfPlane, Point2, TangentLines, tangents_to_unit_circle
 
 # |w| below this threshold snaps to the vertical-separator case; the two
 # sloped branches converge there, so it only resolves floating-point ties.
@@ -88,19 +88,15 @@ class HiddenPoint:
 
 @dataclass(frozen=True, slots=True)
 class DecisionBoundary:
-    """Linear separator, either sloped (y = k*x + b) or vertical (x = x0).
+    """Linear separator held as its closed "+" half-plane.
 
-    ``plus_sign`` orients the boundary: a point classifies "+" exactly when
-    plus_sign * (y - k*x - b) >= 0 (sloped) or plus_sign * (x - x0) >= 0
-    (vertical).  It is always derived from containment of the "+" centroid
-    (c, 0) at construction time, never chosen independently.
+    A point classifies "+" exactly when it lies in ``plus``.  The constructors
+    take the line as y = k*x + b or x = x0 and orient it by containment of
+    the "+" centroid (c, 0), never independently.  The coefficients are the
+    line's own scaled by +-1 only, so k, b and x0 read back bit for bit.
     """
 
-    kind: str
-    k: float | None
-    b: float | None
-    x0: float | None
-    plus_sign: float
+    plus: HalfPlane
 
     @classmethod
     def sloped(cls, k: float, b: float, scenario: ScenarioConfig) -> "DecisionBoundary":
@@ -111,7 +107,8 @@ class DecisionBoundary:
         residual = -k * scenario.c - b
         if residual == 0.0:
             raise DomainError("boundary passes through the '+' centroid")
-        return cls("sloped", k, b, None, math.copysign(1.0, residual))
+        ps = math.copysign(1.0, residual)
+        return cls(HalfPlane(ps * k, -ps, -ps * b))
 
     @classmethod
     def vertical(cls, x0: float, scenario: ScenarioConfig) -> "DecisionBoundary":
@@ -119,19 +116,37 @@ class DecisionBoundary:
             raise DomainError("crossing abscissa must be finite")
         if x0 == scenario.c:
             raise DomainError("boundary passes through the '+' centroid")
-        return cls("vertical", None, None, x0, math.copysign(1.0, scenario.c - x0))
+        ps = math.copysign(1.0, scenario.c - x0)
+        return cls(HalfPlane(-ps, 0.0, -ps * x0))
+
+    @property
+    def kind(self) -> str:
+        return "vertical" if self.plus.b == 0.0 else "sloped"
+
+    @property
+    def k(self) -> float | None:
+        return None if self.plus.b == 0.0 else -self.plus.a / self.plus.b
+
+    @property
+    def b(self) -> float | None:
+        return None if self.plus.b == 0.0 else self.plus.c / self.plus.b
+
+    @property
+    def x0(self) -> float | None:
+        return self.plus.c / self.plus.a if self.plus.b == 0.0 else None
+
+    @property
+    def minus(self) -> HalfPlane:
+        """The closed "-" side, sharing the boundary line with ``plus``."""
+        return HalfPlane(-self.plus.a, -self.plus.b, -self.plus.c)
 
     def signed_value(self, x, y):
         """Positive on the "+" side; works on scalars and numpy arrays."""
-        if self.kind == "sloped":
-            return self.plus_sign * (y - self.k * x - self.b)
-        return self.plus_sign * (x - self.x0)
+        return -self.plus.value((x, y))
 
     def mirrored(self) -> "DecisionBoundary":
         """Reflection across the x-axis, preserving the "+" orientation."""
-        if self.kind == "sloped":
-            return DecisionBoundary("sloped", -self.k, -self.b, None, -self.plus_sign)
-        return self
+        return DecisionBoundary(HalfPlane(self.plus.a, -self.plus.b, self.plus.c))
 
 
 @dataclass(frozen=True, slots=True)

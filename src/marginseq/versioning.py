@@ -26,6 +26,7 @@ out on the boundary lines themselves, which is exact regardless.
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .errors import DomainError, GeometryError, PoolExhaustedError, UndefinedEst
 from .geometry import Point2, tangents_to_unit_circle
 from .regions import (
     MODE_CAUTIOUS,
-    AttackableRegion,
     AttackSampleConfig,
     TransferabilityScore,
     build_attackable_region,
@@ -47,10 +47,6 @@ from .separators import DecisionBoundary, HiddenPoint, ScenarioConfig, boundary_
 
 DEFAULT_EPS_D = 2.0
 DEFAULT_BMAX_TOL = 1e-6
-
-# Feature-multiplier window of the scaling heuristic this pool sampler
-# replaces; kept on the pool record for reporting.
-MULTIPLIER_RANGE = (1.1, 1.5)
 
 _POOL_ATTEMPT_FACTOR = 10_000
 
@@ -100,11 +96,17 @@ class CandidatePool:
     boundaries: tuple[DecisionBoundary, ...]
     seed: int
     eps_d: float
-    multiplier_range: tuple[float, float]
 
     def __post_init__(self):
         if len(self.hidden_points) != len(self.boundaries):
             raise DomainError("hidden point and boundary lists must be parallel")
+
+
+# The quoted annotation keeps numpy.random from loading at import time.
+def _philox(seed: int, stream: int) -> "np.random.Generator":
+    if not 0 <= seed < 2**64:
+        raise DomainError("seed must fit in 64 bits")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _anchor_raw(scenario: ScenarioConfig, k: float, b: float) -> tuple[float, float]:
@@ -148,6 +150,8 @@ def check_boundary_feasibility(scenario: ScenarioConfig, k: float, b: float) -> 
     round trip: boundary_from_hidden(reconstructed_h) reproduces (k, b) to
     1e-6 relative.
     """
+    if not (math.isfinite(k) and math.isfinite(b)):
+        raise DomainError("slope and intercept must be finite")
     if k == 0.0:
         raise DomainError("feasibility check requires k != 0")
     if k < 0.0:
@@ -317,7 +321,7 @@ def generate_candidate_pool(
     if eps_d <= 1.0:
         raise DomainError("eps_d must exceed the training disk radius 1")
     c, y_lim = scenario.c, scenario.y_lim
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = _philox(seed, 0)
     points: list[HiddenPoint] = []
     attempts = 0
     max_attempts = _POOL_ATTEMPT_FACTOR * size
@@ -334,26 +338,32 @@ def generate_candidate_pool(
             if len(points) < size:
                 points.append(HiddenPoint(float(vi), float(wi)))
     boundaries = tuple(boundary_from_hidden(scenario, h)[0] for h in points)
-    return CandidatePool(tuple(points), boundaries, seed, eps_d, MULTIPLIER_RANGE)
+    return CandidatePool(tuple(points), boundaries, seed, eps_d)
 
 
-def _score_candidate(
-    scenario: ScenarioConfig,
-    breached_regions: list[AttackableRegion],
-    breached: list[DecisionBoundary],
-    candidate: DecisionBoundary,
-    cfg: AttackSampleConfig,
-) -> TransferabilityScore:
+def candidate_scorer(
+    scenario: ScenarioConfig, breached: list[DecisionBoundary], cfg: AttackSampleConfig
+) -> Callable[[DecisionBoundary], TransferabilityScore]:
+    """Transferability of a candidate from the breached versions under cfg.
+
+    Exact area ratios when cfg.n_samples == 0, with the breached regions
+    built once for every candidate scored; sampled otherwise, where too few
+    accepted samples make the score undefined instead of raising.
+    """
+    breached = list(breached)
     if cfg.n_samples == 0:
-        target = build_attackable_region(scenario, candidate)
-        if cfg.mode == MODE_CAUTIOUS:
-            return cautious_transferability(breached_regions, target)
-        return compound_transferability(breached_regions, target)
-    try:
-        est = mc_transferability(scenario, breached, candidate, cfg)
-    except UndefinedEstimateError:
-        return TransferabilityScore.undefined()
-    return TransferabilityScore.of(est.value)
+        regions = [build_attackable_region(scenario, bd) for bd in breached]
+        exact = cautious_transferability if cfg.mode == MODE_CAUTIOUS else compound_transferability
+        return lambda candidate: exact(regions, build_attackable_region(scenario, candidate))
+
+    def sampled(candidate: DecisionBoundary) -> TransferabilityScore:
+        try:
+            est = mc_transferability(scenario, breached, candidate, cfg)
+        except UndefinedEstimateError:
+            return TransferabilityScore.undefined()
+        return TransferabilityScore.of(est.value)
+
+    return sampled
 
 
 def greedy_select_next(
@@ -373,13 +383,11 @@ def greedy_select_next(
     remaining = [i for i, bd in enumerate(pool.boundaries) if bd not in breached]
     if not remaining:
         raise PoolExhaustedError("every pool candidate has been consumed")
-    breached_regions = (
-        [build_attackable_region(scenario, bd) for bd in breached] if cfg.n_samples == 0 else []
-    )
+    scorer = candidate_scorer(scenario, breached, cfg)
     best_index = remaining[0]
     best: TransferabilityScore | None = None
     for i in remaining:
-        score = _score_candidate(scenario, breached_regions, list(breached), pool.boundaries[i], cfg)
+        score = scorer(pool.boundaries[i])
         if best is None:
             best_index, best = i, score
         elif score.defined and (not best.defined or score.value < best.value):
@@ -395,7 +403,7 @@ def random_baseline_sequence(
     if n_versions < 1:
         raise DomainError("baseline sequence needs at least one version")
     c, y_lim = scenario.c, scenario.y_lim
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    rng = _philox(seed, 1)
     out = []
     while len(out) < n_versions:
         v = float(rng.uniform(-(c - 1.0), c - 1.0))

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from marginseq import ScenarioConfig
@@ -7,7 +6,3 @@ from marginseq import ScenarioConfig
 @pytest.fixture
 def scenario() -> ScenarioConfig:
     return ScenarioConfig(100.0, 0.1, 30.0)
-
-
-def philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))

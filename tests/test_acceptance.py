@@ -36,7 +36,7 @@ from marginseq import (
 )
 from marginseq.cli import DEFAULT_SETTINGS, cmd_table
 from marginseq.selfcheck import separates_training_disks
-from conftest import philox
+from seeded_rng import philox
 
 SCENARIO = ScenarioConfig(100.0, 0.1, 30.0)
 PLAN_K, PLAN_B_MAX = 7.0, 12.0

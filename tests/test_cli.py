@@ -1,10 +1,14 @@
 import csv
 import io
+import pathlib
 
 import pytest
 
 from marginseq.cli import main, load_settings, DEFAULT_SETTINGS
 from marginseq.errors import ScenarioFileError
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +42,16 @@ def test_table_reproduces_reference_values(capsys):
     for r in rows:
         assert r["schema"] == "1"
         assert r["c"] == "100"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(["table"], "table.csv"), (["plan", "--n", "10"], "plan_n10.csv"), (["pool"], "pool.csv")],
+)
+def test_stock_csv_matches_golden_bytes(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
 def test_table_deterministic_output(capsys):
@@ -91,6 +105,13 @@ def test_boundary_feasibility_mode(capsys):
     )
     assert float(row["anchor_v"]) == pytest.approx(95.2060505, abs=1e-6)
     assert float(row["anchor_w"]) == pytest.approx(-27.8865786, abs=1e-6)
+
+
+def test_boundary_feasibility_rejects_non_finite(capsys):
+    code, out, err = run_cli(capsys, "boundary", "--k", "nan", "--b", "1")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_boundary_requires_arguments(capsys):
@@ -169,10 +190,30 @@ def test_pool_deterministic_and_modes(capsys):
 
 def test_pool_cautious_mode_renders_na(capsys):
     # the seed pair has disjoint regions, so cautious scores are undefined
-    code, out, _ = run_cli(capsys, "pool", "--sequence-length", "4", "--attack-mode", "cautious")
-    assert code == 0
-    rows = parse_csv(out)
-    assert any(r["compound_at"] == "NA" for r in rows if r["row"] == "greedy")
+    for extra in ([], ["--samples", "100000"]):
+        code, out, _ = run_cli(capsys, "pool", "--sequence-length", "4",
+                               "--attack-mode", "cautious", *extra)
+        assert code == 0
+        rows = parse_csv(out)
+        assert any(r["compound_at"] == "NA" for r in rows if r["row"] == "greedy")
+        assert all(r["compound_at"] == "NA" for r in rows if r["row"] == "random")
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_pool_seed_out_of_range(capsys, seed):
+    code, out, err = run_cli(capsys, "pool", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "64 bits" in err
+
+
+def test_pool_seed_out_of_range_in_scenario_file(tmp_path, capsys):
+    cfg = tmp_path / "neg_seed.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[pool]\nseed = -3\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")
+    assert code == 2
+    assert out == ""
+    assert "64 bits" in err
 
 
 def test_pool_size_must_cover_sequence(tmp_path, capsys):
@@ -235,6 +276,16 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--scenario", str(unknown), "table")
     assert code == 3
     assert "zz" in err
+
+    for section, key, raw in (("plan", "k", "nan"), ("plan", "b_max", "inf"),
+                              ("pool", "eps_d", "nan"), ("attack", "samples", "inf")):
+        nonfinite = tmp_path / f"{key}.ini"
+        nonfinite.write_text(
+            f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[{section}]\n{key} = {raw}\n"
+        )
+        code, _, err = run_cli(capsys, "--scenario", str(nonfinite), "pool")
+        assert code == 3, (section, key)
+        assert key in err
 
     nofile = tmp_path / "nope.ini"
     code, _, err = run_cli(capsys, "--scenario", str(nofile), "table")

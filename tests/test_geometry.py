@@ -18,7 +18,7 @@ from marginseq import (
     rectangle,
     tangents_to_unit_circle,
 )
-from conftest import philox
+from seeded_rng import philox
 
 UNIT_SQUARE = ConvexPolygon.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -145,6 +145,22 @@ def test_area_matches_monte_carlo():
     p_hat = inside.mean()
     sigma = math.sqrt(p_true * (1.0 - p_true) / n_samples)
     assert abs(p_hat - p_true) <= 3.0 * sigma
+
+
+def test_clip_vertex_on_line_stands_in_for_crossing():
+    # The last vertex lies within rounding tolerance of the clip line; a
+    # crossing emitted next to it as well used to step backwards along the
+    # boundary and fail the convexity check.
+    poly = ConvexPolygon.from_points([
+        (0.004757259738401464, -30.0), (0.1, -30.0), (0.1, 30.0), (0.0, 30.0),
+        (0.0, 1.000444171950221e-11),
+    ])
+    half = HalfPlane(317.45126011347384, 1.0, 2.8421709430404007e-13)
+    clipped = clip_convex(poly, half)
+    assert not clipped.is_empty
+    assert polygon_area(clipped) <= polygon_area(poly)
+    for p in clipped.vertices:
+        assert half.value(p) <= 1e-9
 
 
 def test_tangents_from_origin():

@@ -20,7 +20,7 @@ from marginseq import (
     union_area,
 )
 from marginseq.regions import MC_BLOCK, mc_block_counts
-from conftest import philox
+from seeded_rng import philox
 
 AR1_AREA = 61.390714285714285  # boundary y = 7x - 0.7
 AR3_AREA = 21.447857142857142  # boundary y = 7x - 12.7
@@ -302,3 +302,17 @@ def test_scenario_mismatch_rejected(scenario):
     ar_b = build_attackable_region(other, offset_boundary(other, 7.0, 0.7))
     with pytest.raises(DomainError):
         directional_transferability(ar_a, ar_b)
+
+
+def test_compound_near_origin_sliver_clip(scenario):
+    # Two tangent-branch lines pass within ~1e-11 of the sliver band's left
+    # edge midpoint; clipping the band used to emit a backtracking crossing.
+    prior = build_attackable_region(
+        scenario, DecisionBoundary.sloped(-317.45126011347384, 2.8421709430404007e-13, scenario)
+    )
+    target = build_attackable_region(
+        scenario, DecisionBoundary.sloped(-6306.151366477757, 1.000444171950221e-11, scenario)
+    )
+    score = compound_transferability([prior], target)
+    assert score.defined
+    assert score.value == pytest.approx(1.0, abs=1e-12)

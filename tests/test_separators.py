@@ -14,7 +14,7 @@ from marginseq import (
     oracle_boundary,
 )
 from marginseq.selfcheck import boundary_deviation
-from conftest import philox
+from seeded_rng import philox
 
 
 def sample_hidden(scenario, rng) -> HiddenPoint:
@@ -182,3 +182,25 @@ def test_boundary_validation(scenario):
         DecisionBoundary.sloped(float("nan"), 1.0, scenario)
     with pytest.raises(DomainError):
         DecisionBoundary.vertical(scenario.c, scenario)
+
+
+def test_boundary_reads_back_its_line(scenario):
+    # the "+" half-plane only rescales the line by +-1, so the parameters
+    # and the signed value match y = k*x + b and x = x0 bit for bit
+    rng = philox(909)
+    x = rng.uniform(-150.0, 150.0, 64)
+    y = rng.uniform(-30.0, 30.0, 64)
+    for _ in range(200):
+        k = float(rng.uniform(-50.0, 50.0))
+        b = float(rng.uniform(-500.0, 500.0))
+        bd = DecisionBoundary.sloped(k, b, scenario)
+        assert (bd.kind, bd.k, bd.b, bd.x0) == ("sloped", k, b, None)
+        ps = math.copysign(1.0, -k * scenario.c - b)
+        assert np.array_equal(bd.signed_value(x, y), ps * (y - k * x - b))
+        assert bd.mirrored() == DecisionBoundary.sloped(-k, -b, scenario)
+        x0 = float(rng.uniform(-99.0, 99.0))
+        vd = DecisionBoundary.vertical(x0, scenario)
+        assert (vd.kind, vd.k, vd.b, vd.x0) == ("vertical", None, None, x0)
+        assert np.array_equal(vd.signed_value(x, y), x - x0)
+        assert vd.mirrored() == vd
+        assert vd.minus.value((x0 - 1.0, 0.0)) < 0.0 < vd.plus.value((x0 - 1.0, 0.0))

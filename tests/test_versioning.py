@@ -22,7 +22,7 @@ from marginseq import (
     reconstruct_hidden_point,
     verify_plan,
 )
-from conftest import philox
+from seeded_rng import philox
 
 EXACT = AttackSampleConfig("ensemble", 0, 0)
 
@@ -239,7 +239,7 @@ def test_pool_validation(scenario):
 def _line_pool(scenario, offsets):
     boundaries = tuple(DecisionBoundary.sloped(7.0, -b, scenario) for b in offsets)
     hidden = tuple(reconstruct_hidden_point(scenario, 7.0, -b) for b in offsets)
-    return CandidatePool(hidden, boundaries, 0, 2.0, (1.1, 1.5))
+    return CandidatePool(hidden, boundaries, 0, 2.0)
 
 
 def test_greedy_selects_smallest_overlap(scenario):
@@ -344,6 +344,6 @@ def test_random_baseline_same_side_fraction(scenario):
     assert 0.42 <= same / trials <= 0.58
 
 
-def test_pool_parallel_lists_validated():
+def test_pool_parallel_lists_validated(scenario):
     with pytest.raises(DomainError):
-        CandidatePool((), (DecisionBoundary("vertical", None, None, -1.0, 1.0),), 0, 2.0, (1.1, 1.5))
+        CandidatePool((), (DecisionBoundary.vertical(-1.0, scenario),), 0, 2.0)
