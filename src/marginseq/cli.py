@@ -205,6 +205,8 @@ def cmd_plan(settings: Settings, args, out) -> int:
     n = args.n if args.n is not None else settings.n_versions
     plan = plan_sequence(scenario, n, settings.plan_k, settings.plan_b_max)
     regions = [build_attackable_region(scenario, bd) for bd, _ in plan.versions]
+    if args.svg:
+        write_svg(args.svg, scenario, [bd for bd, _ in plan.versions], regions)
     writer = ReportWriter(
         scenario,
         ["row", "index", "kind", "k", "b", "hidden_v", "hidden_w", "ar_area",
@@ -222,8 +224,6 @@ def cmd_plan(settings: Settings, args, out) -> int:
                    region_area(regions[i - 1]), at, None, None, None)
     writer.row("summary", None, None, None, None, None, None, None, None,
                plan.n_tiers, plan.step if plan.n_tiers else None, plan.alpha)
-    if args.svg:
-        write_svg(args.svg, scenario, [bd for bd, _ in plan.versions], regions)
     return 0
 
 
@@ -356,8 +356,11 @@ def write_svg(path: str, scenario: ScenarioConfig, boundaries, regions) -> None:
                 f'y2="{sy(y2):.2f}" stroke="#222222" stroke-width="1"/>'
             )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(parts) + "\n")
+    except OSError as exc:
+        raise MarginSeqError(f"cannot write SVG {path}: {exc.strerror or exc}")
 
 
 def _parse_point(text: str) -> tuple[float, float]:

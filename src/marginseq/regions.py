@@ -89,6 +89,14 @@ class MonteCarloEstimate:
     n_samples: int
 
 
+# The quoted annotation keeps numpy.random from loading at import time.
+def philox(seed: int, stream: int) -> "np.random.Generator":
+    """Philox generator keyed (seed, stream); every seeded draw goes through it."""
+    if not 0 <= seed < 2**64:
+        raise DomainError("seed must fit in 64 bits")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
 def guard_extent(scenario: ScenarioConfig, boundary: DecisionBoundary) -> float:
     """Left clipping depth G for the conceptually unbounded band {x <= -delta}.
 
@@ -257,8 +265,7 @@ def mc_block_counts(
         m = min(MC_BLOCK, cfg.n_samples - j * MC_BLOCK)
         if m <= 0:
             break
-        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64)))
-        u = rng.random((m, 2))
+        u = philox(cfg.seed, j).random((m, 2))
         m_sliver = int(round(m * p_sliver))
         x = np.empty(m)
         x[:m_sliver] = u[:m_sliver, 0] * d

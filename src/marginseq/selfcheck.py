@@ -20,6 +20,7 @@ from .regions import (
     compound_transferability,
     directional_transferability,
     mc_transferability,
+    philox,
     region_area,
 )
 from .separators import (
@@ -34,6 +35,7 @@ from .versioning import (
     check_boundary_feasibility,
     find_bmax,
     plan_sequence,
+    sample_hidden_point,
     verify_plan,
 )
 
@@ -53,46 +55,27 @@ class CheckResult:
     measured: str
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-
-
-def _sample_hidden(scenario: ScenarioConfig, rng: np.random.Generator) -> HiddenPoint:
-    c, y_lim = scenario.c, scenario.y_lim
-    while True:
-        v = float(rng.uniform(-(c - 1.0), c - 1.0))
-        w = float(rng.uniform(-y_lim, y_lim))
-        if (v - c) ** 2 + w**2 > 1.0 and (v + c) ** 2 + w**2 > 1.0:
-            return HiddenPoint(v, w)
-
-
 def boundary_deviation(a: DecisionBoundary, b: DecisionBoundary) -> float:
-    """Relative parameter deviation between two boundaries; inf on kind mismatch."""
-    if a.kind != b.kind:
-        return float("inf")
-    if a.kind == "vertical":
-        return abs(a.x0 - b.x0) / max(1.0, abs(a.x0))
-    dev_k = abs(a.k - b.k) / max(1.0, abs(a.k))
-    dev_b = abs(a.b - b.b) / max(1.0, abs(a.b))
-    return max(dev_k, dev_b)
+    """Deviation between two separators as unit-normalised "+" half-planes.
 
-
-def pick_plan_slope(scenario: ScenarioConfig, preferred: float) -> float | None:
-    """Preferred slope if its base boundary is admissible, else a fallback."""
-    for k in (preferred, *_PROBE_SLOPES):
-        if k > 0.0 and anchor_admissible(scenario, k, -k * scenario.delta):
-            return k
-    return None
+    The larger of the distance between the unit normals and the difference
+    of the offsets relative to max(1, |offset|), so a line has one reading
+    however steep it is.
+    """
+    na, nb = math.hypot(a.plus.a, a.plus.b), math.hypot(b.plus.a, b.plus.b)
+    dev_n = math.hypot(a.plus.a / na - b.plus.a / nb, a.plus.b / na - b.plus.b / nb)
+    dev_c = abs(a.plus.c / na - b.plus.c / nb) / max(1.0, abs(a.plus.c / na))
+    return max(dev_n, dev_c)
 
 
 def check_oracle_agreement(scenario: ScenarioConfig, n_points: int = 40) -> CheckResult:
-    rng = _rng(9001)
+    rng = philox(9001, 0)
     worst = 0.0
     for i in range(n_points):
         if i % 8 == 0:
-            h = HiddenPoint(_sample_hidden(scenario, rng).v, 0.0)
+            h = HiddenPoint(sample_hidden_point(scenario, rng).v, 0.0)
         else:
-            h = _sample_hidden(scenario, rng)
+            h = sample_hidden_point(scenario, rng)
         closed, _ = boundary_from_hidden(scenario, h)
         numeric = oracle_boundary(scenario, h)
         worst = max(worst, boundary_deviation(closed, numeric))
@@ -102,7 +85,7 @@ def check_oracle_agreement(scenario: ScenarioConfig, n_points: int = 40) -> Chec
 
 
 def check_round_trip(scenario: ScenarioConfig, n_points: int = 60) -> CheckResult:
-    rng = _rng(9002)
+    rng = philox(9002, 0)
     worst = 0.0
     found = 0
     attempts = 0
@@ -161,7 +144,7 @@ def separates_training_disks(scenario: ScenarioConfig, boundary: DecisionBoundar
     )
 
 
-def _zero_transfer_pair(scenario: ScenarioConfig, rng: np.random.Generator):
+def _zero_transfer_pair(scenario: ScenarioConfig, rng: "np.random.Generator"):
     d, y = scenario.delta, scenario.y_lim
     for _ in range(100_000):
         k = float(rng.uniform(0.5, 10.0))
@@ -179,7 +162,7 @@ def _zero_transfer_pair(scenario: ScenarioConfig, rng: np.random.Generator):
 
 
 def check_zero_transfer_pairs(scenario: ScenarioConfig, n_pairs: int = 20) -> CheckResult:
-    rng = _rng(9003)
+    rng = philox(9003, 0)
     worst_exact = 0.0
     worst_mc = 0.0
     for _ in range(n_pairs):
@@ -201,7 +184,7 @@ def check_zero_transfer_pairs(scenario: ScenarioConfig, n_pairs: int = 20) -> Ch
 
 
 def check_mc_consistency(scenario: ScenarioConfig, n_sets: int = 6) -> CheckResult:
-    rng = _rng(9004)
+    rng = philox(9004, 0)
     worst_sigma = 0.0
     for _ in range(n_sets):
         bd1, bd2, _, _ = _zero_transfer_pair(scenario, rng)

@@ -91,9 +91,10 @@ class DecisionBoundary:
     """Linear separator held as its closed "+" half-plane.
 
     A point classifies "+" exactly when it lies in ``plus``.  The constructors
-    take the line as y = k*x + b or x = x0 and orient it by containment of
-    the "+" centroid (c, 0), never independently.  The coefficients are the
-    line's own scaled by +-1 only, so k, b and x0 read back bit for bit.
+    take the line as y = k*x + b or x = x0, or as the edge of any half-plane,
+    and orient it by containment of the "+" centroid (c, 0), never
+    independently.  The coefficients are the line's own scaled by +-1 only,
+    so k, b and x0 read back bit for bit.
     """
 
     plus: HalfPlane
@@ -104,20 +105,21 @@ class DecisionBoundary:
             raise DomainError("slope and intercept must be finite")
         if k == 0.0:
             raise DomainError("sloped boundary requires k != 0")
-        residual = -k * scenario.c - b
-        if residual == 0.0:
-            raise DomainError("boundary passes through the '+' centroid")
-        ps = math.copysign(1.0, residual)
-        return cls(HalfPlane(ps * k, -ps, -ps * b))
+        return cls.through(HalfPlane(k, -1.0, -b), scenario)
 
     @classmethod
     def vertical(cls, x0: float, scenario: ScenarioConfig) -> "DecisionBoundary":
         if not math.isfinite(x0):
             raise DomainError("crossing abscissa must be finite")
-        if x0 == scenario.c:
+        return cls.through(HalfPlane(-1.0, 0.0, -x0), scenario)
+
+    @classmethod
+    def through(cls, line: HalfPlane, scenario: ScenarioConfig) -> "DecisionBoundary":
+        """Separator on the edge of ``line``, its "+" side the one holding (c, 0)."""
+        side = line.value((scenario.c, 0.0))
+        if side == 0.0:
             raise DomainError("boundary passes through the '+' centroid")
-        ps = math.copysign(1.0, scenario.c - x0)
-        return cls(HalfPlane(-ps, 0.0, -ps * x0))
+        return cls(line if side < 0.0 else HalfPlane(-line.a, -line.b, -line.c))
 
     @property
     def kind(self) -> str:
@@ -282,9 +284,7 @@ def oracle_boundary(
     best = min(candidates, key=lambda z: float(np.hypot(*(z - o2))))
     dist = float(np.hypot(*(best - o2)))
     r = o2 + (best - o2) / dist
-    mid = 0.5 * (r + best)
-    dx, dy = best[0] - r[0], best[1] - r[1]
-    if abs(dy) <= 1e-12 * math.hypot(dx, dy):
-        return DecisionBoundary.vertical(float(mid[0]), scenario)
-    k = -dx / dy
-    return DecisionBoundary.sloped(k, float(mid[1] - k * mid[0]), scenario)
+    # perpendicular bisector of the connection r -> best
+    normal = best - r
+    line = HalfPlane(float(normal[0]), float(normal[1]), float(np.dot(normal, 0.5 * (r + best))))
+    return DecisionBoundary.through(line, scenario)

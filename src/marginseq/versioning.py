@@ -41,9 +41,16 @@ from .regions import (
     compound_transferability,
     directional_transferability,
     mc_transferability,
+    philox,
     union_area,
 )
-from .separators import DecisionBoundary, HiddenPoint, ScenarioConfig, boundary_from_hidden
+from .separators import (
+    DecisionBoundary,
+    HiddenPoint,
+    ScenarioConfig,
+    boundary_from_hidden,
+    validate_hidden_point,
+)
 
 DEFAULT_EPS_D = 2.0
 DEFAULT_BMAX_TOL = 1e-6
@@ -102,45 +109,49 @@ class CandidatePool:
             raise DomainError("hidden point and boundary lists must be parallel")
 
 
-# The quoted annotation keeps numpy.random from loading at import time.
-def _philox(seed: int, stream: int) -> "np.random.Generator":
-    if not 0 <= seed < 2**64:
-        raise DomainError("seed must fit in 64 bits")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-
-
-def _anchor_raw(scenario: ScenarioConfig, k: float, b: float) -> tuple[float, float]:
-    """Reflection anchor for k > 0, unvalidated."""
-    c = scenario.c
-    s = math.sqrt(k * k + 1.0)
-    v = 2.0 * (-b * k - c) / (k * k + 1.0) - k / s + c
-    w = 2.0 * (b - c * k) / (k * k + 1.0) + 1.0 / s
-    return v, w
+def sample_hidden_point(scenario: ScenarioConfig, rng: "np.random.Generator") -> HiddenPoint:
+    """Uniform hidden point over the determining band minus both training disks."""
+    c, y_lim = scenario.c, scenario.y_lim
+    while True:
+        v = float(rng.uniform(-(c - 1.0), c - 1.0))
+        w = float(rng.uniform(-y_lim, y_lim))
+        if (v - c) ** 2 + w**2 > 1.0 and (v + c) ** 2 + w**2 > 1.0:
+            return HiddenPoint(v, w)
 
 
 def reconstruct_anchor(scenario: ScenarioConfig, k: float, b: float) -> tuple[float, float]:
-    """Unique reflection candidate for y = k*x + b, handling k < 0 by mirror."""
+    """Unique reflection candidate for y = k*x + b; k < 0 mirrors the k > 0 formula."""
     if k == 0.0:
         raise DomainError("anchor reconstruction requires k != 0")
-    if k > 0.0:
-        return _anchor_raw(scenario, k, b)
-    v, w = _anchor_raw(scenario, -k, -b)
-    return v, -w
+    c = scenario.c
+    mirror = math.copysign(1.0, k)
+    k, b = mirror * k, mirror * b
+    s = math.sqrt(k * k + 1.0)
+    v = 2.0 * (-b * k - c) / (k * k + 1.0) - k / s + c
+    w = 2.0 * (b - c * k) / (k * k + 1.0) + 1.0 / s
+    return v, mirror * w
+
+
+def _admissible_anchor(scenario: ScenarioConfig, k: float, b: float) -> HiddenPoint | None:
+    v, w = reconstruct_anchor(scenario, k, b)
+    try:
+        h = HiddenPoint(v, w)
+        validate_hidden_point(scenario, h)
+    except DomainError:
+        return None
+    return h
 
 
 def anchor_admissible(scenario: ScenarioConfig, k: float, b: float) -> bool:
     """Whether the reflection anchor lies in the determining band.
 
-    This is the planner's feasibility notion: constraints 1 and 2 of
+    This is the planner's feasibility notion: the band and disk test of
+    :func:`validate_hidden_point`, i.e. constraints 1 and 2 of
     :func:`check_boundary_feasibility` plus staying outside both training
     disks.  It does not promise the anchor reproduces (k, b); see the module
     docstring.
     """
-    c, y_lim = scenario.c, scenario.y_lim
-    v, w = reconstruct_anchor(scenario, k, b)
-    if not (abs(v) < c - 1.0 and abs(w) <= y_lim):
-        return False
-    return (v - c) ** 2 + w**2 > 1.0 and (v + c) ** 2 + w**2 > 1.0
+    return _admissible_anchor(scenario, k, b) is not None
 
 
 def check_boundary_feasibility(scenario: ScenarioConfig, k: float, b: float) -> FeasibilityReport:
@@ -154,27 +165,21 @@ def check_boundary_feasibility(scenario: ScenarioConfig, k: float, b: float) -> 
         raise DomainError("slope and intercept must be finite")
     if k == 0.0:
         raise DomainError("feasibility check requires k != 0")
-    if k < 0.0:
-        report = check_boundary_feasibility(scenario, -k, -b)
-        h = report.reconstructed_h.mirrored() if report.reconstructed_h else None
-        return FeasibilityReport(
-            report.feasible, report.constraint_1, report.constraint_2, report.constraint_3, h
-        )
-
     c, y_lim = scenario.c, scenario.y_lim
-    v, w = _anchor_raw(scenario, k, b)
+    v, w = reconstruct_anchor(scenario, k, b)
     c1 = 1.0 - c < v < c - 1.0
     c2 = abs(w) <= y_lim
 
     # Constraint 3: the perpendicular foot must stay off the tangent face,
-    # which for k > 0 means the upper tangent slope from the anchor cannot
-    # exceed k.  An anchor on or inside the "+" disk, or on the wrong side
-    # of the axis, cannot support the construction at all.
-    if (v - c) ** 2 + w**2 <= 1.0 or w >= 0.0:
+    # which means the slope of the face the anchor sees (the upper tangent
+    # k1 for k > 0, the lower k2 for k < 0) times -1/k is at least -1.  An
+    # anchor on or inside the "+" disk, or on the same side of the axis as
+    # the slope's sign, cannot support the construction at all.
+    if (v - c) ** 2 + w**2 <= 1.0 or math.copysign(1.0, k) * w >= 0.0:
         c3 = False
     else:
-        k1 = tangents_to_unit_circle(Point2(c, 0.0), Point2(v, w)).k1
-        c3 = k1 * (-1.0 / k) >= -1.0
+        tl = tangents_to_unit_circle(Point2(c, 0.0), Point2(v, w))
+        c3 = (tl.k1 if k > 0.0 else tl.k2) * (-1.0 / k) >= -1.0
 
     feasible = c1 and c2 and c3
     h = HiddenPoint(v, w) if feasible else None
@@ -188,10 +193,10 @@ def reconstruct_hidden_point(scenario: ScenarioConfig, k: float, b: float) -> Hi
     it provably does so exactly when check_boundary_feasibility(...) reports
     feasible (constraint 3 included).
     """
-    if not anchor_admissible(scenario, k, b):
+    h = _admissible_anchor(scenario, k, b)
+    if h is None:
         raise DomainError(f"no admissible anchor for boundary k={k}, b={b}")
-    v, w = reconstruct_anchor(scenario, k, b)
-    return HiddenPoint(v, w)
+    return h
 
 
 def find_bmax(scenario: ScenarioConfig, k: float, tol: float = DEFAULT_BMAX_TOL) -> float:
@@ -321,7 +326,7 @@ def generate_candidate_pool(
     if eps_d <= 1.0:
         raise DomainError("eps_d must exceed the training disk radius 1")
     c, y_lim = scenario.c, scenario.y_lim
-    rng = _philox(seed, 0)
+    rng = philox(seed, 0)
     points: list[HiddenPoint] = []
     attempts = 0
     max_attempts = _POOL_ATTEMPT_FACTOR * size
@@ -402,14 +407,6 @@ def random_baseline_sequence(
     """n independent uniform hidden points from the band, minus the disks."""
     if n_versions < 1:
         raise DomainError("baseline sequence needs at least one version")
-    c, y_lim = scenario.c, scenario.y_lim
-    rng = _philox(seed, 1)
-    out = []
-    while len(out) < n_versions:
-        v = float(rng.uniform(-(c - 1.0), c - 1.0))
-        w = float(rng.uniform(-y_lim, y_lim))
-        if (v - c) ** 2 + w**2 <= 1.0 or (v + c) ** 2 + w**2 <= 1.0:
-            continue
-        h = HiddenPoint(v, w)
-        out.append((h, boundary_from_hidden(scenario, h)[0]))
-    return tuple(out)
+    rng = philox(seed, 1)
+    points = [sample_hidden_point(scenario, rng) for _ in range(n_versions)]
+    return tuple((h, boundary_from_hidden(scenario, h)[0]) for h in points)

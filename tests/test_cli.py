@@ -1,6 +1,9 @@
 import csv
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -142,6 +145,23 @@ def test_plan_two_versions(capsys):
     assert summary["alpha"] == "0"
     versions = [r for r in rows if r["row"] == "version"]
     assert float(versions[1]["compound_at"]) == 0.0
+
+
+def test_plan_svg_unwritable_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "plan.svg"
+    code, _, err = run_cli(capsys, "plan", "--n", "3", "--svg", str(path))
+    assert code == 2
+    assert err.startswith(f"marginseq: cannot write SVG {path}")
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # commands that draw no random numbers should not pay for numpy.random
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
+    code = "import sys, marginseq.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_plan_svg(tmp_path, capsys):

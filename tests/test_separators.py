@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from marginseq import (
     DecisionBoundary,
     DomainError,
+    HalfPlane,
     HiddenPoint,
     Point2,
     ScenarioConfig,
@@ -14,16 +17,8 @@ from marginseq import (
     oracle_boundary,
 )
 from marginseq.selfcheck import boundary_deviation
+from marginseq.versioning import sample_hidden_point
 from seeded_rng import philox
-
-
-def sample_hidden(scenario, rng) -> HiddenPoint:
-    c, y_lim = scenario.c, scenario.y_lim
-    while True:
-        v = float(rng.uniform(-(c - 1.0), c - 1.0))
-        w = float(rng.uniform(-y_lim, y_lim))
-        if (v - c) ** 2 + w**2 > 1.0 and (v + c) ** 2 + w**2 > 1.0:
-            return HiddenPoint(v, w)
 
 
 def test_scenario_validation():
@@ -97,7 +92,7 @@ def test_direct_case_slope(scenario):
 def test_mirror_equivariance(scenario):
     rng = philox(505)
     for _ in range(200):
-        h = sample_hidden(scenario, rng)
+        h = sample_hidden_point(scenario, rng)
         bd, _ = boundary_from_hidden(scenario, h)
         bd_m, _ = boundary_from_hidden(scenario, h.mirrored())
         expected = bd.mirrored()
@@ -117,7 +112,7 @@ def test_determinism(scenario):
 def test_support_segment_bisected(scenario):
     rng = philox(606)
     for _ in range(300):
-        h = sample_hidden(scenario, rng)
+        h = sample_hidden_point(scenario, rng)
         boundary, deriv = boundary_from_hidden(scenario, h)
         (qx, qy), (rx, ry) = deriv.support_segment
         mx, my = (qx + rx) / 2.0, (qy + ry) / 2.0
@@ -138,7 +133,7 @@ def test_margin_property(scenario):
     angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     for _ in range(50):
-        h = sample_hidden(scenario, rng)
+        h = sample_hidden_point(scenario, rng)
         boundary, _ = boundary_from_hidden(scenario, h)
         plus_x, plus_y = scenario.c + cos_a, sin_a
         minus_x, minus_y = -scenario.c + cos_a, sin_a
@@ -152,20 +147,70 @@ def test_oracle_matches_closed_form(scenario):
     worst = 0.0
     for i in range(150):
         if i % 10 == 0:
-            h = HiddenPoint(sample_hidden(scenario, rng).v, 0.0)
+            h = HiddenPoint(sample_hidden_point(scenario, rng).v, 0.0)
         else:
-            h = sample_hidden(scenario, rng)
+            h = sample_hidden_point(scenario, rng)
         closed, _ = boundary_from_hidden(scenario, h)
         numeric = oracle_boundary(scenario, h, resolution=40_000)
         worst = max(worst, boundary_deviation(closed, numeric))
     assert worst <= 1e-6
 
 
-def test_oracle_tangent_branch(scenario):
-    closed, deriv = boundary_from_hidden(scenario, HiddenPoint(97.0, -28.0))
-    assert deriv.case_tag == "w_neg_tangent"
-    numeric = oracle_boundary(scenario, HiddenPoint(97.0, -28.0))
+@pytest.mark.parametrize(
+    "v, w, case_tag",
+    [
+        (97.0, -28.0, "w_neg_tangent"),
+        # a slope of about -2.2e12: the oracle's line is the same one
+        (10.0, 5e-11, "w_pos_direct"),
+        # X^2 -> 1 in the tangent algebra: k is about -5e9
+        (98.9999999999, 0.5, "w_pos_tangent"),
+    ],
+    ids=["below-axis", "near-vertical", "steep-tangent"],
+)
+def test_oracle_tangent_branch(scenario, v, w, case_tag):
+    closed, deriv = boundary_from_hidden(scenario, HiddenPoint(v, w))
+    assert deriv.case_tag == case_tag
+    numeric = oracle_boundary(scenario, HiddenPoint(v, w))
     assert boundary_deviation(closed, numeric) <= 1e-8
+
+
+EDGE = ScenarioConfig(100.0, 0.1, 30.0)
+_SIGNS = st.sampled_from((1.0, -1.0))
+_BAND_V = st.floats(-(EDGE.c - 1.0), EDGE.c - 1.0, exclude_min=True, exclude_max=True)
+_BAND_W = st.floats(-EDGE.y_lim, EDGE.y_lim)
+_BAND_EDGES = st.one_of(
+    # v -> +-(c - 1), from 1 down to 1e-13 inside the band (ulp(99) ~ 1.4e-14)
+    st.builds(
+        lambda s, e, w: HiddenPoint(s * ((EDGE.c - 1.0) - 10.0**e), w),
+        _SIGNS, st.floats(-13.0, 0.0), _BAND_W,
+    ),
+    # |w| -> 0, from 1 down to 1e-16, across and under the vertical snap
+    st.builds(lambda v, s, e: HiddenPoint(v, s * 10.0**e), _BAND_V, _SIGNS, st.floats(-16.0, 0.0)),
+    # |w| = y_lim
+    st.builds(lambda v, s: HiddenPoint(v, s * EDGE.y_lim), _BAND_V, _SIGNS),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_BAND_EDGES)
+@example(HiddenPoint(math.nextafter(EDGE.c - 1.0, 0.0), 0.0))
+@example(HiddenPoint(-math.nextafter(EDGE.c - 1.0, 0.0), 1e-16))
+def test_oracle_matches_closed_form_at_band_edges(h):
+    closed, _ = boundary_from_hidden(EDGE, h)
+    assert boundary_deviation(closed, oracle_boundary(EDGE, h)) <= 1e-6
+
+
+def test_boundary_deviation_compares_lines_not_parameters(scenario):
+    # the same line written sloped and as a rescaled half-plane reads alike
+    bd = DecisionBoundary.sloped(-5e9, 2.2e-5, scenario)
+    line = bd.plus
+    scaled = DecisionBoundary.through(HalfPlane(3.0 * line.a, 3.0 * line.b, 3.0 * line.c), scenario)
+    assert boundary_deviation(bd, scaled) <= 1e-15
+    # a near-vertical line and the vertical line it approaches
+    assert boundary_deviation(DecisionBoundary.sloped(-2.2e12, -9.79e13, scenario),
+                              DecisionBoundary.vertical(-44.5, scenario)) <= 1e-12
+    flipped = HalfPlane(-line.a, -line.b, -line.c)
+    assert DecisionBoundary.through(flipped, scenario) == bd
 
 
 def test_oracle_vertical_continuity(scenario):
