@@ -56,9 +56,6 @@ class HalfPlane:
         """Signed constraint value; <= 0 means inside."""
         return self.a * p[0] + self.b * p[1] - self.c
 
-    def contains(self, p: Point2) -> bool:
-        return self.value(p) <= 0.0
-
 
 @dataclass(frozen=True, slots=True)
 class ConvexPolygon:

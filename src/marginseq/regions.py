@@ -148,78 +148,77 @@ def closed_form_ar_area(scenario: ScenarioConfig, k: float, b: float) -> float:
     return (y - k * d - b) ** 2 / (2.0 * k) + d * (y - b + k * d / 2.0)
 
 
-def _require_same_scenario(*regions: AttackableRegion) -> ScenarioConfig:
-    scenario = regions[0].scenario
-    for r in regions[1:]:
-        if r.scenario != scenario:
-            raise DomainError("regions built under different scenarios")
-    return scenario
+@dataclass(frozen=True, slots=True)
+class Breach:
+    """Territory the breached versions expose to an attacker, one piece per band.
 
-
-def _shared_bands(*regions: AttackableRegion) -> tuple[ConvexPolygon, ConvexPolygon]:
-    """Both bands under the deepest guard of regions built in one scenario."""
-    return band_rectangles(_require_same_scenario(*regions), max(r.guard for r in regions))
-
-
-def _band_area(
-    piece: ConvexPolygon, plus: list[HalfPlane], minus: list[HalfPlane] | None = None
-) -> float:
-    """Area of ``piece`` cut by every half-plane in ``plus``.
-
-    With ``minus``, the "-" sides of some regions, only the part inside at
-    least one of those regions counts: the cut area less its part outside
-    all of them (union = band - intersection of complements).
+    The bands are cut under the deepest breached guard, which no breached
+    region reaches.  Ensemble: the pieces are the bands, ``outside`` holds the
+    breached "-" sides and ``area`` the union, band less outside.  Cautious:
+    the pieces are the parts inside every region and ``outside`` is empty.
     """
-    cut = halfplane_intersection(plus, piece)
-    area = polygon_area(cut)
-    if minus is None:
-        return area
-    return area - polygon_area(halfplane_intersection(minus, cut))
+
+    scenario: ScenarioConfig
+    pieces: tuple[ConvexPolygon, ...]
+    outside: tuple[HalfPlane, ...]
+    area: float
+
+    @classmethod
+    def of(cls, priors: list[AttackableRegion], mode: str = MODE_ENSEMBLE) -> "Breach":
+        if not priors:
+            raise DomainError("transferability requires at least one breached region")
+        scenario = priors[0].scenario
+        if any(r.scenario != scenario for r in priors):
+            raise DomainError("regions built under different scenarios")
+        bands = band_rectangles(scenario, max(r.guard for r in priors))
+        if mode == MODE_CAUTIOUS:
+            plus = [r.source_boundary.plus for r in priors]
+            cores = tuple(halfplane_intersection(plus, band) for band in bands)
+            return cls(scenario, cores, (), sum(map(polygon_area, cores)))
+        outside = tuple(r.source_boundary.minus for r in priors)
+        area = sum(polygon_area(b) - polygon_area(halfplane_intersection(outside, b))
+                   for b in bands)
+        return cls(scenario, bands, outside, area)
+
+    def score(self, target: AttackableRegion) -> TransferabilityScore:
+        """Share of the breached territory that target classifies "+"."""
+        if target.scenario != self.scenario:
+            raise DomainError("regions built under different scenarios")
+        plus = [target.source_boundary.plus]
+        numer = 0.0
+        for piece in self.pieces:
+            cut = halfplane_intersection(plus, piece)
+            area = polygon_area(cut)
+            if self.outside:
+                area -= polygon_area(halfplane_intersection(self.outside, cut))
+            numer += area
+        return TransferabilityScore.ratio(numer, self.area)
 
 
 def directional_transferability(
     ar1: AttackableRegion, ar2: AttackableRegion
 ) -> TransferabilityScore:
     """Overlap of ar2 with ar1, relative to ar1: S(ar1 n ar2) / S(ar1)."""
-    _require_same_scenario(ar1, ar2)
-    plus2 = [ar2.source_boundary.plus]
-    numer = sum(_band_area(piece, plus2) for piece in ar1.pieces)
-    return TransferabilityScore.ratio(numer, region_area(ar1))
+    return Breach(ar1.scenario, ar1.pieces, (), region_area(ar1)).score(ar2)
 
 
 def compound_transferability(
     priors: list[AttackableRegion], target: AttackableRegion
 ) -> TransferabilityScore:
     """S(target n union of priors) / S(union of priors), exactly."""
-    if not priors:
-        raise DomainError("compound transferability requires at least one prior region")
-    bands = _shared_bands(*priors, target)
-    minus = [r.source_boundary.minus for r in priors]
-    plus_t = [target.source_boundary.plus]
-    union = sum(_band_area(band, [], minus) for band in bands)
-    inter = sum(_band_area(band, plus_t, minus) for band in bands)
-    return TransferabilityScore.ratio(inter, union)
+    return Breach.of(priors, MODE_ENSEMBLE).score(target)
 
 
 def cautious_transferability(
     priors: list[AttackableRegion], target: AttackableRegion
 ) -> TransferabilityScore:
     """S(target n intersection of priors) / S(intersection of priors)."""
-    if not priors:
-        raise DomainError("cautious transferability requires at least one prior region")
-    plus = [r.source_boundary.plus for r in priors]
-    cores = [halfplane_intersection(plus, band) for band in _shared_bands(*priors, target)]
-    plus_t = [target.source_boundary.plus]
-    numer = sum(_band_area(core, plus_t) for core in cores)
-    return TransferabilityScore.ratio(numer, sum(map(polygon_area, cores)))
+    return Breach.of(priors, MODE_CAUTIOUS).score(target)
 
 
 def union_area(priors: list[AttackableRegion]) -> float:
     """Exact area of the union of attackable regions."""
-    if not priors:
-        return 0.0
-    minus = [r.source_boundary.minus for r in priors]
-    return sum(_band_area(band, [], minus) for band in _shared_bands(*priors))
+    return Breach.of(priors).area if priors else 0.0
 
 
 def check_zero_transfer(

@@ -123,6 +123,8 @@ def check_area_closed_form(scenario: ScenarioConfig) -> CheckResult:
                 expected = closed_form_ar_area(scenario, k, b)
             except DomainError:
                 continue
+            if expected <= 0.0:
+                continue  # the formula is stated for positive areas; this one underflowed
             boundary = DecisionBoundary.sloped(k, -b, scenario)
             area = region_area(build_attackable_region(scenario, boundary))
             worst = max(worst, abs(area - expected) / expected)

@@ -176,9 +176,9 @@ def validate_hidden_point(scenario: ScenarioConfig, h: HiddenPoint) -> None:
         raise DomainError(f"v={h.v} outside |v| < c-1 = {c - 1.0}")
     if not abs(h.w) <= y_lim:
         raise DomainError(f"w={h.w} outside |w| <= y_lim = {y_lim}")
-    if (h.v - c) ** 2 + h.w**2 <= 1.0:
+    if math.hypot(h.v - c, h.w) <= 1.0:
         raise DomainError("hidden point inside the '+' training disk has no effect")
-    if (h.v + c) ** 2 + h.w**2 <= 1.0:
+    if math.hypot(h.v + c, h.w) <= 1.0:
         raise DomainError("hidden point inside the '-' training disk is contradictory")
 
 

@@ -33,11 +33,10 @@ import numpy as np
 from .errors import DomainError, GeometryError, PoolExhaustedError, UndefinedEstimateError
 from .geometry import Point2, tangents_to_unit_circle
 from .regions import (
-    MODE_CAUTIOUS,
     AttackSampleConfig,
+    Breach,
     TransferabilityScore,
     build_attackable_region,
-    cautious_transferability,
     compound_transferability,
     directional_transferability,
     mc_transferability,
@@ -115,7 +114,7 @@ def sample_hidden_point(scenario: ScenarioConfig, rng: "np.random.Generator") ->
     while True:
         v = float(rng.uniform(-(c - 1.0), c - 1.0))
         w = float(rng.uniform(-y_lim, y_lim))
-        if (v - c) ** 2 + w**2 > 1.0 and (v + c) ** 2 + w**2 > 1.0:
+        if math.hypot(v - c, w) > 1.0 and math.hypot(v + c, w) > 1.0:
             return HiddenPoint(v, w)
 
 
@@ -129,6 +128,8 @@ def reconstruct_anchor(scenario: ScenarioConfig, k: float, b: float) -> tuple[fl
     s = math.sqrt(k * k + 1.0)
     v = 2.0 * (-b * k - c) / (k * k + 1.0) - k / s + c
     w = 2.0 * (b - c * k) / (k * k + 1.0) + 1.0 / s
+    if not (math.isfinite(v) and math.isfinite(w)):
+        raise DomainError(f"anchor of boundary k={mirror * k}, b={mirror * b} is not finite")
     return v, mirror * w
 
 
@@ -175,7 +176,7 @@ def check_boundary_feasibility(scenario: ScenarioConfig, k: float, b: float) -> 
     # k1 for k > 0, the lower k2 for k < 0) times -1/k is at least -1.  An
     # anchor on or inside the "+" disk, or on the same side of the axis as
     # the slope's sign, cannot support the construction at all.
-    if (v - c) ** 2 + w**2 <= 1.0 or math.copysign(1.0, k) * w >= 0.0:
+    if math.hypot(v - c, w) <= 1.0 or math.copysign(1.0, k) * w >= 0.0:
         c3 = False
     else:
         tl = tangents_to_unit_circle(Point2(c, 0.0), Point2(v, w))
@@ -232,14 +233,8 @@ def _plan_intercepts(scenario: ScenarioConfig, n_versions: int, k: float, step: 
     d = scenario.delta
     out = []
     for i in range(1, n_versions + 1):
-        if i == 1:
-            out.append((k, -k * d))
-        elif i == 2:
-            out.append((-k, k * d))
-        elif i % 2 == 1:
-            out.append((k, -k * d - step * (i - 1) / 2.0))
-        else:
-            out.append((-k, k * d + step * (i - 2) / 2.0))
+        tier = (i - 1) // 2
+        out.append((k, -k * d - step * tier) if i % 2 else (-k, k * d + step * tier))
     return out
 
 
@@ -287,11 +282,10 @@ def verify_plan(plan: SequencePlan) -> PlanVerification:
     compound = []
     union_dev = 0.0
     for i in range(3, len(ars) + 1):
-        score = compound_transferability(ars[: i - 1], ars[i - 1])
-        compound.append((i, score.value))
-        prefix = union_area(ars[: i - 1])
+        breach = Breach.of(ars[: i - 1])
+        compound.append((i, breach.score(ars[i - 1]).value))
         if base_union > 0.0:
-            union_dev = max(union_dev, abs(prefix - base_union) / base_union)
+            union_dev = max(union_dev, abs(breach.area - base_union) / base_union)
         else:
             union_dev = float("inf")
 
@@ -351,15 +345,14 @@ def candidate_scorer(
 ) -> Callable[[DecisionBoundary], TransferabilityScore]:
     """Transferability of a candidate from the breached versions under cfg.
 
-    Exact area ratios when cfg.n_samples == 0, with the breached regions
-    built once for every candidate scored; sampled otherwise, where too few
+    Exact area ratios when cfg.n_samples == 0, against one breach built for
+    every candidate scored; sampled otherwise, where too few
     accepted samples make the score undefined instead of raising.
     """
     breached = list(breached)
     if cfg.n_samples == 0:
-        regions = [build_attackable_region(scenario, bd) for bd in breached]
-        exact = cautious_transferability if cfg.mode == MODE_CAUTIOUS else compound_transferability
-        return lambda candidate: exact(regions, build_attackable_region(scenario, candidate))
+        breach = Breach.of([build_attackable_region(scenario, bd) for bd in breached], cfg.mode)
+        return lambda candidate: breach.score(build_attackable_region(scenario, candidate))
 
     def sampled(candidate: DecisionBoundary) -> TransferabilityScore:
         try:

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import pathlib
 import subprocess
@@ -49,7 +50,12 @@ def test_table_reproduces_reference_values(capsys):
 
 @pytest.mark.parametrize(
     "argv, golden",
-    [(["table"], "table.csv"), (["plan", "--n", "10"], "plan_n10.csv"), (["pool"], "pool.csv")],
+    [
+        (["table"], "table.csv"),
+        (["plan", "--n", "10"], "plan_n10.csv"),
+        (["pool"], "pool.csv"),
+        (["pool", "--sequence-length", "20"], "pool_len20.csv"),
+    ],
 )
 def test_stock_csv_matches_golden_bytes(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -115,6 +121,34 @@ def test_boundary_feasibility_rejects_non_finite(capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def test_boundary_feasibility_overflow(capsys):
+    code, out, _ = run_cli(capsys, "boundary", "--k", "7", "--b", "1e300")
+    assert code == 0
+    (row,) = parse_csv(out)
+    assert (row["feasible"], row["constraint_3"]) == ("false", "false")
+    assert all(math.isfinite(float(row[key])) for key in ("anchor_v", "anchor_w"))
+
+    code, out, err = run_cli(capsys, "boundary", "--k", "1e200", "--b", "1e200")
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("scenario_line", ["c = 1e200\ndelta = 0.1\ny_lim = 30",
+                                           "c = 100\ndelta = 0.1\ny_lim = 1e300"],
+                         ids=["huge-c", "huge-y_lim"])
+@pytest.mark.parametrize("argv, expected", [(["boundary", "--h", "0,0"], 0),
+                                            (["pool"], 2), (["verify"], 2)],
+                         ids=["boundary", "pool", "verify"])
+def test_huge_scenario_exits_cleanly(tmp_path, capsys, scenario_line, argv, expected):
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[scenario]\n{scenario_line}\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), *argv)
+    assert code == expected, err
+    if expected == 2:
+        assert out == "" and err.startswith("marginseq: ")
 
 
 def test_boundary_requires_arguments(capsys):
@@ -340,3 +374,13 @@ def test_verify_near_degenerate_scenario(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l]
     assert all(l.startswith(("PASS", "FAIL")) for l in lines)
     assert code == 0, out
+
+
+def test_verify_underflowing_closed_form_area(tmp_path, capsys):
+    # with delta = 1e-300 some closed-form areas underflow to 0 and are skipped
+    cfg = tmp_path / "thin.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 1e-300\ny_lim = 30\n")
+    code, out, _ = run_cli(capsys, "--scenario", str(cfg), "verify")
+    lines = [l for l in out.splitlines() if l]
+    assert len(lines) == 6 and all(l.startswith("PASS") for l in lines), out
+    assert code == 0

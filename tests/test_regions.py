@@ -14,6 +14,7 @@ from marginseq import (
     closed_form_ar_area,
     compound_transferability,
     directional_transferability,
+    generate_candidate_pool,
     mc_transferability,
     polygon_area,
     region_area,
@@ -302,6 +303,27 @@ def test_scenario_mismatch_rejected(scenario):
     ar_b = build_attackable_region(other, offset_boundary(other, 7.0, 0.7))
     with pytest.raises(DomainError):
         directional_transferability(ar_a, ar_b)
+    for exact in (compound_transferability, cautious_transferability):
+        with pytest.raises(DomainError):
+            exact([ar_a], ar_b)
+        with pytest.raises(DomainError):
+            exact([ar_b, ar_a], ar_a)
+
+
+def test_compound_matches_inclusion_exclusion_over_stock_pool(scenario):
+    # The breach cuts its bands under the priors' deepest guard only; a target
+    # with a deeper guard must still score S(T n U) = S(T) + S(U) - S(T u U).
+    priors = [build_attackable_region(scenario, bd) for bd in canonical_pair(scenario)]
+    prior_area = union_area(priors)
+    pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
+    deeper = 0
+    for boundary in pool.boundaries:
+        target = build_attackable_region(scenario, boundary)
+        deeper += target.guard > max(r.guard for r in priors)
+        overlap = region_area(target) + prior_area - union_area(priors + [target])
+        score = compound_transferability(priors, target)
+        assert score.value == pytest.approx(overlap / prior_area, abs=1e-12)
+    assert deeper > 0
 
 
 def test_compound_near_origin_sliver_clip(scenario):
