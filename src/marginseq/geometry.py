@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DegenerateTangentError, DomainError, VerticalTangentError
 
 # Vertices closer than this (absolute, in scenario units) are merged; the
@@ -190,6 +192,78 @@ def clip_convex(poly: ConvexPolygon, half: HalfPlane) -> ConvexPolygon:
 def _edge_crossing(s: Point2, e: Point2, fs: float, fe: float) -> Point2:
     t = fs / (fs - fe)
     return Point2(s.x + t * (e.x - s.x), s.y + t * (e.y - s.y))
+
+
+class PolygonBatch(NamedTuple):
+    """Convex polygons as rows of vertex arrays; row i holds n[i] vertices, then padding."""
+
+    x: np.ndarray
+    y: np.ndarray
+    n: np.ndarray
+
+    @classmethod
+    def repeat(cls, poly: ConvexPolygon, rows: int) -> "PolygonBatch":
+        """``rows`` copies of one polygon."""
+        verts = np.array(poly.vertices, dtype=float).reshape(-1, 2)
+        return cls(np.tile(verts[:, 0], (rows, 1)), np.tile(verts[:, 1], (rows, 1)),
+                   np.full(rows, len(verts)))
+
+
+def _successors(polys: PolygonBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each vertex's successor, wrapping at its row's count."""
+    cols = np.arange(polys.x.shape[1]) + 1
+    return np.arange(len(polys.n))[:, None], np.where(cols < polys.n[:, None], cols, 0)
+
+
+def _interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Columns u[:, 0], v[:, 0], u[:, 1], v[:, 1], ..."""
+    out = np.empty((len(u), u.shape[1], 2), u.dtype)
+    out[:, :, 0], out[:, :, 1] = u, v
+    return out.reshape(len(u), -1)
+
+
+def clip_convex_batch(polys: PolygonBatch, a, b, c) -> PolygonBatch:
+    """:func:`clip_convex` of row i by the half-plane a[i]*x + b[i]*y <= c[i].
+
+    The coefficients are arrays over the rows or scalars shared by all of
+    them.  Each row gets the scalar clip's vertex values, tolerance and
+    strict crossing rule, and an output of fewer than three vertices is
+    empty; near-duplicate or collinear vertices are kept rather than merged.
+    """
+    a, b, c = (np.reshape(t, (-1, 1)) for t in (a, b, c))
+    x, y, n = polys
+    valid = np.arange(x.shape[1]) < n[:, None]
+    values = a * x + b * y - c
+    max_x = np.where(valid, np.abs(x), 0.0).max(axis=1, initial=0.0)[:, None]
+    max_y = np.where(valid, np.abs(y), 0.0).max(axis=1, initial=0.0)[:, None]
+    scale = np.maximum(np.maximum(1.0, np.abs(c)), np.maximum(np.abs(a) * max_x, np.abs(b) * max_y))
+    eps = MERGE_TOL * scale
+    row, nxt = _successors(polys)
+    fe = values[row, nxt]
+    keep = valid & (values <= eps)
+    cross = valid & (((values < -eps) & (fe > eps)) | ((values > eps) & (fe < -eps)))
+    t = np.divide(values, values - fe, out=np.zeros_like(values), where=cross)
+    # each vertex, then the crossing on the edge leaving it, as the scalar loop emits them
+    emit = _interleave(keep, cross)
+    rows, slots = np.nonzero(emit)
+    cols = np.cumsum(emit, axis=1)[rows, slots] - 1
+    count = emit.sum(axis=1)
+    res_x = np.zeros((len(n), count.max(initial=0)))
+    res_y = np.zeros_like(res_x)
+    res_x[rows, cols] = _interleave(x, x + t * (x[row, nxt] - x))[rows, slots]
+    res_y[rows, cols] = _interleave(y, y + t * (y[row, nxt] - y))[rows, slots]
+    return PolygonBatch(res_x, res_y, np.where(count < 3, 0, count))
+
+
+def polygon_areas(polys: PolygonBatch) -> np.ndarray:
+    """:func:`polygon_area` of every row, summed in the scalar shoelace's order."""
+    x, y, n = polys
+    row, nxt = _successors(polys)
+    xn, yn = x[row, nxt], y[row, nxt]
+    acc = np.zeros(len(n))
+    for j in range(x.shape[1]):
+        acc += np.where(j < n, x[:, j] * yn[:, j] - xn[:, j] * y[:, j], 0.0)
+    return np.abs(acc / 2.0)
 
 
 def halfplane_intersection(halves: Sequence[HalfPlane], bound: ConvexPolygon) -> ConvexPolygon:

@@ -20,12 +20,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GeometryError, UndefinedEstimateError
-from .geometry import ConvexPolygon, HalfPlane, halfplane_intersection, polygon_area, rectangle
+from .geometry import (
+    ConvexPolygon,
+    HalfPlane,
+    PolygonBatch,
+    clip_convex_batch,
+    halfplane_intersection,
+    polygon_area,
+    polygon_areas,
+    rectangle,
+)
 from .separators import DecisionBoundary, ScenarioConfig
 
 # Fixed Monte Carlo block size: workers may split the block index range
 # anywhere and the merged counts are identical to a single sequential pass.
 MC_BLOCK = 1 << 17
+
+# Separators per batched clip in Breach.scores and check_guards: bounds their
+# (rows x vertices) temporaries whatever the pool size.
+SCORE_BLOCK = 256
 
 MODE_ENSEMBLE = "ensemble"
 MODE_CAUTIOUS = "cautious"
@@ -129,6 +142,26 @@ def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary
     return AttackableRegion(scenario, boundary, tuple(pieces), guard)
 
 
+def check_guards(scenario: ScenarioConfig, planes: np.ndarray) -> None:
+    """:func:`build_attackable_region`'s guard check for many separators at once.
+
+    ``planes`` holds one "+" half-plane (a, b, c) per row.  Each row's left
+    band is cut under that separator's own guard, as the scalar route does.
+    """
+    d, y = scenario.delta, scenario.y_lim
+    for start in range(0, len(planes), SCORE_BLOCK):
+        a, b, c = planes[start:start + SCORE_BLOCK].T
+        guard = np.maximum(2.0 * scenario.c, (np.abs(c) + np.abs(b) * y) / np.abs(a) + scenario.c)
+        inner = np.full_like(guard, -d)
+        band = PolygonBatch(np.stack([-guard, inner, inner, -guard], axis=1),
+                            np.tile([-y, -y, y, y], (len(guard), 1)), np.full(len(guard), 4))
+        piece = clip_convex_batch(band, a, b, c)
+        valid = np.arange(piece.x.shape[1]) < piece.n[:, None]
+        edge = (-guard + 1e-9 * np.maximum(1.0, guard))[:, None]
+        if (valid & (piece.x <= edge)).any():
+            raise GeometryError("attackable region reached the left guard; invalid separator")
+
+
 def region_area(region: AttackableRegion) -> float:
     return sum(polygon_area(p) for p in region.pieces)
 
@@ -193,6 +226,32 @@ class Breach:
                 area -= polygon_area(halfplane_intersection(self.outside, cut))
             numer += area
         return TransferabilityScore.ratio(numer, self.area)
+
+    def scores(self, planes: np.ndarray) -> np.ndarray:
+        """:meth:`score` of every target, given as one "+" half-plane (a, b, c) per row.
+
+        The same clips in the same order, batched over the targets; NaN
+        throughout when the breached area is zero, as the scalar score is
+        then undefined.
+        """
+        if self.area == 0.0:
+            return np.full(len(planes), np.nan)
+        numer = np.zeros(len(planes))
+        for start in range(0, len(planes), SCORE_BLOCK):
+            a, b, c = planes[start:start + SCORE_BLOCK].T
+            for piece in self.pieces:
+                cut = clip_convex_batch(PolygonBatch.repeat(piece, len(a)), a, b, c)
+                area = polygon_areas(cut)
+                if self.outside:
+                    for half in self.outside:
+                        cut = clip_convex_batch(cut, half.a, half.b, half.c)
+                    area -= polygon_areas(cut)
+                numer[start:start + SCORE_BLOCK] += area
+        values = numer / self.area
+        bad = (values < -1e-9) | (values > 1.0 + 1e-9)
+        if bad.any():
+            raise GeometryError(f"transferability ratio {float(values[bad][0])} outside [0, 1]")
+        return np.clip(values, 0.0, 1.0)
 
 
 def directional_transferability(

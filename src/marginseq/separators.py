@@ -216,7 +216,7 @@ def boundary_from_hidden(
             b = (k_face * c - k_face * v + w - s_face) / 2.0
             r = Point2(k_face / s_face - c, -1.0 / s_face)
             tag = CASE_W_NEG_TANGENT
-        boundary = DecisionBoundary.sloped(k_face, b, scenario)
+        boundary = _sloped_from(scenario, h, k_face, b)
         return boundary, BoundaryDerivation(tag, tl, (Point2(foot_x, foot_y), r))
 
     # Vertex case: h itself is the closest hull point; bisect from the point
@@ -226,8 +226,20 @@ def boundary_from_hidden(
     b = (-c * c + v * v + w * w + length) / (2.0 * w)
     r = Point2((c + v) / length - c, w / length)
     tag = CASE_W_POS_DIRECT if w > 0.0 else CASE_W_NEG_DIRECT
-    boundary = DecisionBoundary.sloped(k, b, scenario)
+    boundary = _sloped_from(scenario, h, k, b)
     return boundary, BoundaryDerivation(tag, tl, (Point2(v, w), r))
+
+
+def _overflow(scenario: ScenarioConfig, h: HiddenPoint) -> DomainError:
+    return DomainError(f"separator of hidden point ({h.v}, {h.w}) overflows under scenario "
+                       f"c={scenario.c}, y_lim={scenario.y_lim}")
+
+
+def _sloped_from(scenario: ScenarioConfig, h: HiddenPoint, k: float, b: float) -> DecisionBoundary:
+    """The separator y = k*x + b derived from h; NaN or inf there means overflow."""
+    if not (math.isfinite(k) and math.isfinite(b)):
+        raise _overflow(scenario, h)
+    return DecisionBoundary.sloped(k, b, scenario)
 
 
 def oracle_boundary(
@@ -280,11 +292,15 @@ def oracle_boundary(
         t = float(np.dot(p - a, ab) / np.dot(ab, ab))
         return a + min(1.0, max(0.0, t)) * ab
 
-    candidates = [hp] + [seg_closest(hp, hinge, o2) for hinge in hinges]
-    best = min(candidates, key=lambda z: float(np.hypot(*(z - o2))))
-    dist = float(np.hypot(*(best - o2)))
-    r = o2 + (best - o2) / dist
-    # perpendicular bisector of the connection r -> best
-    normal = best - r
-    line = HalfPlane(float(normal[0]), float(normal[1]), float(np.dot(normal, 0.5 * (r + best))))
-    return DecisionBoundary.through(line, scenario)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            candidates = [hp] + [seg_closest(hp, hinge, o2) for hinge in hinges]
+            best = min(candidates, key=lambda z: float(np.hypot(*(z - o2))))
+            dist = float(np.hypot(*(best - o2)))
+            r = o2 + (best - o2) / dist
+            # perpendicular bisector of the connection r -> best
+            normal = best - r
+            offset = float(np.dot(normal, 0.5 * (r + best)))
+    except FloatingPointError:
+        raise _overflow(scenario, h) from None
+    return DecisionBoundary.through(HalfPlane(float(normal[0]), float(normal[1]), offset), scenario)

@@ -37,6 +37,7 @@ from .regions import (
     Breach,
     TransferabilityScore,
     build_attackable_region,
+    check_guards,
     compound_transferability,
     directional_transferability,
     mc_transferability,
@@ -331,7 +332,7 @@ def generate_candidate_pool(
         attempts += batch
         v = rng.uniform(-(c - 1.0), c - 1.0, batch)
         w = rng.uniform(-y_lim, y_lim, batch)
-        ok = ((v - c) ** 2 + w**2 > eps_d**2) & ((v + c) ** 2 + w**2 > eps_d**2)
+        ok = (np.hypot(v - c, w) > eps_d) & (np.hypot(v + c, w) > eps_d)
         ok &= (np.abs(v) < c - 1.0) & (np.abs(w) <= y_lim)
         for vi, wi in zip(v[ok], w[ok]):
             if len(points) < size:
@@ -375,16 +376,28 @@ def greedy_select_next(
     Scores are exact area ratios when cfg.n_samples == 0, sampled otherwise;
     candidates whose boundary equals a breached one are excluded, ties break
     toward the lowest pool index, and undefined scores lose to defined ones.
+    Exact scores of all candidates come from one :meth:`Breach.scores` batch.
     """
     if not breached:
         raise DomainError("greedy selection requires at least one breached version")
-    remaining = [i for i, bd in enumerate(pool.boundaries) if bd not in breached]
-    if not remaining:
+    planes = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in pool.boundaries]).reshape(-1, 3)
+    taken = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in breached])
+    remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
+    if not remaining.size:
         raise PoolExhaustedError("every pool candidate has been consumed")
+    if cfg.n_samples == 0:
+        breach = Breach.of([build_attackable_region(scenario, bd) for bd in breached], cfg.mode)
+        rest = planes[remaining]
+        check_guards(scenario, rest)
+        if breach.area == 0.0:
+            return int(remaining[0]), TransferabilityScore.undefined()
+        values = breach.scores(rest)
+        best = int(np.argmin(values))
+        return int(remaining[best]), TransferabilityScore.of(float(values[best]))
     scorer = candidate_scorer(scenario, breached, cfg)
-    best_index = remaining[0]
+    best_index = int(remaining[0])
     best: TransferabilityScore | None = None
-    for i in remaining:
+    for i in map(int, remaining):
         score = scorer(pool.boundaries[i])
         if best is None:
             best_index, best = i, score

@@ -5,10 +5,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from marginseq.cli import main, load_settings, DEFAULT_SETTINGS
+from marginseq.cli import MAX_PLAN_VERSIONS, main, load_settings, DEFAULT_SETTINGS
 from marginseq.errors import ScenarioFileError
 
 
@@ -145,10 +146,14 @@ def test_boundary_feasibility_overflow(capsys):
 def test_huge_scenario_exits_cleanly(tmp_path, capsys, scenario_line, argv, expected):
     cfg = tmp_path / "huge.ini"
     cfg.write_text(f"[scenario]\n{scenario_line}\n")
-    code, out, err = run_cli(capsys, "--scenario", str(cfg), *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "--scenario", str(cfg), *argv)
     assert code == expected, err
+    assert [str(w.message) for w in caught] == []
     if expected == 2:
         assert out == "" and err.startswith("marginseq: ")
+        assert "overflows under scenario c=" in err
 
 
 def test_boundary_requires_arguments(capsys):
@@ -169,6 +174,21 @@ def test_plan_rows_and_summary(capsys):
     assert float(summary[0]["alpha"]) == pytest.approx(0.37294, abs=5e-5)
     assert summary[0]["step"] == "4"
     assert float(versions[0]["ar_area"]) == pytest.approx(61.390714, abs=1e-5)
+
+
+def test_plan_length_limit(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "plan", "--n", str(MAX_PLAN_VERSIONS))
+    assert code == 0
+    assert len(parse_csv(out)) == MAX_PLAN_VERSIONS + 1
+    code, out, err = run_cli(capsys, "plan", "--n", str(MAX_PLAN_VERSIONS + 1))
+    assert code == 2 and out == ""
+    assert f"limit of {MAX_PLAN_VERSIONS}" in err
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n"
+                   f"[plan]\nn_versions = {MAX_PLAN_VERSIONS + 1}\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "plan")
+    assert code == 2 and out == ""
+    assert f"limit of {MAX_PLAN_VERSIONS}" in err
 
 
 def test_plan_two_versions(capsys):

@@ -18,6 +18,7 @@ from marginseq import (
     rectangle,
     tangents_to_unit_circle,
 )
+from marginseq.geometry import PolygonBatch, clip_convex_batch, polygon_areas
 from seeded_rng import philox
 
 UNIT_SQUARE = ConvexPolygon.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -161,6 +162,77 @@ def test_clip_vertex_on_line_stands_in_for_crossing():
     assert polygon_area(clipped) <= polygon_area(poly)
     for p in clipped.vertices:
         assert half.value(p) <= 1e-9
+
+
+def _batch(polys):
+    """Padded rows holding the given polygons, one per row."""
+    x = np.zeros((len(polys), max(len(p.vertices) for p in polys)))
+    y = np.zeros_like(x)
+    for i, poly in enumerate(polys):
+        for j, p in enumerate(poly.vertices):
+            x[i, j], y[i, j] = p
+    return PolygonBatch(x, y, np.array([len(p.vertices) for p in polys]))
+
+
+SLIVER_TAIL = ConvexPolygon.from_points([
+    (0.004757259738401464, -30.0), (0.1, -30.0), (0.1, 30.0), (0.0, 30.0),
+    (0.0, 1.000444171950221e-11),
+])
+
+BATCH_CASES = {
+    "empty-cut": (UNIT_SQUARE, HalfPlane(1.0, 0.0, -1.0)),
+    "full-cut": (UNIT_SQUARE, HalfPlane(1.0, 0.0, 2.0)),
+    "own-edge": (UNIT_SQUARE, HalfPlane(1.0, 0.0, 1.0)),
+    "edge-within-tolerance": (UNIT_SQUARE, HalfPlane(1.0, 0.0, 1.0 - 1e-14)),
+    "through-vertices": (UNIT_SQUARE, HalfPlane(1.0, 1.0, 1.0)),
+    "through-one-vertex": (UNIT_SQUARE, HalfPlane(2.0, 1.0, 2.0)),
+    "vertex-within-tolerance": (SLIVER_TAIL, HalfPlane(317.45126011347384, 1.0,
+                                                       2.8421709430404007e-13)),
+    "band-triangle": (rectangle(-200.0, -0.1, -30.0, 30.0), HalfPlane(7.0, -1.0, 0.7)),
+    "empty-polygon": (ConvexPolygon.empty(), HalfPlane(1.0, 0.0, 0.5)),
+}
+
+
+def _random_cases(n):
+    rng = philox(606)
+    cases = []
+    for _ in range(n):
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(3, 9))))
+        radius, cx, cy = rng.uniform(0.1, 50.0), rng.uniform(-100, 100), rng.uniform(-30, 30)
+        poly = ConvexPolygon.from_points(zip(cx + radius * np.cos(angles),
+                                             cy + radius * np.sin(angles)))
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        a, b = math.cos(theta) * 10.0 ** rng.uniform(-3, 4), math.sin(theta)
+        cases.append((poly, HalfPlane(a, b, a * cx + b * cy + rng.uniform(-1.5, 1.5) * radius)))
+    return cases
+
+
+def test_clip_batch_matches_scalar_clip():
+    cases = list(BATCH_CASES.values()) + _random_cases(300)
+    polys, halves = zip(*cases)
+    cut = clip_convex_batch(_batch(polys), *(np.array([getattr(h, f) for h in halves])
+                                            for f in "abc"))
+    got = polygon_areas(cut)
+    for area, poly, half in zip(got, polys, halves):
+        want = polygon_area(clip_convex(poly, half))
+        assert area == pytest.approx(want, rel=1e-12, abs=1e-12 * polygon_area(poly))
+    for i, (poly, half) in enumerate(BATCH_CASES.values()):
+        verts = list(zip(cut.x[i, :cut.n[i]], cut.y[i, :cut.n[i]]))
+        assert verts == list(clip_convex(poly, half).vertices)
+    exact = dict(zip(BATCH_CASES, got))
+    assert exact["empty-cut"] == 0.0 and exact["empty-polygon"] == 0.0
+    assert exact["full-cut"] == exact["own-edge"] == exact["edge-within-tolerance"] == 1.0
+    assert exact["through-vertices"] == 0.5
+
+
+def test_clip_batch_shared_half_plane_and_areas():
+    polys = [UNIT_SQUARE, SLIVER_TAIL, ConvexPolygon.empty(), rectangle(-3.0, 2.0, -1.0, 4.0)]
+    batch = _batch(polys)
+    assert list(polygon_areas(batch)) == [polygon_area(p) for p in polys]
+    half = HalfPlane(1.0, -2.0, 0.25)
+    got = polygon_areas(clip_convex_batch(batch, half.a, half.b, half.c))
+    for area, poly in zip(got, polys):
+        assert area == pytest.approx(polygon_area(clip_convex(poly, half)), rel=1e-12)
 
 
 def test_tangents_from_origin():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from marginseq import (
@@ -20,7 +21,7 @@ from marginseq import (
     region_area,
     union_area,
 )
-from marginseq.regions import MC_BLOCK, mc_block_counts
+from marginseq.regions import MC_BLOCK, Breach, mc_block_counts
 from seeded_rng import philox
 
 AR1_AREA = 61.390714285714285  # boundary y = 7x - 0.7
@@ -338,3 +339,51 @@ def test_compound_near_origin_sliver_clip(scenario):
     score = compound_transferability([prior], target)
     assert score.defined
     assert score.value == pytest.approx(1.0, abs=1e-12)
+
+
+def _planes(boundaries):
+    return np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in boundaries])
+
+
+def _assert_scores_match(breach, regions):
+    got = breach.scores(_planes(r.source_boundary for r in regions))
+    for value, region in zip(got, regions):
+        want = breach.score(region)
+        assert want.defined
+        assert value == pytest.approx(want.value, rel=1e-12, abs=1e-15)
+        if want.value in (0.0, 1.0):
+            assert value == want.value
+    return got
+
+
+@pytest.mark.parametrize("mode, priors", [
+    ("ensemble", lambda s: list(canonical_pair(s))),
+    ("ensemble", lambda s: [*canonical_pair(s), *generate_candidate_pool(s, 4, 2.0, 7).boundaries]),
+    ("cautious", lambda s: [offset_boundary(s, 7.0, 0.7)]),
+    ("cautious", lambda s: [offset_boundary(s, 7.0, 0.7), offset_boundary(s, 7.0, 4.7)]),
+], ids=["seed-pair", "six-priors", "one-region", "core"])
+def test_breach_scores_match_scalar_over_stock_pool(scenario, mode, priors):
+    breach = Breach.of([build_attackable_region(scenario, bd) for bd in priors(scenario)], mode)
+    pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
+    got = _assert_scores_match(breach, [build_attackable_region(scenario, bd)
+                                        for bd in pool.boundaries])
+    assert got.min() < got.max()
+
+
+def test_breach_scores_near_origin_sliver(scenario):
+    prior = build_attackable_region(
+        scenario, DecisionBoundary.sloped(-317.45126011347384, 2.8421709430404007e-13, scenario)
+    )
+    target = build_attackable_region(
+        scenario, DecisionBoundary.sloped(-6306.151366477757, 1.000444171950221e-11, scenario)
+    )
+    for breach in (Breach.of([prior]), Breach.of([prior], "cautious"),
+                   Breach(scenario, prior.pieces, (), region_area(prior))):
+        _assert_scores_match(breach, [target, prior])
+
+
+def test_breach_scores_undefined_for_empty_breach(scenario):
+    breach = Breach.of([build_attackable_region(scenario, bd) for bd in canonical_pair(scenario)],
+                       "cautious")
+    assert breach.area == 0.0
+    assert np.isnan(breach.scores(_planes(canonical_pair(scenario)))).all()

@@ -8,6 +8,8 @@ from marginseq import (
     CandidatePool,
     DecisionBoundary,
     DomainError,
+    GeometryError,
+    HiddenPoint,
     PoolExhaustedError,
     anchor_admissible,
     boundary_from_hidden,
@@ -22,6 +24,7 @@ from marginseq import (
     reconstruct_hidden_point,
     verify_plan,
 )
+from marginseq.regions import Breach
 from seeded_rng import philox
 
 EXACT = AttackSampleConfig("ensemble", 0, 0)
@@ -282,6 +285,31 @@ def test_greedy_excludes_breached_and_exhausts(scenario):
         greedy_select_next(scenario, pool, breached, EXACT)
     with pytest.raises(DomainError):
         greedy_select_next(scenario, pool, [], EXACT)
+
+
+def test_greedy_exact_steps_match_scalar_scores(scenario):
+    # ROADMAP reference picks over the stock eps_d = 2 pool of 1000, seed 7.
+    pool = generate_candidate_pool(scenario, 1000, 2.0, seed=7)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    picks = []
+    for _ in range(8):
+        index, score = greedy_select_next(scenario, pool, breached, EXACT)
+        breach = Breach.of([build_attackable_region(scenario, bd) for bd in breached])
+        scalar = breach.score(build_attackable_region(scenario, pool.boundaries[index]))
+        assert repr(score.value) == repr(scalar.value)
+        picks.append(index)
+        breached.append(pool.boundaries[index])
+    assert picks == [896, 453, 724, 266, 731, 271, 552, 187]
+
+
+def test_greedy_guard_violation(scenario):
+    runaway = DecisionBoundary.vertical(150.0, scenario)  # "+" side covers both bands
+    pool = _line_pool(scenario, [5.0])
+    pool = CandidatePool(pool.hidden_points + (HiddenPoint(0.0, 1.0),),
+                         pool.boundaries + (runaway,), 0, 2.0)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    with pytest.raises(GeometryError, match="left guard"):
+        greedy_select_next(scenario, pool, breached, EXACT)
 
 
 def test_greedy_cautious_undefined_scores(scenario):
