@@ -61,7 +61,6 @@ from .versioning import (
     PlanVerification,
     SequencePlan,
     anchor_admissible,
-    candidate_scorer,
     check_boundary_feasibility,
     find_bmax,
     generate_candidate_pool,

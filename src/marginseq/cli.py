@@ -26,25 +26,25 @@ from .regions import (
     MODE_CAUTIOUS,
     MODE_ENSEMBLE,
     build_attackable_region,
-    compound_transferability,
     region_area,
 )
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
-    candidate_scorer,
+    _score_candidates,
     check_boundary_feasibility,
     generate_candidate_pool,
     greedy_select_next,
     plan_sequence,
     random_baseline_sequence,
     reconstruct_anchor,
+    verify_plan,
 )
 
 SCHEMA_VERSION = "1"
 
-# cmd_plan scores every prefix of the plan, O(N^2) clips: N = 200 takes about
-# 1.2 s and N = 400 about 4.3 s on a 2-core host.
+# cmd_plan reads every prefix score from verify_plan, whose audit costs O(N^2)
+# clips: N = 200 takes about 1.2 s and N = 400 about 4.3 s on a 2-core host.
 MAX_PLAN_VERSIONS = 200
 
 _SECTIONS = {
@@ -150,7 +150,8 @@ def load_settings(path: str | None) -> Settings:
 
 
 def fmt(value) -> str:
-    if value is None:
+    # NaN is how the scorers mark an undefined score
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return "NA"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -219,15 +220,12 @@ def cmd_plan(settings: Settings, args, out) -> int:
          "compound_at", "n_tiers", "step", "alpha"],
         out,
     )
+    audit = verify_plan(plan)
+    compound_at = {2: audit.at_first_pair, **dict(audit.compound_by_version)}
     for i, (boundary, hidden) in enumerate(plan.versions, start=1):
         kind, k, b, _ = _boundary_fields(boundary)
-        if i == 1:
-            at = None
-        else:
-            score = compound_transferability(regions[: i - 1], regions[i - 1])
-            at = score.value if score.defined else None
         writer.row("version", i, kind, k, b, hidden.v, hidden.w,
-                   region_area(regions[i - 1]), at, None, None, None)
+                   region_area(regions[i - 1]), compound_at.get(i), None, None, None)
     writer.row("summary", None, None, None, None, None, None, None, None,
                plan.n_tiers, plan.step if plan.n_tiers else None, plan.alpha)
     return 0
@@ -275,16 +273,17 @@ def cmd_pool(settings: Settings, args, out) -> int:
         hidden = pool.hidden_points[index]
         kind, k, b, x0 = _boundary_fields(boundary)
         rows.append(("greedy", step, index, kind, k, b, x0,
-                     hidden.v, hidden.w, score.value if score.defined else None))
+                     hidden.v, hidden.w, score.value))
         breached.append(boundary)
 
     baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed)
     versions = [bd for bd, _ in seed_plan.versions]
     for step, (hidden, boundary) in enumerate(baseline, start=3):
-        score = candidate_scorer(scenario, versions, cfg)(boundary)
+        line = boundary.plus
+        (value,) = _score_candidates(scenario, versions, [(line.a, line.b, line.c)], cfg)
         kind, k, b, x0 = _boundary_fields(boundary)
         rows.append(("random", step, None, kind, k, b, x0,
-                     hidden.v, hidden.w, score.value if score.defined else None))
+                     hidden.v, hidden.w, float(value)))
         versions.append(boundary)
 
     writer = ReportWriter(

@@ -110,15 +110,16 @@ def philox(seed: int, stream: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def guard_extent(scenario: ScenarioConfig, boundary: DecisionBoundary) -> float:
+def guard_extent(scenario: ScenarioConfig, a, b, c):
     """Left clipping depth G for the conceptually unbounded band {x <= -delta}.
 
-    Every valid separator yields a bounded region well inside x >= -G; a
-    region vertex landing on the guard is converted into a loud error.
+    a, b and c are the coefficients of a separator's "+" side, as floats or
+    as arrays with one separator per entry.  Every valid separator yields a
+    bounded region well inside x >= -G; a region vertex landing on the guard
+    is converted into a loud error.
     """
-    c = scenario.c
-    line = boundary.plus
-    return max(2.0 * c, (abs(line.c) + abs(line.b) * scenario.y_lim) / abs(line.a) + c)
+    c0 = scenario.c
+    return np.maximum(2.0 * c0, (np.abs(c) + np.abs(b) * scenario.y_lim) / np.abs(a) + c0)
 
 
 def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolygon, ConvexPolygon]:
@@ -131,10 +132,11 @@ def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolyg
 
 def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary) -> AttackableRegion:
     """Exact attackable region of one boundary as convex pieces, one per band."""
-    guard = guard_extent(scenario, boundary)
+    line = boundary.plus
+    guard = float(guard_extent(scenario, line.a, line.b, line.c))
     pieces = []
     for band in band_rectangles(scenario, guard):
-        piece = halfplane_intersection([boundary.plus], band)
+        piece = halfplane_intersection([line], band)
         for vert in piece.vertices:
             if vert.x <= -guard + 1e-9 * max(1.0, guard):
                 raise GeometryError("attackable region reached the left guard; invalid separator")
@@ -151,7 +153,7 @@ def check_guards(scenario: ScenarioConfig, planes: np.ndarray) -> None:
     d, y = scenario.delta, scenario.y_lim
     for start in range(0, len(planes), SCORE_BLOCK):
         a, b, c = planes[start:start + SCORE_BLOCK].T
-        guard = np.maximum(2.0 * scenario.c, (np.abs(c) + np.abs(b) * y) / np.abs(a) + scenario.c)
+        guard = guard_extent(scenario, a, b, c)
         inner = np.full_like(guard, -d)
         band = PolygonBatch(np.stack([-guard, inner, inner, -guard], axis=1),
                             np.tile([-y, -y, y, y], (len(guard), 1)), np.full(len(guard), 4))
@@ -311,7 +313,8 @@ def mc_block_counts(
     partition of the block range across workers merges to exactly the counts
     of a single sequential pass.
     """
-    guard = max(guard_extent(scenario, b) for b in list(priors) + [target])
+    guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c))
+                for bd in [*priors, target])
     d, y = scenario.delta, scenario.y_lim
     area_left = (guard - d) * 2.0 * y
     area_sliver = d * 2.0 * y

@@ -26,12 +26,11 @@ out on the boundary lines themselves, which is exact regardless.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, GeometryError, PoolExhaustedError, UndefinedEstimateError
-from .geometry import Point2, tangents_to_unit_circle
+from .geometry import HalfPlane, Point2, tangents_to_unit_circle
 from .regions import (
     AttackSampleConfig,
     Breach,
@@ -341,28 +340,28 @@ def generate_candidate_pool(
     return CandidatePool(tuple(points), boundaries, seed, eps_d)
 
 
-def candidate_scorer(
-    scenario: ScenarioConfig, breached: list[DecisionBoundary], cfg: AttackSampleConfig
-) -> Callable[[DecisionBoundary], TransferabilityScore]:
-    """Transferability of a candidate from the breached versions under cfg.
+def _score_candidates(
+    scenario: ScenarioConfig, breached: list[DecisionBoundary], planes, cfg: AttackSampleConfig
+) -> np.ndarray:
+    """Transferability from the breached versions of each candidate under cfg.
 
-    Exact area ratios when cfg.n_samples == 0, against one breach built for
-    every candidate scored; sampled otherwise, where too few
-    accepted samples make the score undefined instead of raising.
+    Candidates are given as one "+" half-plane (a, b, c) per row.  Exact area
+    ratios from one :meth:`Breach.scores` batch, after the guard check, when
+    cfg.n_samples == 0; sampled otherwise.  NaN marks an undefined score.
     """
-    breached = list(breached)
+    planes = np.asarray(planes, dtype=float)
     if cfg.n_samples == 0:
-        breach = Breach.of([build_attackable_region(scenario, bd) for bd in breached], cfg.mode)
-        return lambda candidate: breach.score(build_attackable_region(scenario, candidate))
-
-    def sampled(candidate: DecisionBoundary) -> TransferabilityScore:
+        check_guards(scenario, planes)
+        regions = [build_attackable_region(scenario, bd) for bd in breached]
+        return Breach.of(regions, cfg.mode).scores(planes)
+    values = np.full(len(planes), np.nan)
+    for i, (a, b, c) in enumerate(planes.tolist()):
+        target = DecisionBoundary(HalfPlane(a, b, c))
         try:
-            est = mc_transferability(scenario, breached, candidate, cfg)
+            values[i] = mc_transferability(scenario, breached, target, cfg).value
         except UndefinedEstimateError:
-            return TransferabilityScore.undefined()
-        return TransferabilityScore.of(est.value)
-
-    return sampled
+            pass
+    return values
 
 
 def greedy_select_next(
@@ -373,10 +372,10 @@ def greedy_select_next(
 ) -> tuple[int, TransferabilityScore]:
     """Pool index minimizing transferability from the breached versions.
 
-    Scores are exact area ratios when cfg.n_samples == 0, sampled otherwise;
-    candidates whose boundary equals a breached one are excluded, ties break
-    toward the lowest pool index, and undefined scores lose to defined ones.
-    Exact scores of all candidates come from one :meth:`Breach.scores` batch.
+    Candidates whose boundary equals a breached one are excluded and the rest
+    are scored by :func:`_score_candidates`.  Ties break toward the lowest pool
+    index and undefined scores lose to defined ones; when none is defined the
+    first remaining candidate is returned with an undefined score.
     """
     if not breached:
         raise DomainError("greedy selection requires at least one breached version")
@@ -385,34 +384,19 @@ def greedy_select_next(
     remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
     if not remaining.size:
         raise PoolExhaustedError("every pool candidate has been consumed")
-    if cfg.n_samples == 0:
-        breach = Breach.of([build_attackable_region(scenario, bd) for bd in breached], cfg.mode)
-        rest = planes[remaining]
-        check_guards(scenario, rest)
-        if breach.area == 0.0:
-            return int(remaining[0]), TransferabilityScore.undefined()
-        values = breach.scores(rest)
-        best = int(np.argmin(values))
-        return int(remaining[best]), TransferabilityScore.of(float(values[best]))
-    scorer = candidate_scorer(scenario, breached, cfg)
-    best_index = int(remaining[0])
-    best: TransferabilityScore | None = None
-    for i in map(int, remaining):
-        score = scorer(pool.boundaries[i])
-        if best is None:
-            best_index, best = i, score
-        elif score.defined and (not best.defined or score.value < best.value):
-            best_index, best = i, score
-    assert best is not None
-    return best_index, best
+    values = _score_candidates(scenario, breached, planes[remaining], cfg)
+    if np.isnan(values).all():
+        return int(remaining[0]), TransferabilityScore.undefined()
+    best = int(np.nanargmin(values))
+    return int(remaining[best]), TransferabilityScore.of(float(values[best]))
 
 
 def random_baseline_sequence(
     scenario: ScenarioConfig, n_versions: int, seed: int = 0
 ) -> tuple[tuple[HiddenPoint, DecisionBoundary], ...]:
     """n independent uniform hidden points from the band, minus the disks."""
-    if n_versions < 1:
-        raise DomainError("baseline sequence needs at least one version")
+    if n_versions < 0:
+        raise DomainError("baseline sequence length must be >= 0")
     rng = philox(seed, 1)
     points = [sample_hidden_point(scenario, rng) for _ in range(n_versions)]
     return tuple((h, boundary_from_hidden(scenario, h)[0]) for h in points)

@@ -56,6 +56,8 @@ def test_table_reproduces_reference_values(capsys):
         (["plan", "--n", "10"], "plan_n10.csv"),
         (["pool"], "pool.csv"),
         (["pool", "--sequence-length", "20"], "pool_len20.csv"),
+        (["pool", "--attack-mode", "cautious"], "pool_cautious.csv"),
+        (["pool", "--samples", "20000", "--sequence-length", "5"], "pool_samples20000_len5.csv"),
     ],
 )
 def test_stock_csv_matches_golden_bytes(capsys, argv, golden):
@@ -271,6 +273,17 @@ def test_pool_cautious_mode_renders_na(capsys):
         rows = parse_csv(out)
         assert any(r["compound_at"] == "NA" for r in rows if r["row"] == "greedy")
         assert all(r["compound_at"] == "NA" for r in rows if r["row"] == "random")
+
+
+def test_pool_two_versions_prints_header_only(tmp_path, capsys):
+    # the seed pair is the whole sequence: no greedy and no random rows
+    header = "schema,c,delta,y_lim,row,step,pool_index,kind,k,b,x0,hidden_v,hidden_w,compound_at\n"
+    code, out, err = run_cli(capsys, "pool", "--sequence-length", "2")
+    assert (code, out, err) == (0, header, "")
+    cfg = tmp_path / "two.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[plan]\nn_versions = 2\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")
+    assert (code, out, err) == (0, header, "")
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

@@ -11,6 +11,7 @@ from marginseq import (
     GeometryError,
     HiddenPoint,
     PoolExhaustedError,
+    UndefinedEstimateError,
     anchor_admissible,
     boundary_from_hidden,
     build_attackable_region,
@@ -19,6 +20,7 @@ from marginseq import (
     find_bmax,
     generate_candidate_pool,
     greedy_select_next,
+    mc_transferability,
     plan_sequence,
     random_baseline_sequence,
     reconstruct_hidden_point,
@@ -310,6 +312,10 @@ def test_greedy_guard_violation(scenario):
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     with pytest.raises(GeometryError, match="left guard"):
         greedy_select_next(scenario, pool, breached, EXACT)
+    # the cautious breach of the seed pair has zero area, so every score is
+    # undefined; the guard check still runs first
+    with pytest.raises(GeometryError, match="left guard"):
+        greedy_select_next(scenario, pool, breached, AttackSampleConfig("cautious", 0, 0))
 
 
 def test_greedy_cautious_undefined_scores(scenario):
@@ -347,6 +353,23 @@ def test_greedy_sampled_choice_near_exact_optimum(scenario):
     index, score = greedy_select_next(scenario, pool, breached, sampled)
     width = 2.0 * 1.96 * math.sqrt(score.value * (1.0 - score.value) / 500.0)
     assert exact_scores[index] <= min(exact_scores) + max(width, 0.05)
+
+
+def test_greedy_sampled_undefined_score_before_defined(scenario):
+    # the near-flat first candidate pushes the sampling guard so far left that
+    # no sample lands in the breach; the defined second score must win
+    boundaries = (DecisionBoundary.sloped(1e-4, -5.0, scenario),
+                  DecisionBoundary.sloped(7.0, -3.0, scenario))
+    pool = CandidatePool((HiddenPoint(0.0, 1.0),) * 2, boundaries, 0, 2.0)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    cfg = AttackSampleConfig("ensemble", 2000, 3)
+    with pytest.raises(UndefinedEstimateError):
+        mc_transferability(scenario, breached, boundaries[0], cfg)
+    second = mc_transferability(scenario, breached, boundaries[1], cfg)
+    assert second.accepted == 19
+    index, score = greedy_select_next(scenario, pool, breached, cfg)
+    assert index == 1
+    assert score.defined and score.value == second.value
 
 
 def test_random_baseline_determinism(scenario):
