@@ -69,6 +69,7 @@ from .versioning import (
     random_baseline_sequence,
     reconstruct_anchor,
     reconstruct_hidden_point,
+    score_candidates,
     verify_plan,
 )
 

@@ -18,7 +18,7 @@ import configparser
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError, MarginSeqError, ScenarioFileError
 from .regions import (
@@ -31,13 +31,14 @@ from .regions import (
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
-    _score_candidates,
+    DEFAULT_EPS_D,
     check_boundary_feasibility,
     generate_candidate_pool,
     greedy_select_next,
     plan_sequence,
     random_baseline_sequence,
     reconstruct_anchor,
+    score_candidates,
     verify_plan,
 )
 
@@ -47,40 +48,60 @@ SCHEMA_VERSION = "1"
 # clips: N = 200 takes about 1.2 s and N = 400 about 4.3 s on a 2-core host.
 MAX_PLAN_VERSIONS = 200
 
-_SECTIONS = {
-    "scenario": {"c", "delta", "y_lim"},
-    "plan": {"k", "b_max", "n_versions"},
-    "pool": {"size", "eps_d", "seed"},
-    "attack": {"mode", "samples", "seed"},
-}
+_MODES = (MODE_ENSEMBLE, MODE_CAUTIOUS)
 
 
 @dataclass(frozen=True)
 class Settings:
-    scenario: ScenarioConfig
-    plan_k: float
-    plan_b_max: float
-    n_versions: int
-    pool_size: int
-    pool_eps_d: float
-    pool_seed: int
-    attack_mode: str
-    attack_samples: int
-    attack_seed: int
+    """One run's configuration; each command-line flag stores under the field it overrides."""
+
+    scenario: ScenarioConfig = REFERENCE_SCENARIO
+    plan_k: float = REFERENCE_PLAN[0]
+    plan_b_max: float = REFERENCE_PLAN[1]
+    n_versions: int = 8
+    pool_size: int = 50
+    pool_eps_d: float = DEFAULT_EPS_D
+    pool_seed: int = 42
+    attack_mode: str = MODE_ENSEMBLE
+    attack_samples: int = 0
+    attack_seed: int = 42
 
 
-DEFAULT_SETTINGS = Settings(
-    scenario=ScenarioConfig(100.0, 0.1, 30.0),
-    plan_k=7.0,
-    plan_b_max=12.0,
-    n_versions=8,
-    pool_size=50,
-    pool_eps_d=2.0,
-    pool_seed=42,
-    attack_mode=MODE_ENSEMBLE,
-    attack_samples=0,
-    attack_seed=42,
-)
+DEFAULT_SETTINGS = Settings()
+
+# Scenario-file key and type of every field but the scenario, whose [scenario]
+# keys are the ScenarioConfig fields.  Values are checked in this order; a
+# tuple type lists the words allowed.
+_KEYS = {
+    "attack_mode": ("attack", "mode", _MODES),
+    "plan_k": ("plan", "k", float),
+    "plan_b_max": ("plan", "b_max", float),
+    "n_versions": ("plan", "n_versions", int),
+    "pool_size": ("pool", "size", int),
+    "pool_eps_d": ("pool", "eps_d", float),
+    "pool_seed": ("pool", "seed", int),
+    "attack_samples": ("attack", "samples", int),
+    "attack_seed": ("attack", "seed", int),
+}
+
+_SECTIONS = {"scenario": {f.name for f in fields(ScenarioConfig)}}
+for _section, _key, _ in _KEYS.values():
+    _SECTIONS.setdefault(_section, set()).add(_key)
+
+
+def _value(parser: configparser.ConfigParser, section: str, key: str, kind):
+    raw = parser.get(section, key)
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ScenarioFileError(f"[{section}] {key}={raw!r} must be {' or '.join(kind)}")
+        return raw
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ScenarioFileError(f"[{section}] {key}={raw!r} is not a valid number")
+    if not math.isfinite(value):
+        raise ScenarioFileError(f"[{section}] {key}={raw!r} must be finite")
+    return value
 
 
 def load_settings(path: str | None) -> Settings:
@@ -110,43 +131,14 @@ def load_settings(path: str | None) -> Settings:
     if missing:
         raise ScenarioFileError(f"[scenario] missing keys: {sorted(missing)}")
 
-    def number(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            value = cast(raw)
-        except ValueError:
-            raise ScenarioFileError(f"[{section}] {key}={raw!r} is not a valid number")
-        if not math.isfinite(value):
-            raise ScenarioFileError(f"[{section}] {key}={raw!r} must be finite")
-        return value
-
     try:
-        scenario = ScenarioConfig(
-            number("scenario", "c", float, None),
-            number("scenario", "delta", float, None),
-            number("scenario", "y_lim", float, None),
-        )
+        scenario = ScenarioConfig(*(_value(parser, "scenario", f.name, float)
+                                    for f in fields(ScenarioConfig)))
     except DomainError as exc:
         raise ScenarioFileError(f"invalid [scenario] values: {exc}")
-
-    d = DEFAULT_SETTINGS
-    mode = parser.get("attack", "mode", fallback=d.attack_mode)
-    if mode not in (MODE_ENSEMBLE, MODE_CAUTIOUS):
-        raise ScenarioFileError(f"[attack] mode={mode!r} must be ensemble or cautious")
-    return Settings(
-        scenario=scenario,
-        plan_k=number("plan", "k", float, d.plan_k),
-        plan_b_max=number("plan", "b_max", float, d.plan_b_max),
-        n_versions=number("plan", "n_versions", int, d.n_versions),
-        pool_size=number("pool", "size", int, d.pool_size),
-        pool_eps_d=number("pool", "eps_d", float, d.pool_eps_d),
-        pool_seed=number("pool", "seed", int, d.pool_seed),
-        attack_mode=mode,
-        attack_samples=number("attack", "samples", int, d.attack_samples),
-        attack_seed=number("attack", "seed", int, d.attack_seed),
-    )
+    given = {field: _value(parser, section, key, kind)
+             for field, (section, key, kind) in _KEYS.items() if parser.has_option(section, key)}
+    return Settings(scenario, **given)
 
 
 def fmt(value) -> str:
@@ -180,6 +172,8 @@ def _boundary_fields(boundary):
 
 def cmd_boundary(settings: Settings, args, out) -> int:
     scenario = settings.scenario
+    if args.h is not None and (args.k is not None or args.b is not None):
+        raise DomainError("boundary takes either --h V,W or --k and --b, not both")
     if args.h is not None:
         v, w = args.h
         boundary, deriv = boundary_from_hidden(scenario, HiddenPoint(v, w))
@@ -207,7 +201,7 @@ def cmd_boundary(settings: Settings, args, out) -> int:
 
 def cmd_plan(settings: Settings, args, out) -> int:
     scenario = settings.scenario
-    n = args.n if args.n is not None else settings.n_versions
+    n = settings.n_versions
     if n > MAX_PLAN_VERSIONS:
         raise DomainError(f"plan of {n} versions exceeds the limit of {MAX_PLAN_VERSIONS}")
     plan = plan_sequence(scenario, n, settings.plan_k, settings.plan_b_max)
@@ -255,7 +249,7 @@ def cmd_table(settings: Settings, args, out) -> int:
 
 def cmd_pool(settings: Settings, args, out) -> int:
     scenario = settings.scenario
-    length = args.sequence_length if args.sequence_length is not None else settings.n_versions
+    length = settings.n_versions
     if length < 2:
         raise DomainError("pool sequences need at least the two seed versions")
     if settings.pool_size < length:
@@ -280,7 +274,7 @@ def cmd_pool(settings: Settings, args, out) -> int:
     versions = [bd for bd, _ in seed_plan.versions]
     for step, (hidden, boundary) in enumerate(baseline, start=3):
         line = boundary.plus
-        (value,) = _score_candidates(scenario, versions, [(line.a, line.b, line.c)], cfg)
+        (value,) = score_candidates(scenario, versions, [(line.a, line.b, line.c)], cfg)
         kind, k, b, x0 = _boundary_fields(boundary)
         rows.append(("random", step, None, kind, k, b, x0,
                      hidden.v, hidden.w, float(value)))
@@ -379,7 +373,8 @@ def _parse_point(text: str) -> tuple[float, float]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="marginseq", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--scenario", metavar="PATH", help="INI scenario file")
+    parser.add_argument("--scenario", dest="scenario_path", metavar="PATH",
+                        help="INI scenario file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("boundary", help="separator for one hidden point, or (k, b) feasibility")
@@ -388,16 +383,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, help="intercept to check for feasibility")
 
     p = sub.add_parser("plan", help="alternating version sequence and its alpha bound")
-    p.add_argument("--n", type=int, help="number of versions (default from scenario file)")
+    p.add_argument("--n", type=int, dest="n_versions", metavar="N",
+                   help="number of versions (default from scenario file)")
     p.add_argument("--svg", metavar="PATH", help="write an SVG figure of the plan")
 
     sub.add_parser("table", help="alpha bound by sequence length N in {2,4,6,8,10}")
 
     p = sub.add_parser("pool", help="greedy pool selection vs the random baseline")
-    p.add_argument("--sequence-length", type=int, help="versions to deploy (default plan length)")
-    p.add_argument("--seed", type=int, help="override pool and attack seeds")
-    p.add_argument("--samples", type=int, help="override attack sample count (0 = exact)")
-    p.add_argument("--attack-mode", choices=[MODE_ENSEMBLE, MODE_CAUTIOUS],
+    p.add_argument("--sequence-length", type=int, dest="n_versions", metavar="SEQUENCE_LENGTH",
+                   help="versions to deploy (default plan length)")
+    p.add_argument("--seed", type=int, dest="pool_seed", metavar="SEED",
+                   help="override pool and attack seeds")
+    p.add_argument("--samples", type=int, dest="attack_samples", metavar="SAMPLES",
+                   help="override attack sample count (0 = exact)")
+    p.add_argument("--attack-mode", choices=_MODES, dest="attack_mode",
                    help="override attacker mode")
 
     sub.add_parser("verify", help="run the deterministic cross-check suite")
@@ -406,15 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    given = vars(args)
+    given["attack_seed"] = given.get("pool_seed")  # --seed sets both seeds
+    flags = {f.name: given[f.name] for f in fields(Settings) if given.get(f.name) is not None}
     try:
-        settings = load_settings(args.scenario)
-        if args.command == "pool":
-            if args.seed is not None:
-                settings = replace(settings, pool_seed=args.seed, attack_seed=args.seed)
-            if args.samples is not None:
-                settings = replace(settings, attack_samples=args.samples)
-            if args.attack_mode is not None:
-                settings = replace(settings, attack_mode=args.attack_mode)
+        settings = replace(load_settings(args.scenario_path), **flags)
         handler = {
             "boundary": cmd_boundary,
             "plan": cmd_plan,

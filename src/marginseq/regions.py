@@ -99,7 +99,6 @@ class MonteCarloEstimate:
     value: float
     half_width: float
     accepted: int
-    n_samples: int
 
 
 # The quoted annotation keeps numpy.random from loading at import time.
@@ -364,4 +363,4 @@ def mc_transferability(
         )
     value = hits / accepted
     half_width = 1.96 * math.sqrt(value * (1.0 - value) / accepted)
-    return MonteCarloEstimate(value, half_width, accepted, cfg.n_samples)
+    return MonteCarloEstimate(value, half_width, accepted)

@@ -47,6 +47,12 @@ REFERENCE_AR1 = 61.39
 REFERENCE_ALPHAS = {2: 0.0, 4: 0.17, 6: 0.32, 8: 0.37, 10: 0.40}
 REFERENCE_TOL = 0.005
 
+# sample counts of the randomized checks
+_ORACLE_POINTS = 40
+_ROUND_TRIP_PAIRS = 60
+_ZERO_TRANSFER_PAIRS = 20
+_MC_SETS = 6
+
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
@@ -68,10 +74,10 @@ def boundary_deviation(a: DecisionBoundary, b: DecisionBoundary) -> float:
     return max(dev_n, dev_c)
 
 
-def check_oracle_agreement(scenario: ScenarioConfig, n_points: int = 40) -> CheckResult:
+def check_oracle_agreement(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9001, 0)
     worst = 0.0
-    for i in range(n_points):
+    for i in range(_ORACLE_POINTS):
         if i % 8 == 0:
             h = HiddenPoint(sample_hidden_point(scenario, rng).v, 0.0)
         else:
@@ -84,12 +90,12 @@ def check_oracle_agreement(scenario: ScenarioConfig, n_points: int = 40) -> Chec
     )
 
 
-def check_round_trip(scenario: ScenarioConfig, n_points: int = 60) -> CheckResult:
+def check_round_trip(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9002, 0)
     worst = 0.0
     found = 0
     attempts = 0
-    while found < n_points and attempts < 400 * n_points:
+    while found < _ROUND_TRIP_PAIRS and attempts < 400 * _ROUND_TRIP_PAIRS:
         attempts += 1
         k = float(rng.uniform(0.2, 12.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         b = float(rng.uniform(0.0, 2.0 * scenario.c)) * math.copysign(1.0, k)
@@ -100,7 +106,7 @@ def check_round_trip(scenario: ScenarioConfig, n_points: int = 60) -> CheckResul
         boundary, _ = boundary_from_hidden(scenario, report.reconstructed_h)
         ref = DecisionBoundary.sloped(k, b, scenario)
         worst = max(worst, boundary_deviation(ref, boundary))
-    passed = found == n_points and worst <= 1e-6
+    passed = found == _ROUND_TRIP_PAIRS and worst <= 1e-6
     return CheckResult(
         "round-trip boundary -> anchor -> boundary dev <= 1e-06",
         passed,
@@ -163,11 +169,11 @@ def _zero_transfer_pair(scenario: ScenarioConfig, rng: "np.random.Generator"):
     raise DomainError("could not generate a separating zero-transfer pair for this scenario")
 
 
-def check_zero_transfer_pairs(scenario: ScenarioConfig, n_pairs: int = 20) -> CheckResult:
+def check_zero_transfer_pairs(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9003, 0)
     worst_exact = 0.0
     worst_mc = 0.0
-    for _ in range(n_pairs):
+    for _ in range(_ZERO_TRANSFER_PAIRS):
         bd1, bd2, ar1, ar2 = _zero_transfer_pair(scenario, rng)
         assert check_zero_transfer(bd1, bd2, scenario)
         worst_exact = max(
@@ -185,10 +191,10 @@ def check_zero_transfer_pairs(scenario: ScenarioConfig, n_pairs: int = 20) -> Ch
     )
 
 
-def check_mc_consistency(scenario: ScenarioConfig, n_sets: int = 6) -> CheckResult:
+def check_mc_consistency(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9004, 0)
     worst_sigma = 0.0
-    for _ in range(n_sets):
+    for _ in range(_MC_SETS):
         bd1, bd2, _, _ = _zero_transfer_pair(scenario, rng)
         k = bd1.k
         # deepest downward offset that still separates and keeps the region

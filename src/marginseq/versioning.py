@@ -41,7 +41,6 @@ from .regions import (
     directional_transferability,
     mc_transferability,
     philox,
-    union_area,
 )
 from .separators import (
     DecisionBoundary,
@@ -71,8 +70,6 @@ class SequencePlan:
     """Alternating boundary sequence with its compound-transferability bound."""
 
     scenario: ScenarioConfig
-    k: float
-    b_max: float
     n_tiers: int
     step: float
     versions: tuple[tuple[DecisionBoundary, HiddenPoint], ...]
@@ -100,8 +97,6 @@ class PlanVerification:
 class CandidatePool:
     hidden_points: tuple[HiddenPoint, ...]
     boundaries: tuple[DecisionBoundary, ...]
-    seed: int
-    eps_d: float
 
     def __post_init__(self):
         if len(self.hidden_points) != len(self.boundaries):
@@ -257,19 +252,19 @@ def plan_sequence(
 
     versions = []
     for slope, intercept in _plan_intercepts(scenario, n_versions, k, step):
-        if not anchor_admissible(scenario, slope, intercept):
+        anchor = _admissible_anchor(scenario, slope, intercept)
+        if anchor is None:
             raise DomainError(
                 f"version boundary y = {slope}*x + {intercept} has no admissible anchor"
             )
-        boundary = DecisionBoundary.sloped(slope, intercept, scenario)
-        versions.append((boundary, reconstruct_hidden_point(scenario, slope, intercept)))
+        versions.append((DecisionBoundary.sloped(slope, intercept, scenario), anchor))
 
     if n_versions >= 3:
         ars = [build_attackable_region(scenario, bd) for bd, _ in versions[:3]]
         alpha = compound_transferability(ars[:2], ars[2]).value
     else:
         alpha = 0.0
-    return SequencePlan(scenario, k, b_max, n_tiers, step, tuple(versions), alpha)
+    return SequencePlan(scenario, n_tiers, step, tuple(versions), alpha)
 
 
 def verify_plan(plan: SequencePlan) -> PlanVerification:
@@ -278,12 +273,13 @@ def verify_plan(plan: SequencePlan) -> PlanVerification:
     ars = [build_attackable_region(scenario, bd) for bd, _ in plan.versions]
     at_pair = directional_transferability(ars[0], ars[1]).value if len(ars) >= 2 else 0.0
 
-    base_union = union_area(ars[:2]) if len(ars) >= 2 else 0.0
     compound = []
     union_dev = 0.0
     for i in range(3, len(ars) + 1):
         breach = Breach.of(ars[: i - 1])
         compound.append((i, breach.score(ars[i - 1]).value))
+        if i == 3:
+            base_union = breach.area  # the seed pair's union, which no later version may grow
         if base_union > 0.0:
             union_dev = max(union_dev, abs(breach.area - base_union) / base_union)
         else:
@@ -337,10 +333,10 @@ def generate_candidate_pool(
             if len(points) < size:
                 points.append(HiddenPoint(float(vi), float(wi)))
     boundaries = tuple(boundary_from_hidden(scenario, h)[0] for h in points)
-    return CandidatePool(tuple(points), boundaries, seed, eps_d)
+    return CandidatePool(tuple(points), boundaries)
 
 
-def _score_candidates(
+def score_candidates(
     scenario: ScenarioConfig, breached: list[DecisionBoundary], planes, cfg: AttackSampleConfig
 ) -> np.ndarray:
     """Transferability from the breached versions of each candidate under cfg.
@@ -373,7 +369,7 @@ def greedy_select_next(
     """Pool index minimizing transferability from the breached versions.
 
     Candidates whose boundary equals a breached one are excluded and the rest
-    are scored by :func:`_score_candidates`.  Ties break toward the lowest pool
+    are scored by :func:`score_candidates`.  Ties break toward the lowest pool
     index and undefined scores lose to defined ones; when none is defined the
     first remaining candidate is returned with an undefined score.
     """
@@ -384,7 +380,7 @@ def greedy_select_next(
     remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
     if not remaining.size:
         raise PoolExhaustedError("every pool candidate has been consumed")
-    values = _score_candidates(scenario, breached, planes[remaining], cfg)
+    values = score_candidates(scenario, breached, planes[remaining], cfg)
     if np.isnan(values).all():
         return int(remaining[0]), TransferabilityScore.undefined()
     best = int(np.nanargmin(values))

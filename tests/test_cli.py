@@ -1,16 +1,20 @@
 import csv
+import dataclasses
 import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+from marginseq import cli
 from marginseq.cli import MAX_PLAN_VERSIONS, main, load_settings, DEFAULT_SETTINGS
 from marginseq.errors import ScenarioFileError
+from marginseq.separators import ScenarioConfig
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -164,6 +168,13 @@ def test_boundary_requires_arguments(capsys):
     assert "--h" in err
 
 
+@pytest.mark.parametrize("extra", [["--k", "7", "--b", "-0.7"], ["--k", "7"], ["--b", "-0.7"]])
+def test_boundary_rejects_both_forms(capsys, extra):
+    code, out, err = run_cli(capsys, "boundary", "--h", "0,0", *extra)
+    assert (code, out) == (2, "")
+    assert err == "marginseq: boundary takes either --h V,W or --k and --b, not both\n"
+
+
 def test_plan_rows_and_summary(capsys):
     code, out, _ = run_cli(capsys, "plan", "--n", "8")
     assert code == 0
@@ -230,8 +241,6 @@ def test_plan_svg(tmp_path, capsys):
     assert text.count("<circle") == 2
     assert "href" not in text and "url(" not in text
     # aspect ratio follows the scenario strip (plus a 2-unit margin each way)
-    import re
-
     width = float(re.search(r'width="([\d.]+)"', text).group(1))
     height = float(re.search(r'height="([\d.]+)"', text).group(1))
     assert height / width == pytest.approx(32.0 / 102.0, abs=0.01)
@@ -313,7 +322,7 @@ def test_pool_size_must_cover_sequence(tmp_path, capsys):
     assert "pool size" in err
 
 
-def test_scenario_file_overrides(tmp_path):
+def test_scenario_file_overrides(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "scenario.ini"
     cfg.write_text(
         "[scenario]\nc = 50\ndelta = 0.05\ny_lim = 20\n\n"
@@ -321,19 +330,45 @@ def test_scenario_file_overrides(tmp_path):
         "[pool]\nsize = 10\neps_d = 1.5\nseed = 99\n\n"
         "[attack]\nmode = cautious\nsamples = 1000\nseed = 3\n"
     )
+    from_file = cli.Settings(
+        scenario=ScenarioConfig(50.0, 0.05, 20.0), plan_k=5.0, plan_b_max=4.0, n_versions=6,
+        pool_size=10, pool_eps_d=1.5, pool_seed=99,
+        attack_mode="cautious", attack_samples=1000, attack_seed=3,
+    )
     settings = load_settings(str(cfg))
-    assert settings.scenario.c == 50.0
-    assert settings.scenario.delta == 0.05
-    assert settings.plan_k == 5.0
-    assert settings.n_versions == 6
-    assert settings.pool_size == 10
-    assert settings.attack_mode == "cautious"
-    assert settings.attack_samples == 1000
-    assert settings.attack_seed == 3
+    assert settings == from_file
+    # every field differs from its default, so none of them was left unread
+    assert all(getattr(settings, f.name) != getattr(DEFAULT_SETTINGS, f.name)
+               for f in dataclasses.fields(cli.Settings))
+
+    # each flag overrides the file's value and nothing else
+    seen = []
+    for command in ("plan", "pool"):
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda settings, args, out: seen.append(settings) or 0)
+    for argv, changed in (
+        (["plan", "--n", "9"], {"n_versions": 9}),
+        (["pool", "--sequence-length", "7"], {"n_versions": 7}),
+        (["pool", "--seed", "11"], {"pool_seed": 11, "attack_seed": 11}),
+        (["pool", "--samples", "0"], {"attack_samples": 0}),
+        (["pool", "--attack-mode", "ensemble"], {"attack_mode": "ensemble"}),
+        (["pool"], {}),
+    ):
+        seen.clear()
+        assert run_cli(capsys, "--scenario", str(cfg), *argv) == (0, "", "")
+        assert seen == [dataclasses.replace(from_file, **changed)], argv
 
 
 def test_scenario_file_defaults():
     assert load_settings(None) == DEFAULT_SETTINGS
+
+
+def test_readme_scenario_example_loads(tmp_path):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(example)
+    assert load_settings(str(cfg)) == DEFAULT_SETTINGS
 
 
 def test_scenario_file_parse_errors(tmp_path, capsys):

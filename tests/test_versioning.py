@@ -244,7 +244,7 @@ def test_pool_validation(scenario):
 def _line_pool(scenario, offsets):
     boundaries = tuple(DecisionBoundary.sloped(7.0, -b, scenario) for b in offsets)
     hidden = tuple(reconstruct_hidden_point(scenario, 7.0, -b) for b in offsets)
-    return CandidatePool(hidden, boundaries, 0, 2.0)
+    return CandidatePool(hidden, boundaries)
 
 
 def test_greedy_selects_smallest_overlap(scenario):
@@ -308,7 +308,7 @@ def test_greedy_guard_violation(scenario):
     runaway = DecisionBoundary.vertical(150.0, scenario)  # "+" side covers both bands
     pool = _line_pool(scenario, [5.0])
     pool = CandidatePool(pool.hidden_points + (HiddenPoint(0.0, 1.0),),
-                         pool.boundaries + (runaway,), 0, 2.0)
+                         pool.boundaries + (runaway,))
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     with pytest.raises(GeometryError, match="left guard"):
         greedy_select_next(scenario, pool, breached, EXACT)
@@ -360,7 +360,7 @@ def test_greedy_sampled_undefined_score_before_defined(scenario):
     # no sample lands in the breach; the defined second score must win
     boundaries = (DecisionBoundary.sloped(1e-4, -5.0, scenario),
                   DecisionBoundary.sloped(7.0, -3.0, scenario))
-    pool = CandidatePool((HiddenPoint(0.0, 1.0),) * 2, boundaries, 0, 2.0)
+    pool = CandidatePool((HiddenPoint(0.0, 1.0),) * 2, boundaries)
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     cfg = AttackSampleConfig("ensemble", 2000, 3)
     with pytest.raises(UndefinedEstimateError):
@@ -397,4 +397,4 @@ def test_random_baseline_same_side_fraction(scenario):
 
 def test_pool_parallel_lists_validated(scenario):
     with pytest.raises(DomainError):
-        CandidatePool((), (DecisionBoundary.vertical(-1.0, scenario),), 0, 2.0)
+        CandidatePool((), (DecisionBoundary.vertical(-1.0, scenario),))
