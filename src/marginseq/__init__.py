@@ -3,10 +3,10 @@
 Two unit training disks at (+-c, 0) plus a single hidden feature point
 determine a hard-margin linear separator in closed form.  This package
 computes that separator (and an independent numeric oracle for it), builds
-the exact attackable region each separator exposes, measures directional,
-compound and cautious attack transferability as exact area ratios or by
-seeded Monte Carlo, and plans sequences of versions whose compound
-transferability is provably bounded.
+the exact attackable region each separator exposes, measures directional
+and compound attack transferability (an ensemble attacker holding every
+breached version) as exact area ratios or by seeded Monte Carlo, and plans
+sequences of versions whose compound transferability is provably bounded.
 """
 
 from .errors import (
@@ -36,7 +36,6 @@ from .regions import (
     MonteCarloEstimate,
     TransferabilityScore,
     build_attackable_region,
-    cautious_transferability,
     check_zero_transfer,
     closed_form_ar_area,
     compound_transferability,

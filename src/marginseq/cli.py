@@ -21,13 +21,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError, MarginSeqError, ScenarioFileError
-from .regions import (
-    AttackSampleConfig,
-    MODE_CAUTIOUS,
-    MODE_ENSEMBLE,
-    build_attackable_region,
-    region_area,
-)
+from .regions import MODE_ENSEMBLE, AttackSampleConfig, build_attackable_region, region_area
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
@@ -48,8 +42,6 @@ SCHEMA_VERSION = "1"
 # clips: N = 200 takes about 1.2 s and N = 400 about 4.3 s on a 2-core host.
 MAX_PLAN_VERSIONS = 200
 
-_MODES = (MODE_ENSEMBLE, MODE_CAUTIOUS)
-
 
 @dataclass(frozen=True)
 class Settings:
@@ -62,7 +54,6 @@ class Settings:
     pool_size: int = 50
     pool_eps_d: float = DEFAULT_EPS_D
     pool_seed: int = 42
-    attack_mode: str = MODE_ENSEMBLE
     attack_samples: int = 0
     attack_seed: int = 42
 
@@ -70,10 +61,8 @@ class Settings:
 DEFAULT_SETTINGS = Settings()
 
 # Scenario-file key and type of every field but the scenario, whose [scenario]
-# keys are the ScenarioConfig fields.  Values are checked in this order; a
-# tuple type lists the words allowed.
+# keys are the ScenarioConfig fields.  Values are checked in this order.
 _KEYS = {
-    "attack_mode": ("attack", "mode", _MODES),
     "plan_k": ("plan", "k", float),
     "plan_b_max": ("plan", "b_max", float),
     "n_versions": ("plan", "n_versions", int),
@@ -91,10 +80,6 @@ for _section, _key, _ in _KEYS.values():
 
 def _value(parser: configparser.ConfigParser, section: str, key: str, kind):
     raw = parser.get(section, key)
-    if isinstance(kind, tuple):
-        if raw not in kind:
-            raise ScenarioFileError(f"[{section}] {key}={raw!r} must be {' or '.join(kind)}")
-        return raw
     try:
         value = kind(raw)
     except ValueError:
@@ -107,7 +92,7 @@ def _value(parser: configparser.ConfigParser, section: str, key: str, kind):
 def load_settings(path: str | None) -> Settings:
     if path is None:
         return DEFAULT_SETTINGS
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -257,7 +242,7 @@ def cmd_pool(settings: Settings, args, out) -> int:
     pool = generate_candidate_pool(scenario, settings.pool_size, settings.pool_eps_d,
                                    settings.pool_seed)
     seed_plan = plan_sequence(scenario, 2, settings.plan_k, settings.plan_b_max)
-    cfg = AttackSampleConfig(settings.attack_mode, settings.attack_samples, settings.attack_seed)
+    cfg = AttackSampleConfig(MODE_ENSEMBLE, settings.attack_samples, settings.attack_seed)
 
     rows = []
     breached = [bd for bd, _ in seed_plan.versions]
@@ -396,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override pool and attack seeds")
     p.add_argument("--samples", type=int, dest="attack_samples", metavar="SAMPLES",
                    help="override attack sample count (0 = exact)")
-    p.add_argument("--attack-mode", choices=_MODES, dest="attack_mode",
-                   help="override attacker mode")
 
     sub.add_parser("verify", help="run the deterministic cross-check suite")
     return parser

@@ -41,7 +41,6 @@ MC_BLOCK = 1 << 17
 SCORE_BLOCK = 256
 
 MODE_ENSEMBLE = "ensemble"
-MODE_CAUTIOUS = "cautious"
 
 _MIN_ACCEPTANCE = 1e-6
 
@@ -79,14 +78,17 @@ class TransferabilityScore:
 
 @dataclass(frozen=True, slots=True)
 class AttackSampleConfig:
-    """Attacker mode and sampling budget; n_samples = 0 selects exact scoring."""
+    """Attacker mode and sampling budget; n_samples = 0 selects exact scoring.
+
+    The only mode is ``ensemble``: the attacker holds every breached version.
+    """
 
     mode: str
     n_samples: int
     seed: int
 
     def __post_init__(self):
-        if self.mode not in (MODE_ENSEMBLE, MODE_CAUTIOUS):
+        if self.mode != MODE_ENSEMBLE:
             raise DomainError(f"unknown attacker mode {self.mode!r}")
         if self.n_samples < 0:
             raise DomainError("n_samples must be >= 0")
@@ -186,10 +188,11 @@ def closed_form_ar_area(scenario: ScenarioConfig, k: float, b: float) -> float:
 class Breach:
     """Territory the breached versions expose to an attacker, one piece per band.
 
-    The bands are cut under the deepest breached guard, which no breached
-    region reaches.  Ensemble: the pieces are the bands, ``outside`` holds the
-    breached "-" sides and ``area`` the union, band less outside.  Cautious:
-    the pieces are the parts inside every region and ``outside`` is empty.
+    The ensemble attacker holds every breached version.  :meth:`of` cuts the
+    bands under the deepest breached guard, which no breached region reaches:
+    the pieces are the bands, ``outside`` holds the breached "-" sides and
+    ``area`` the union, band less outside.  A breach of one region's own
+    pieces with nothing outside scores directional transferability.
     """
 
     scenario: ScenarioConfig
@@ -198,17 +201,13 @@ class Breach:
     area: float
 
     @classmethod
-    def of(cls, priors: list[AttackableRegion], mode: str = MODE_ENSEMBLE) -> "Breach":
+    def of(cls, priors: list[AttackableRegion]) -> "Breach":
         if not priors:
             raise DomainError("transferability requires at least one breached region")
         scenario = priors[0].scenario
         if any(r.scenario != scenario for r in priors):
             raise DomainError("regions built under different scenarios")
         bands = band_rectangles(scenario, max(r.guard for r in priors))
-        if mode == MODE_CAUTIOUS:
-            plus = [r.source_boundary.plus for r in priors]
-            cores = tuple(halfplane_intersection(plus, band) for band in bands)
-            return cls(scenario, cores, (), sum(map(polygon_area, cores)))
         outside = tuple(r.source_boundary.minus for r in priors)
         area = sum(polygon_area(b) - polygon_area(halfplane_intersection(outside, b))
                    for b in bands)
@@ -266,14 +265,7 @@ def compound_transferability(
     priors: list[AttackableRegion], target: AttackableRegion
 ) -> TransferabilityScore:
     """S(target n union of priors) / S(union of priors), exactly."""
-    return Breach.of(priors, MODE_ENSEMBLE).score(target)
-
-
-def cautious_transferability(
-    priors: list[AttackableRegion], target: AttackableRegion
-) -> TransferabilityScore:
-    """S(target n intersection of priors) / S(intersection of priors)."""
-    return Breach.of(priors, MODE_CAUTIOUS).score(target)
+    return Breach.of(priors).score(target)
 
 
 def union_area(priors: list[AttackableRegion]) -> float:
@@ -332,7 +324,7 @@ def mc_block_counts(
         x[m_sliver:] = -guard + u[m_sliver:, 0] * (guard - d)
         yv = -y + u[:, 1] * (2.0 * y)
         prior_hits = np.stack([b.signed_value(x, yv) >= 0.0 for b in priors])
-        mask = prior_hits.any(axis=0) if cfg.mode == MODE_ENSEMBLE else prior_hits.all(axis=0)
+        mask = prior_hits.any(axis=0)
         accepted += int(mask.sum())
         hits += int((mask & (target.signed_value(x, yv) >= 0.0)).sum())
     return accepted, hits
@@ -347,9 +339,9 @@ def mc_transferability(
     """Sampled transferability with a 95% binomial interval half-width.
 
     Uniform points over the two "-" bands (stratified proportionally to band
-    area) are filtered by the attacker mode: ensemble keeps points inside at
-    least one prior region, cautious keeps points inside all of them.  The
-    estimate is the kept fraction the target classifies "+".
+    area) are kept when inside at least one prior region, the ensemble
+    attacker's territory.  The estimate is the kept fraction the target
+    classifies "+".
     """
     if not priors:
         raise DomainError("Monte Carlo transferability requires at least one prior")

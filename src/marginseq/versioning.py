@@ -349,7 +349,7 @@ def score_candidates(
     if cfg.n_samples == 0:
         check_guards(scenario, planes)
         regions = [build_attackable_region(scenario, bd) for bd in breached]
-        return Breach.of(regions, cfg.mode).scores(planes)
+        return Breach.of(regions).scores(planes)
     values = np.full(len(planes), np.nan)
     for i, (a, b, c) in enumerate(planes.tolist()):
         target = DecisionBoundary(HalfPlane(a, b, c))

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import dataclasses
 import io
@@ -13,7 +14,8 @@ import pytest
 
 from marginseq import cli
 from marginseq.cli import MAX_PLAN_VERSIONS, main, load_settings, DEFAULT_SETTINGS
-from marginseq.errors import ScenarioFileError
+from marginseq.errors import DomainError, ScenarioFileError
+from marginseq.regions import AttackSampleConfig
 from marginseq.separators import ScenarioConfig
 
 
@@ -60,7 +62,7 @@ def test_table_reproduces_reference_values(capsys):
         (["plan", "--n", "10"], "plan_n10.csv"),
         (["pool"], "pool.csv"),
         (["pool", "--sequence-length", "20"], "pool_len20.csv"),
-        (["pool", "--attack-mode", "cautious"], "pool_cautious.csv"),
+        (["boundary", "--k", "7", "--b", "-0.7"], "boundary_feasibility.csv"),
         (["pool", "--samples", "20000", "--sequence-length", "5"], "pool_samples20000_len5.csv"),
     ],
 )
@@ -273,15 +275,19 @@ def test_pool_deterministic_and_modes(capsys):
     assert other_seed != first
 
 
-def test_pool_cautious_mode_renders_na(capsys):
-    # the seed pair has disjoint regions, so cautious scores are undefined
-    for extra in ([], ["--samples", "100000"]):
-        code, out, _ = run_cli(capsys, "pool", "--sequence-length", "4",
-                               "--attack-mode", "cautious", *extra)
-        assert code == 0
-        rows = parse_csv(out)
-        assert any(r["compound_at"] == "NA" for r in rows if r["row"] == "greedy")
-        assert all(r["compound_at"] == "NA" for r in rows if r["row"] == "random")
+def test_attack_mode_is_not_configurable(tmp_path, capsys):
+    # ensemble is the only attacker: no flag, no scenario key, no other mode
+    with pytest.raises(SystemExit) as exc:
+        main(["pool", "--attack-mode", "ensemble"])
+    assert exc.value.code == 2
+    assert "--attack-mode" in capsys.readouterr().err
+    cfg = tmp_path / "mode.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[attack]\nmode = ensemble\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")
+    assert (code, out) == (3, "")
+    assert "mode" in err
+    with pytest.raises(DomainError, match="attacker mode"):
+        AttackSampleConfig("cautious", 0, 0)
 
 
 def test_pool_two_versions_prints_header_only(tmp_path, capsys):
@@ -328,12 +334,11 @@ def test_scenario_file_overrides(tmp_path, capsys, monkeypatch):
         "[scenario]\nc = 50\ndelta = 0.05\ny_lim = 20\n\n"
         "[plan]\nk = 5\nb_max = 4\nn_versions = 6\n\n"
         "[pool]\nsize = 10\neps_d = 1.5\nseed = 99\n\n"
-        "[attack]\nmode = cautious\nsamples = 1000\nseed = 3\n"
+        "[attack]\nsamples = 1000\nseed = 3\n"
     )
     from_file = cli.Settings(
         scenario=ScenarioConfig(50.0, 0.05, 20.0), plan_k=5.0, plan_b_max=4.0, n_versions=6,
-        pool_size=10, pool_eps_d=1.5, pool_seed=99,
-        attack_mode="cautious", attack_samples=1000, attack_seed=3,
+        pool_size=10, pool_eps_d=1.5, pool_seed=99, attack_samples=1000, attack_seed=3,
     )
     settings = load_settings(str(cfg))
     assert settings == from_file
@@ -351,7 +356,6 @@ def test_scenario_file_overrides(tmp_path, capsys, monkeypatch):
         (["pool", "--sequence-length", "7"], {"n_versions": 7}),
         (["pool", "--seed", "11"], {"pool_seed": 11, "attack_seed": 11}),
         (["pool", "--samples", "0"], {"attack_samples": 0}),
-        (["pool", "--attack-mode", "ensemble"], {"attack_mode": "ensemble"}),
         (["pool"], {}),
     ):
         seen.clear()
@@ -369,6 +373,10 @@ def test_readme_scenario_example_loads(tmp_path):
     cfg = tmp_path / "readme.ini"
     cfg.write_text(example)
     assert load_settings(str(cfg)) == DEFAULT_SETTINGS
+    # every section and key is shown, so a key added or removed shows up here
+    parser = configparser.ConfigParser()
+    parser.read_string(example)
+    assert {name: set(parser[name]) for name in parser.sections()} == cli._SECTIONS
 
 
 def test_scenario_file_parse_errors(tmp_path, capsys):
@@ -408,6 +416,14 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
         code, _, err = run_cli(capsys, "--scenario", str(nonfinite), "pool")
         assert code == 3, (section, key)
         assert key in err
+
+    # a "%" is read as text, not as configparser interpolation syntax
+    for raw in ("7%", "%(foo)s"):
+        percent = tmp_path / "percent.ini"
+        percent.write_text(f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[plan]\nk = {raw}\n")
+        code, out, err = run_cli(capsys, "--scenario", str(percent), "plan")
+        assert (code, out) == (3, ""), raw
+        assert f"{raw!r} is not a valid number" in err
 
     nofile = tmp_path / "nope.ini"
     code, _, err = run_cli(capsys, "--scenario", str(nofile), "table")

@@ -10,7 +10,6 @@ from marginseq import (
     GeometryError,
     UndefinedEstimateError,
     build_attackable_region,
-    cautious_transferability,
     check_zero_transfer,
     closed_form_ar_area,
     compound_transferability,
@@ -159,25 +158,6 @@ def test_union_area_complement_identity(scenario):
     assert union_area(nested) == pytest.approx(AR1_AREA, rel=1e-9)
 
 
-def test_cautious_examples(scenario):
-    bd1, bd2 = canonical_pair(scenario)
-    mirrored = [build_attackable_region(scenario, bd) for bd in (bd1, bd2)]
-    target = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 12.7))
-    assert not cautious_transferability(mirrored, target).defined
-
-    single = cautious_transferability(mirrored[:1], target)
-    assert round(single.value, 4) == 0.3494
-
-    chain = [
-        build_attackable_region(scenario, offset_boundary(scenario, 7.0, 0.7)),
-        build_attackable_region(scenario, offset_boundary(scenario, 7.0, 4.7)),
-    ]
-    score = cautious_transferability(chain, target)
-    mid_area = closed_form_ar_area(scenario, 7.0, 4.7)
-    assert score.value == pytest.approx(AR3_AREA / mid_area, rel=1e-12)
-    assert round(score.value, 4) == 0.4684
-
-
 def test_check_zero_transfer(scenario):
     bd1, bd2 = canonical_pair(scenario)
     assert check_zero_transfer(bd1, bd2, scenario)
@@ -242,16 +222,6 @@ def test_mc_matches_exact_compound(scenario):
     assert est.half_width > 0.0
 
 
-def test_mc_cautious_mode(scenario):
-    priors = [offset_boundary(scenario, 7.0, 0.7), offset_boundary(scenario, 7.0, 4.7)]
-    target = offset_boundary(scenario, 7.0, 12.7)
-    cfg = AttackSampleConfig("cautious", 1_000_000, 555)
-    est = mc_transferability(scenario, priors, target, cfg)
-    exact = AR3_AREA / closed_form_ar_area(scenario, 7.0, 4.7)
-    sigma = math.sqrt(exact * (1.0 - exact) / est.accepted)
-    assert abs(est.value - exact) <= 3.0 * sigma
-
-
 def test_mc_undefined_when_priors_accept_nothing(scenario):
     empty_prior = offset_boundary(scenario, 7.0, 31.0)
     with pytest.raises(UndefinedEstimateError):
@@ -304,11 +274,10 @@ def test_scenario_mismatch_rejected(scenario):
     ar_b = build_attackable_region(other, offset_boundary(other, 7.0, 0.7))
     with pytest.raises(DomainError):
         directional_transferability(ar_a, ar_b)
-    for exact in (compound_transferability, cautious_transferability):
-        with pytest.raises(DomainError):
-            exact([ar_a], ar_b)
-        with pytest.raises(DomainError):
-            exact([ar_b, ar_a], ar_a)
+    with pytest.raises(DomainError):
+        compound_transferability([ar_a], ar_b)
+    with pytest.raises(DomainError):
+        compound_transferability([ar_b, ar_a], ar_a)
 
 
 def test_compound_matches_inclusion_exclusion_over_stock_pool(scenario):
@@ -356,14 +325,19 @@ def _assert_scores_match(breach, regions):
     return got
 
 
-@pytest.mark.parametrize("mode, priors", [
-    ("ensemble", lambda s: list(canonical_pair(s))),
-    ("ensemble", lambda s: [*canonical_pair(s), *generate_candidate_pool(s, 4, 2.0, 7).boundaries]),
-    ("cautious", lambda s: [offset_boundary(s, 7.0, 0.7)]),
-    ("cautious", lambda s: [offset_boundary(s, 7.0, 0.7), offset_boundary(s, 7.0, 4.7)]),
-], ids=["seed-pair", "six-priors", "one-region", "core"])
-def test_breach_scores_match_scalar_over_stock_pool(scenario, mode, priors):
-    breach = Breach.of([build_attackable_region(scenario, bd) for bd in priors(scenario)], mode)
+def _directional_breach(region):
+    """The breach directional_transferability scores against: one region's own pieces."""
+    return Breach(region.scenario, region.pieces, (), region_area(region))
+
+
+@pytest.mark.parametrize("breach", [
+    lambda s: Breach.of([build_attackable_region(s, bd) for bd in canonical_pair(s)]),
+    lambda s: Breach.of([build_attackable_region(s, bd) for bd in
+                         [*canonical_pair(s), *generate_candidate_pool(s, 4, 2.0, 7).boundaries]]),
+    lambda s: _directional_breach(build_attackable_region(s, offset_boundary(s, 7.0, 0.7))),
+], ids=["seed-pair", "six-priors", "one-region"])
+def test_breach_scores_match_scalar_over_stock_pool(scenario, breach):
+    breach = breach(scenario)
     pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
     got = _assert_scores_match(breach, [build_attackable_region(scenario, bd)
                                         for bd in pool.boundaries])
@@ -377,13 +351,13 @@ def test_breach_scores_near_origin_sliver(scenario):
     target = build_attackable_region(
         scenario, DecisionBoundary.sloped(-6306.151366477757, 1.000444171950221e-11, scenario)
     )
-    for breach in (Breach.of([prior]), Breach.of([prior], "cautious"),
-                   Breach(scenario, prior.pieces, (), region_area(prior))):
+    for breach in (Breach.of([prior]), _directional_breach(prior)):
         _assert_scores_match(breach, [target, prior])
 
 
 def test_breach_scores_undefined_for_empty_breach(scenario):
-    breach = Breach.of([build_attackable_region(scenario, bd) for bd in canonical_pair(scenario)],
-                       "cautious")
+    # this version's "+" side misses both "-" bands, so it exposes nothing
+    empty = build_attackable_region(scenario, DecisionBoundary.sloped(1000.0, -1000.0, scenario))
+    breach = Breach.of([empty])
     assert breach.area == 0.0
     assert np.isnan(breach.scores(_planes(canonical_pair(scenario)))).all()

@@ -304,6 +304,11 @@ def test_greedy_exact_steps_match_scalar_scores(scenario):
     assert picks == [896, 453, 724, 266, 731, 271, 552, 187]
 
 
+def _exposes_nothing(scenario):
+    """A version whose "+" side misses both "-" bands: its region has area 0."""
+    return DecisionBoundary.sloped(1000.0, -1000.0, scenario)
+
+
 def test_greedy_guard_violation(scenario):
     runaway = DecisionBoundary.vertical(150.0, scenario)  # "+" side covers both bands
     pool = _line_pool(scenario, [5.0])
@@ -312,18 +317,15 @@ def test_greedy_guard_violation(scenario):
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     with pytest.raises(GeometryError, match="left guard"):
         greedy_select_next(scenario, pool, breached, EXACT)
-    # the cautious breach of the seed pair has zero area, so every score is
-    # undefined; the guard check still runs first
+    # a breach of zero area leaves every score undefined; the guard check
+    # still runs first
     with pytest.raises(GeometryError, match="left guard"):
-        greedy_select_next(scenario, pool, breached, AttackSampleConfig("cautious", 0, 0))
+        greedy_select_next(scenario, pool, [_exposes_nothing(scenario)], EXACT)
 
 
-def test_greedy_cautious_undefined_scores(scenario):
+def test_greedy_undefined_scores(scenario):
     pool = _line_pool(scenario, [5.0, 9.0])
-    plan = plan_sequence(scenario, 2, 7.0, 12.0)
-    breached = [bd for bd, _ in plan.versions]  # mirrored pair: empty intersection
-    cfg = AttackSampleConfig("cautious", 0, 0)
-    index, score = greedy_select_next(scenario, pool, breached, cfg)
+    index, score = greedy_select_next(scenario, pool, [_exposes_nothing(scenario)], EXACT)
     assert index == 0
     assert not score.defined
 
