@@ -9,8 +9,9 @@ pool       greedy pool selection vs the random baseline, seed-reproducible
 verify     deterministic cross-check suite (exit 4 on any failure)
 
 All numeric output is printed with 9 significant digits so runs can be
-diffed textually.  Exit codes: 0 success, 2 domain/feasibility error,
-3 scenario-file parse error, 4 verification failure.
+diffed textually.  Exit codes: 0 success, 2 domain/feasibility error or a
+pool step with no defined score, 3 scenario-file parse error, 4
+verification failure.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 
-from .errors import DomainError, MarginSeqError, ScenarioFileError
+from .errors import DomainError, MarginSeqError, ScenarioFileError, UndefinedEstimateError
 from .regions import MODE_ENSEMBLE, AttackSampleConfig, build_attackable_region, region_area
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
@@ -248,6 +249,11 @@ def cmd_pool(settings: Settings, args, out) -> int:
     breached = [bd for bd, _ in seed_plan.versions]
     for step in range(3, length + 1):
         index, score = greedy_select_next(scenario, pool, breached, cfg)
+        # only a sampled step can leave every score undefined: the seed
+        # pair's regions have positive area, so exact scores always exist
+        if not score.defined:
+            raise UndefinedEstimateError(f"step {step}: no candidate reached the Monte Carlo "
+                                         f"acceptance floor at --samples {cfg.n_samples}")
         boundary = pool.boundaries[index]
         hidden = pool.hidden_points[index]
         kind, k, b, x0 = _boundary_fields(boundary)

@@ -290,6 +290,63 @@ def check_zero_transfer(
     return x_i >= scenario.delta
 
 
+def mc_counts(
+    scenario: ScenarioConfig,
+    priors: list[DecisionBoundary],
+    planes,
+    cfg: AttackSampleConfig,
+    block_start: int,
+    block_stop: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(accepted, hits) per target over a contiguous range of sampling blocks.
+
+    Targets are given as one "+" half-plane (a, b, c) per row.  A row samples
+    the box cut on the left by the deeper of the priors' guards and its own,
+    and rows with the same guard share a box.  Block j draws its points from
+    a Philox stream keyed (seed, j) once for every row: each box spreads them
+    over its own extent and tests the priors there once, and its rows count
+    hits on the accepted points only.  Any partition of the block range
+    across workers merges to exactly the counts of a single sequential pass.
+    """
+    if not priors:
+        raise DomainError("Monte Carlo transferability requires at least one prior")
+    a, b, c = np.asarray(planes, dtype=float).reshape(-1, 3).T
+    prior_guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c))
+                      for bd in priors)
+    guards, box_of = np.unique(np.maximum(prior_guard, guard_extent(scenario, a, b, c)),
+                               return_inverse=True)
+    d, y = scenario.delta, scenario.y_lim
+    area_sliver = d * 2.0 * y
+    boxes = [(guard, area_sliver / ((guard - d) * 2.0 * y + area_sliver),
+              np.flatnonzero(box_of == i)) for i, guard in enumerate(guards.tolist())]
+
+    accepted = np.zeros(len(a), dtype=np.int64)
+    hits = np.zeros(len(a), dtype=np.int64)
+    for j in range(block_start, block_stop):
+        m = min(MC_BLOCK, cfg.n_samples - j * MC_BLOCK)
+        if m <= 0:
+            break
+        u = philox(cfg.seed, j).random((m, 2))
+        yv = -y + u[:, 1] * (2.0 * y)
+        x = np.empty(m)
+        for guard, p_sliver, rows in boxes:
+            m_sliver = int(round(m * p_sliver))
+            x[:m_sliver] = u[:m_sliver, 0] * d
+            x[m_sliver:] = -guard + u[m_sliver:, 0] * (guard - d)
+            # the ensemble attacker's territory, OR-ed in place so no per-prior mask is kept
+            mask = priors[0].signed_value(x, yv) >= 0.0
+            for bd in priors[1:]:
+                mask |= bd.signed_value(x, yv) >= 0.0
+            xs, ys = x[mask], yv[mask]
+            accepted[rows] += len(xs)
+            # signed_value's a*x + b*y - c, at most MC_BLOCK entries at a time
+            step = MC_BLOCK // max(1, len(xs))
+            for start in range(0, len(rows), step):
+                r = rows[start:start + step]
+                hits[r] += (a[r, None] * xs + b[r, None] * ys - c[r, None] <= 0.0).sum(axis=1)
+    return accepted, hits
+
+
 def mc_block_counts(
     scenario: ScenarioConfig,
     priors: list[DecisionBoundary],
@@ -298,36 +355,19 @@ def mc_block_counts(
     block_start: int,
     block_stop: int,
 ) -> tuple[int, int]:
-    """(accepted, hits) over a contiguous range of sampling blocks.
+    """(accepted, hits) of one target: :func:`mc_counts` of a single row."""
+    line = target.plus
+    accepted, hits = mc_counts(scenario, priors, [(line.a, line.b, line.c)], cfg,
+                               block_start, block_stop)
+    return int(accepted[0]), int(hits[0])
 
-    Block j draws its points from a Philox stream keyed (seed, j), so any
-    partition of the block range across workers merges to exactly the counts
-    of a single sequential pass.
-    """
-    guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c))
-                for bd in [*priors, target])
-    d, y = scenario.delta, scenario.y_lim
-    area_left = (guard - d) * 2.0 * y
-    area_sliver = d * 2.0 * y
-    p_sliver = area_sliver / (area_left + area_sliver)
 
-    accepted = 0
-    hits = 0
-    for j in range(block_start, block_stop):
-        m = min(MC_BLOCK, cfg.n_samples - j * MC_BLOCK)
-        if m <= 0:
-            break
-        u = philox(cfg.seed, j).random((m, 2))
-        m_sliver = int(round(m * p_sliver))
-        x = np.empty(m)
-        x[:m_sliver] = u[:m_sliver, 0] * d
-        x[m_sliver:] = -guard + u[m_sliver:, 0] * (guard - d)
-        yv = -y + u[:, 1] * (2.0 * y)
-        prior_hits = np.stack([b.signed_value(x, yv) >= 0.0 for b in priors])
-        mask = prior_hits.any(axis=0)
-        accepted += int(mask.sum())
-        hits += int((mask & (target.signed_value(x, yv) >= 0.0)).sum())
-    return accepted, hits
+def _mc_run(scenario, priors, planes, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(accepted, hits, defined) per target row over the whole sampling budget."""
+    if cfg.n_samples < 1:
+        raise DomainError("Monte Carlo transferability requires n_samples >= 1")
+    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, -(-cfg.n_samples // MC_BLOCK))
+    return accepted, hits, accepted >= max(1.0, _MIN_ACCEPTANCE * cfg.n_samples)
 
 
 def mc_transferability(
@@ -343,16 +383,27 @@ def mc_transferability(
     attacker's territory.  The estimate is the kept fraction the target
     classifies "+".
     """
-    if not priors:
-        raise DomainError("Monte Carlo transferability requires at least one prior")
-    if cfg.n_samples < 1:
-        raise DomainError("Monte Carlo transferability requires n_samples >= 1")
-    n_blocks = -(-cfg.n_samples // MC_BLOCK)
-    accepted, hits = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
-    if accepted < max(1.0, _MIN_ACCEPTANCE * cfg.n_samples):
+    line = target.plus
+    (accepted,), (hits,), (defined,) = _mc_run(scenario, priors, [(line.a, line.b, line.c)], cfg)
+    accepted, hits = int(accepted), int(hits)
+    if not defined:
         raise UndefinedEstimateError(
             f"only {accepted} of {cfg.n_samples} samples satisfied the attacker mode"
         )
     value = hits / accepted
     half_width = 1.96 * math.sqrt(value * (1.0 - value) / accepted)
     return MonteCarloEstimate(value, half_width, accepted)
+
+
+def mc_scores(
+    scenario: ScenarioConfig,
+    priors: list[DecisionBoundary],
+    planes,
+    cfg: AttackSampleConfig,
+) -> np.ndarray:
+    """:func:`mc_transferability`'s value for every target row, from one stream.
+
+    NaN marks a row whose estimate is undefined.
+    """
+    accepted, hits, defined = _mc_run(scenario, priors, planes, cfg)
+    return np.divide(hits, accepted, out=np.full(len(accepted), np.nan), where=defined)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, PoolExhaustedError, UndefinedEstimateError
-from .geometry import HalfPlane, Point2, tangents_to_unit_circle
+from .errors import DomainError, GeometryError, PoolExhaustedError
+from .geometry import Point2, tangents_to_unit_circle
 from .regions import (
     AttackSampleConfig,
     Breach,
@@ -39,7 +39,7 @@ from .regions import (
     check_guards,
     compound_transferability,
     directional_transferability,
-    mc_transferability,
+    mc_scores,
     philox,
 )
 from .separators import (
@@ -343,21 +343,15 @@ def score_candidates(
 
     Candidates are given as one "+" half-plane (a, b, c) per row.  Exact area
     ratios from one :meth:`Breach.scores` batch, after the guard check, when
-    cfg.n_samples == 0; sampled otherwise.  NaN marks an undefined score.
+    cfg.n_samples == 0; otherwise Monte Carlo estimates from one shared
+    stream (:func:`mc_scores`).  NaN marks an undefined score.
     """
     planes = np.asarray(planes, dtype=float)
     if cfg.n_samples == 0:
         check_guards(scenario, planes)
         regions = [build_attackable_region(scenario, bd) for bd in breached]
         return Breach.of(regions).scores(planes)
-    values = np.full(len(planes), np.nan)
-    for i, (a, b, c) in enumerate(planes.tolist()):
-        target = DecisionBoundary(HalfPlane(a, b, c))
-        try:
-            values[i] = mc_transferability(scenario, breached, target, cfg).value
-        except UndefinedEstimateError:
-            pass
-    return values
+    return mc_scores(scenario, breached, planes, cfg)
 
 
 def greedy_select_next(

@@ -3,5 +3,5 @@
 import numpy as np
 
 
-def philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+def philox(seed: int, stream: int = 0) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))

@@ -64,6 +64,7 @@ def test_table_reproduces_reference_values(capsys):
         (["pool", "--sequence-length", "20"], "pool_len20.csv"),
         (["boundary", "--k", "7", "--b", "-0.7"], "boundary_feasibility.csv"),
         (["pool", "--samples", "20000", "--sequence-length", "5"], "pool_samples20000_len5.csv"),
+        (["pool", "--samples", "200000"], "pool_samples200000.csv"),
     ],
 )
 def test_stock_csv_matches_golden_bytes(capsys, argv, golden):
@@ -273,6 +274,14 @@ def test_pool_deterministic_and_modes(capsys):
     code, other_seed, _ = run_cli(capsys, "pool", "--sequence-length", "5", "--seed", "11")
     assert code == 0
     assert other_seed != first
+
+
+def test_pool_sampled_step_without_estimate_exits(capsys):
+    # one sample per candidate accepts nothing: the step has no score to pick by
+    code, out, err = run_cli(capsys, "pool", "--samples", "1", "--sequence-length", "5")
+    assert (code, out) == (2, "")
+    assert err == ("marginseq: step 3: no candidate reached the Monte Carlo acceptance floor"
+                   " at --samples 1\n")
 
 
 def test_attack_mode_is_not_configurable(tmp_path, capsys):

@@ -18,9 +18,11 @@ from marginseq import (
     mc_transferability,
     polygon_area,
     region_area,
+    score_candidates,
     union_area,
 )
-from marginseq.regions import MC_BLOCK, Breach, mc_block_counts
+from marginseq.regions import MC_BLOCK, Breach, guard_extent, mc_block_counts, mc_counts
+from mc_reference import per_target_counts
 from seeded_rng import philox
 
 AR1_AREA = 61.390714285714285  # boundary y = 7x - 0.7
@@ -245,6 +247,49 @@ def test_mc_partition_merge_identity(scenario):
         )
     )
     assert whole == split
+
+
+def test_mc_counts_partition_merge_identity(scenario):
+    priors = list(canonical_pair(scenario))
+    # the last target's guard is deeper than the priors': it samples its own box
+    targets = [offset_boundary(scenario, 7.0, 12.7), *priors,
+               DecisionBoundary.sloped(0.2, -1.0, scenario)]
+    own = [guard_extent(scenario, t.plus.a, t.plus.b, t.plus.c) for t in targets]
+    assert own[-1] > max(own[:-1])
+    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
+    cfg = AttackSampleConfig("ensemble", 3 * MC_BLOCK + 1234, 77)
+    n_blocks = -(-cfg.n_samples // MC_BLOCK)
+    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, n_blocks)
+    left = mc_counts(scenario, priors, planes, cfg, 0, 2)
+    right = mc_counts(scenario, priors, planes, cfg, 2, n_blocks)
+    np.testing.assert_array_equal(accepted, left[0] + right[0])
+    np.testing.assert_array_equal(hits, left[1] + right[1])
+    assert accepted[-1] != accepted[0]
+    for row, target in enumerate(targets):
+        one = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
+        assert (accepted[row], hits[row]) == one
+        assert one == per_target_counts(scenario, priors, target, cfg, n_blocks)
+
+
+def test_mc_counts_rows_in_slices_when_every_point_is_accepted(scenario):
+    # a prior whose "+" side holds both bands accepts every point, so each
+    # row's hits are counted in a slice of its own
+    priors = [DecisionBoundary.vertical(150.0, scenario)]
+    targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario)]
+    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
+    cfg = AttackSampleConfig("ensemble", MC_BLOCK + 1000, 78)
+    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
+    assert (accepted == cfg.n_samples).all()
+    for row, target in enumerate(targets):
+        assert (accepted[row], hits[row]) == per_target_counts(scenario, priors, target, cfg)
+
+
+def test_sampled_scores_undefined_when_breach_accepts_nothing(scenario):
+    empty_prior = offset_boundary(scenario, 7.0, 31.0)
+    planes = [(bd.plus.a, bd.plus.b, bd.plus.c) for bd in canonical_pair(scenario)]
+    values = score_candidates(scenario, [empty_prior], planes,
+                              AttackSampleConfig("ensemble", 100_000, 9))
+    assert np.isnan(values).all() and len(values) == 2
 
 
 def test_mc_seed_determinism(scenario):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from marginseq import (
@@ -9,6 +10,7 @@ from marginseq import (
     DecisionBoundary,
     DomainError,
     GeometryError,
+    HalfPlane,
     HiddenPoint,
     PoolExhaustedError,
     UndefinedEstimateError,
@@ -24,9 +26,11 @@ from marginseq import (
     plan_sequence,
     random_baseline_sequence,
     reconstruct_hidden_point,
+    score_candidates,
     verify_plan,
 )
-from marginseq.regions import Breach
+from marginseq.regions import Breach, guard_extent
+from mc_reference import per_target_counts
 from seeded_rng import philox
 
 EXACT = AttackSampleConfig("ensemble", 0, 0)
@@ -372,6 +376,48 @@ def test_greedy_sampled_undefined_score_before_defined(scenario):
     index, score = greedy_select_next(scenario, pool, breached, cfg)
     assert index == 1
     assert score.defined and score.value == second.value
+
+
+def _per_candidate_scores(scenario, breached, planes, cfg):
+    """One mc_transferability estimate per row, NaN where it is undefined,
+    each checked against the point-by-point counts."""
+    values = []
+    for a, b, c in planes:
+        target = DecisionBoundary(HalfPlane(a, b, c))
+        accepted, hits = per_target_counts(scenario, breached, target, cfg)
+        try:
+            values.append(mc_transferability(scenario, breached, target, cfg).value)
+        except UndefinedEstimateError:
+            assert accepted < max(1.0, 1e-6 * cfg.n_samples)
+            values.append(math.nan)
+        else:
+            assert values[-1] == hits / accepted
+    return np.array(values)
+
+
+@pytest.mark.parametrize("pool_seed, steps, n_samples",
+                         [(42, 1, 30_000), (42, 1, 200), (1, 2, 30_000), (2, 2, 30_000)])
+def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps, n_samples):
+    # one shared stream per sampling box gives every row the digits of its
+    # own estimate, and NaN where that estimate is undefined
+    pool = generate_candidate_pool(scenario, 50, seed=pool_seed)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    cfg = AttackSampleConfig("ensemble", n_samples, 1000 + pool_seed)
+    for _ in range(steps):
+        remaining = [bd for bd in pool.boundaries if bd not in breached]
+        planes = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in remaining])
+        prior_guard = max(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c)
+                          for bd in breached)
+        own_box = guard_extent(scenario, *planes.T) > prior_guard
+        assert own_box.any()
+        expected = _per_candidate_scores(scenario, breached, planes, cfg)
+        if pool_seed == 42:
+            # the stock pool from the seed pair
+            assert own_box.sum() == 7
+            assert np.isnan(expected).sum() == (2 if n_samples == 200 else 0)
+        np.testing.assert_array_equal(score_candidates(scenario, breached, planes, cfg), expected)
+        index, _ = greedy_select_next(scenario, pool, breached, cfg)
+        breached.append(pool.boundaries[index])
 
 
 def test_random_baseline_determinism(scenario):
