@@ -39,8 +39,9 @@ from .versioning import (
 
 SCHEMA_VERSION = "1"
 
-# cmd_plan reads every prefix score from verify_plan, whose audit costs O(N^2)
-# clips: N = 200 takes about 1.2 s and N = 400 about 4.3 s on a 2-core host.
+# cmd_plan reads every prefix score from verify_plan, which grows its breach one
+# version at a time: N = 200 takes about 0.5 s and N = 400 about 0.8 s on a
+# 2-core host.  This is the only bound on --n.
 MAX_PLAN_VERSIONS = 200
 
 

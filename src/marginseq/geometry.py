@@ -202,11 +202,14 @@ class PolygonBatch(NamedTuple):
     n: np.ndarray
 
     @classmethod
-    def repeat(cls, poly: ConvexPolygon, rows: int) -> "PolygonBatch":
-        """``rows`` copies of one polygon."""
-        verts = np.array(poly.vertices, dtype=float).reshape(-1, 2)
-        return cls(np.tile(verts[:, 0], (rows, 1)), np.tile(verts[:, 1], (rows, 1)),
-                   np.full(rows, len(verts)))
+    def repeat(cls, polys: Sequence[ConvexPolygon], copies: int) -> "PolygonBatch":
+        """``copies`` runs of the polygons, one polygon per row, in order."""
+        counts = [len(p.vertices) for p in polys]
+        xy = np.zeros((len(polys), max(counts), 2))
+        for row, poly in zip(xy, polys):
+            row[:len(poly.vertices)] = np.reshape(poly.vertices, (-1, 2))
+        return cls(np.tile(xy[:, :, 0], (copies, 1)), np.tile(xy[:, :, 1], (copies, 1)),
+                   np.tile(counts, copies))
 
 
 def _successors(polys: PolygonBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -259,11 +262,9 @@ def polygon_areas(polys: PolygonBatch) -> np.ndarray:
     """:func:`polygon_area` of every row, summed in the scalar shoelace's order."""
     x, y, n = polys
     row, nxt = _successors(polys)
-    xn, yn = x[row, nxt], y[row, nxt]
-    acc = np.zeros(len(n))
-    for j in range(x.shape[1]):
-        acc += np.where(j < n, x[:, j] * yn[:, j] - xn[:, j] * y[:, j], 0.0)
-    return np.abs(acc / 2.0)
+    terms = np.where(np.arange(x.shape[1]) < n[:, None], x * y[row, nxt] - x[row, nxt] * y, 0.0)
+    # column by column from zero, as the scalar loop adds them
+    return np.abs(sum(terms.T, np.zeros(len(n))) / 2.0)
 
 
 def halfplane_intersection(halves: Sequence[HalfPlane], bound: ConvexPolygon) -> ConvexPolygon:

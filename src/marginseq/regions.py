@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DomainError, GeometryError, UndefinedEstimateError
 from .geometry import (
     ConvexPolygon,
-    HalfPlane,
     PolygonBatch,
+    clip_convex,
     clip_convex_batch,
     halfplane_intersection,
     polygon_area,
@@ -63,17 +63,6 @@ class TransferabilityScore:
     @classmethod
     def undefined(cls) -> "TransferabilityScore":
         return cls(float("nan"), False)
-
-    @classmethod
-    def of(cls, value: float) -> "TransferabilityScore":
-        if value < -1e-9 or value > 1.0 + 1e-9:
-            raise GeometryError(f"transferability ratio {value} outside [0, 1]")
-        return cls(min(1.0, max(0.0, value)), True)
-
-    @classmethod
-    def ratio(cls, numer: float, denom: float) -> "TransferabilityScore":
-        """numer / denom, undefined when the reference area denom is zero."""
-        return cls.undefined() if denom == 0.0 else cls.of(numer / denom)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,14 +179,16 @@ class Breach:
 
     The ensemble attacker holds every breached version.  :meth:`of` cuts the
     bands under the deepest breached guard, which no breached region reaches:
-    the pieces are the bands, ``outside`` holds the breached "-" sides and
-    ``area`` the union, band less outside.  A breach of one region's own
-    pieces with nothing outside scores directional transferability.
+    the pieces are the bands, ``inside`` each band cut by every breached "-"
+    side and ``area`` the union, band less inside.  A target scores two clips
+    per band however many versions are breached; :meth:`extend` adds one with
+    one clip per band.  :meth:`within` holds one region's own pieces instead.
     """
 
     scenario: ScenarioConfig
+    priors: tuple[AttackableRegion, ...]
     pieces: tuple[ConvexPolygon, ...]
-    outside: tuple[HalfPlane, ...]
+    inside: tuple[ConvexPolygon, ...]
     area: float
 
     @classmethod
@@ -208,45 +199,57 @@ class Breach:
         if any(r.scenario != scenario for r in priors):
             raise DomainError("regions built under different scenarios")
         bands = band_rectangles(scenario, max(r.guard for r in priors))
-        outside = tuple(r.source_boundary.minus for r in priors)
-        area = sum(polygon_area(b) - polygon_area(halfplane_intersection(outside, b))
-                   for b in bands)
-        return cls(scenario, bands, outside, area)
+        outside = [r.source_boundary.minus for r in priors]
+        inside = tuple(halfplane_intersection(outside, b) for b in bands)
+        area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(bands, inside))
+        return cls(scenario, tuple(priors), bands, inside, area)
+
+    @classmethod
+    def within(cls, region: AttackableRegion) -> "Breach":
+        """One region's own pieces with nothing inside; it has no priors and cannot grow."""
+        empty = (ConvexPolygon.empty(),) * len(region.pieces)
+        return cls(region.scenario, (), region.pieces, empty, region_area(region))
+
+    def extend(self, region: AttackableRegion) -> "Breach":
+        """:meth:`of` the breached regions and one more, bit for bit.
+
+        One clip per band, unless region's guard is deeper than every breached one.
+        """
+        if not self.priors:
+            raise DomainError("a breach of one region's own pieces cannot grow")
+        priors = (*self.priors, region)
+        if region.scenario != self.scenario or region.guard > max(r.guard for r in self.priors):
+            return Breach.of(priors)
+        inside = tuple(clip_convex(i, region.source_boundary.minus) for i in self.inside)
+        area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(self.pieces, inside))
+        return Breach(self.scenario, priors, self.pieces, inside, area)
 
     def score(self, target: AttackableRegion) -> TransferabilityScore:
         """Share of the breached territory that target classifies "+"."""
         if target.scenario != self.scenario:
             raise DomainError("regions built under different scenarios")
-        plus = [target.source_boundary.plus]
-        numer = 0.0
-        for piece in self.pieces:
-            cut = halfplane_intersection(plus, piece)
-            area = polygon_area(cut)
-            if self.outside:
-                area -= polygon_area(halfplane_intersection(self.outside, cut))
-            numer += area
-        return TransferabilityScore.ratio(numer, self.area)
+        line = target.source_boundary.plus
+        (value,) = self.scores(np.array([(line.a, line.b, line.c)])).tolist()
+        return TransferabilityScore(value, not math.isnan(value))
 
     def scores(self, planes: np.ndarray) -> np.ndarray:
         """:meth:`score` of every target, given as one "+" half-plane (a, b, c) per row.
 
-        The same clips in the same order, batched over the targets; NaN
-        throughout when the breached area is zero, as the scalar score is
-        then undefined.
+        Each row scores area(band n plus) - area(inside n plus) per band; one
+        batched clip per block cuts every band and inside polygon for every
+        target.  NaN throughout when the breached area is zero, as the ratio
+        is then undefined.
         """
         if self.area == 0.0:
             return np.full(len(planes), np.nan)
+        polys = self.pieces + self.inside
         numer = np.zeros(len(planes))
         for start in range(0, len(planes), SCORE_BLOCK):
-            a, b, c = planes[start:start + SCORE_BLOCK].T
-            for piece in self.pieces:
-                cut = clip_convex_batch(PolygonBatch.repeat(piece, len(a)), a, b, c)
-                area = polygon_areas(cut)
-                if self.outside:
-                    for half in self.outside:
-                        cut = clip_convex_batch(cut, half.a, half.b, half.c)
-                    area -= polygon_areas(cut)
-                numer[start:start + SCORE_BLOCK] += area
+            block = planes[start:start + SCORE_BLOCK]
+            a, b, c = np.repeat(block, len(polys), axis=0).T
+            areas = polygon_areas(clip_convex_batch(PolygonBatch.repeat(polys, len(block)), a, b, c))
+            for band, inside in areas.reshape(len(block), 2, -1).T:
+                numer[start:start + SCORE_BLOCK] += band - inside
         values = numer / self.area
         bad = (values < -1e-9) | (values > 1.0 + 1e-9)
         if bad.any():
@@ -258,7 +261,7 @@ def directional_transferability(
     ar1: AttackableRegion, ar2: AttackableRegion
 ) -> TransferabilityScore:
     """Overlap of ar2 with ar1, relative to ar1: S(ar1 n ar2) / S(ar1)."""
-    return Breach(ar1.scenario, ar1.pieces, (), region_area(ar1)).score(ar2)
+    return Breach.within(ar1).score(ar2)
 
 
 def compound_transferability(

@@ -273,26 +273,19 @@ def verify_plan(plan: SequencePlan) -> PlanVerification:
     ars = [build_attackable_region(scenario, bd) for bd, _ in plan.versions]
     at_pair = directional_transferability(ars[0], ars[1]).value if len(ars) >= 2 else 0.0
 
-    compound = []
-    union_dev = 0.0
+    compound, unions = [], []
     for i in range(3, len(ars) + 1):
-        breach = Breach.of(ars[: i - 1])
+        breach = Breach.of(ars[:2]) if i == 3 else breach.extend(ars[i - 2])
         compound.append((i, breach.score(ars[i - 1]).value))
-        if i == 3:
-            base_union = breach.area  # the seed pair's union, which no later version may grow
-        if base_union > 0.0:
-            union_dev = max(union_dev, abs(breach.area - base_union) / base_union)
-        else:
-            union_dev = float("inf")
+        unions.append(breach.area)
+    base = unions[0] if unions else 1.0  # the seed pair's union, which no later version may grow
+    union_dev = max((abs(u - base) / base for u in unions), default=0.0) if base > 0.0 else math.inf
 
     max_compound = max((v for _, v in compound), default=0.0)
     # earliest version attaining the max, up to rounding ties between the
     # mirror-symmetric members of a tier
-    max_at = 0
-    for i, v in compound:
-        if v >= max_compound - 1e-12 * max(1.0, max_compound):
-            max_at = i
-            break
+    tie = max_compound - 1e-12 * max(1.0, max_compound)
+    max_at = next((i for i, v in compound if v >= tie), 0)
     bound_ok = all(v <= plan.alpha + 1e-12 for _, v in compound)
     union_ok = union_dev <= 1e-9
     pair_ok = at_pair == 0.0
@@ -378,7 +371,7 @@ def greedy_select_next(
     if np.isnan(values).all():
         return int(remaining[0]), TransferabilityScore.undefined()
     best = int(np.nanargmin(values))
-    return int(remaining[best]), TransferabilityScore.of(float(values[best]))
+    return int(remaining[best]), TransferabilityScore(float(values[best]), True)
 
 
 def random_baseline_sequence(

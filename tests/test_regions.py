@@ -16,12 +16,14 @@ from marginseq import (
     directional_transferability,
     generate_candidate_pool,
     mc_transferability,
+    plan_sequence,
     polygon_area,
     region_area,
     score_candidates,
     union_area,
 )
 from marginseq.regions import MC_BLOCK, Breach, guard_extent, mc_block_counts, mc_counts
+from breach_reference import reference_score
 from mc_reference import per_target_counts
 from seeded_rng import philox
 
@@ -362,24 +364,19 @@ def _planes(boundaries):
 def _assert_scores_match(breach, regions):
     got = breach.scores(_planes(r.source_boundary for r in regions))
     for value, region in zip(got, regions):
-        want = breach.score(region)
-        assert want.defined
-        assert value == pytest.approx(want.value, rel=1e-12, abs=1e-15)
-        if want.value in (0.0, 1.0):
-            assert value == want.value
+        want = reference_score(breach, region)
+        assert not math.isnan(want)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
+        if want in (0.0, 1.0):
+            assert value == want
     return got
-
-
-def _directional_breach(region):
-    """The breach directional_transferability scores against: one region's own pieces."""
-    return Breach(region.scenario, region.pieces, (), region_area(region))
 
 
 @pytest.mark.parametrize("breach", [
     lambda s: Breach.of([build_attackable_region(s, bd) for bd in canonical_pair(s)]),
     lambda s: Breach.of([build_attackable_region(s, bd) for bd in
                          [*canonical_pair(s), *generate_candidate_pool(s, 4, 2.0, 7).boundaries]]),
-    lambda s: _directional_breach(build_attackable_region(s, offset_boundary(s, 7.0, 0.7))),
+    lambda s: Breach.within(build_attackable_region(s, offset_boundary(s, 7.0, 0.7))),
 ], ids=["seed-pair", "six-priors", "one-region"])
 def test_breach_scores_match_scalar_over_stock_pool(scenario, breach):
     breach = breach(scenario)
@@ -396,8 +393,45 @@ def test_breach_scores_near_origin_sliver(scenario):
     target = build_attackable_region(
         scenario, DecisionBoundary.sloped(-6306.151366477757, 1.000444171950221e-11, scenario)
     )
-    for breach in (Breach.of([prior]), _directional_breach(prior)):
+    for breach in (Breach.of([prior]), Breach.within(prior)):
         _assert_scores_match(breach, [target, prior])
+
+
+def _assert_same_breach(got, want):
+    assert repr((got.pieces, got.inside, got.area)) == repr((want.pieces, want.inside, want.area))
+
+
+@pytest.mark.parametrize("n", [3, 10, 40])
+def test_breach_extend_matches_of_over_plan_prefixes(scenario, n):
+    regions = [build_attackable_region(scenario, bd)
+               for bd, _ in plan_sequence(scenario, n, 7.0, 12.0).versions]
+    breach = Breach.of(regions[:1])
+    for i in range(1, n):
+        assert regions[i].guard <= regions[0].guard  # stock plans keep the first guard
+        breach = breach.extend(regions[i])
+        _assert_same_breach(breach, Breach.of(regions[: i + 1]))
+
+
+def test_breach_extend_rebuilds_under_a_deeper_guard(scenario):
+    priors = [build_attackable_region(scenario, bd) for bd in canonical_pair(scenario)]
+    breach = Breach.of(priors)
+    pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
+    deeper = [r for r in (build_attackable_region(scenario, bd) for bd in pool.boundaries)
+              if r.guard > max(p.guard for p in priors)]
+    assert deeper
+    for region in deeper:
+        grown = breach.extend(region)
+        _assert_same_breach(grown, Breach.of(priors + [region]))
+        assert grown.pieces != breach.pieces
+
+
+def test_breach_extend_domain_errors(scenario):
+    other = type(scenario)(90.0, 0.1, 30.0)
+    ar = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 0.7))
+    with pytest.raises(DomainError):
+        Breach.of([ar]).extend(build_attackable_region(other, offset_boundary(other, 7.0, 0.7)))
+    with pytest.raises(DomainError):
+        Breach.within(ar).extend(ar)
 
 
 def test_breach_scores_undefined_for_empty_breach(scenario):
