@@ -300,30 +300,25 @@ def mc_counts(
     cfg: AttackSampleConfig,
     block_start: int,
     block_stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(accepted, hits) per target over a contiguous range of sampling blocks.
+) -> tuple[int, np.ndarray]:
+    """(accepted, hits per target) over a contiguous range of sampling blocks.
 
-    Targets are given as one "+" half-plane (a, b, c) per row.  A row samples
-    the box cut on the left by the deeper of the priors' guards and its own,
-    and rows with the same guard share a box.  Block j draws its points from
-    a Philox stream keyed (seed, j) once for every row: each box spreads them
-    over its own extent and tests the priors there once, and its rows count
-    hits on the accepted points only.  Any partition of the block range
-    across workers merges to exactly the counts of a single sequential pass.
+    Targets are given as one "+" half-plane (a, b, c) per row.  Points are
+    sampled over the box cut on the left by the priors' deepest guard, which
+    no prior region reaches, so the box holds the whole breached territory
+    whatever the targets.  Block j draws its points from a Philox stream
+    keyed (seed, j) and tests the priors on them once; every row counts hits
+    on the same accepted points.  Any partition of the block range across
+    workers merges to exactly the counts of a single sequential pass.
     """
     if not priors:
         raise DomainError("Monte Carlo transferability requires at least one prior")
     a, b, c = np.asarray(planes, dtype=float).reshape(-1, 3).T
-    prior_guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c))
-                      for bd in priors)
-    guards, box_of = np.unique(np.maximum(prior_guard, guard_extent(scenario, a, b, c)),
-                               return_inverse=True)
+    guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c)) for bd in priors)
     d, y = scenario.delta, scenario.y_lim
-    area_sliver = d * 2.0 * y
-    boxes = [(guard, area_sliver / ((guard - d) * 2.0 * y + area_sliver),
-              np.flatnonzero(box_of == i)) for i, guard in enumerate(guards.tolist())]
+    p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
 
-    accepted = np.zeros(len(a), dtype=np.int64)
+    accepted = 0
     hits = np.zeros(len(a), dtype=np.int64)
     for j in range(block_start, block_stop):
         m = min(MC_BLOCK, cfg.n_samples - j * MC_BLOCK)
@@ -331,22 +326,21 @@ def mc_counts(
             break
         u = philox(cfg.seed, j).random((m, 2))
         yv = -y + u[:, 1] * (2.0 * y)
+        m_sliver = int(round(m * p_sliver))
         x = np.empty(m)
-        for guard, p_sliver, rows in boxes:
-            m_sliver = int(round(m * p_sliver))
-            x[:m_sliver] = u[:m_sliver, 0] * d
-            x[m_sliver:] = -guard + u[m_sliver:, 0] * (guard - d)
-            # the ensemble attacker's territory, OR-ed in place so no per-prior mask is kept
-            mask = priors[0].signed_value(x, yv) >= 0.0
-            for bd in priors[1:]:
-                mask |= bd.signed_value(x, yv) >= 0.0
-            xs, ys = x[mask], yv[mask]
-            accepted[rows] += len(xs)
-            # signed_value's a*x + b*y - c, at most MC_BLOCK entries at a time
-            step = MC_BLOCK // max(1, len(xs))
-            for start in range(0, len(rows), step):
-                r = rows[start:start + step]
-                hits[r] += (a[r, None] * xs + b[r, None] * ys - c[r, None] <= 0.0).sum(axis=1)
+        x[:m_sliver] = u[:m_sliver, 0] * d
+        x[m_sliver:] = -guard + u[m_sliver:, 0] * (guard - d)
+        # the ensemble attacker's territory, OR-ed in place so no per-prior mask is kept
+        mask = priors[0].signed_value(x, yv) >= 0.0
+        for bd in priors[1:]:
+            mask |= bd.signed_value(x, yv) >= 0.0
+        xs, ys = x[mask], yv[mask]
+        accepted += len(xs)
+        # signed_value's a*x + b*y - c, at most MC_BLOCK entries at a time
+        step = MC_BLOCK // max(1, len(xs))
+        for start in range(0, len(a), step):
+            r = slice(start, start + step)
+            hits[r] += (a[r, None] * xs + b[r, None] * ys - c[r, None] <= 0.0).sum(axis=1)
     return accepted, hits
 
 
@@ -362,11 +356,11 @@ def mc_block_counts(
     line = target.plus
     accepted, hits = mc_counts(scenario, priors, [(line.a, line.b, line.c)], cfg,
                                block_start, block_stop)
-    return int(accepted[0]), int(hits[0])
+    return accepted, int(hits[0])
 
 
-def _mc_run(scenario, priors, planes, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(accepted, hits, defined) per target row over the whole sampling budget."""
+def _mc_run(scenario, priors, planes, cfg) -> tuple[int, np.ndarray, bool]:
+    """(accepted, hits per target row, defined) over the whole sampling budget."""
     if cfg.n_samples < 1:
         raise DomainError("Monte Carlo transferability requires n_samples >= 1")
     accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, -(-cfg.n_samples // MC_BLOCK))
@@ -384,11 +378,12 @@ def mc_transferability(
     Uniform points over the two "-" bands (stratified proportionally to band
     area) are kept when inside at least one prior region, the ensemble
     attacker's territory.  The estimate is the kept fraction the target
-    classifies "+".
+    classifies "+".  The sampled box depends on the priors alone, so every
+    target scored against the same priors and cfg sees the same accepted points.
     """
     line = target.plus
-    (accepted,), (hits,), (defined,) = _mc_run(scenario, priors, [(line.a, line.b, line.c)], cfg)
-    accepted, hits = int(accepted), int(hits)
+    accepted, (hits,), defined = _mc_run(scenario, priors, [(line.a, line.b, line.c)], cfg)
+    hits = int(hits)
     if not defined:
         raise UndefinedEstimateError(
             f"only {accepted} of {cfg.n_samples} samples satisfied the attacker mode"
@@ -406,7 +401,8 @@ def mc_scores(
 ) -> np.ndarray:
     """:func:`mc_transferability`'s value for every target row, from one stream.
 
-    NaN marks a row whose estimate is undefined.
+    The rows share one accepted count, so either every value is defined or
+    all are NaN.
     """
     accepted, hits, defined = _mc_run(scenario, priors, planes, cfg)
-    return np.divide(hits, accepted, out=np.full(len(accepted), np.nan), where=defined)
+    return hits / accepted if defined else np.full(len(hits), np.nan)

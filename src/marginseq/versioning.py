@@ -334,14 +334,16 @@ def score_candidates(
 ) -> np.ndarray:
     """Transferability from the breached versions of each candidate under cfg.
 
-    Candidates are given as one "+" half-plane (a, b, c) per row.  Exact area
-    ratios from one :meth:`Breach.scores` batch, after the guard check, when
+    Candidates are given as one "+" half-plane (a, b, c) per row, and an
+    invalid separator among them raises :class:`GeometryError` in either
+    mode.  Exact area ratios from one :meth:`Breach.scores` batch when
     cfg.n_samples == 0; otherwise Monte Carlo estimates from one shared
-    stream (:func:`mc_scores`).  NaN marks an undefined score.
+    stream (:func:`mc_scores`).  Scores are NaN, all of them, when the
+    breach leaves the ratio undefined.
     """
     planes = np.asarray(planes, dtype=float)
+    check_guards(scenario, planes)
     if cfg.n_samples == 0:
-        check_guards(scenario, planes)
         regions = [build_attackable_region(scenario, bd) for bd in breached]
         return Breach.of(regions).scores(planes)
     return mc_scores(scenario, breached, planes, cfg)
@@ -357,8 +359,8 @@ def greedy_select_next(
 
     Candidates whose boundary equals a breached one are excluded and the rest
     are scored by :func:`score_candidates`.  Ties break toward the lowest pool
-    index and undefined scores lose to defined ones; when none is defined the
-    first remaining candidate is returned with an undefined score.
+    index; when the scores are undefined the first remaining candidate is
+    returned with an undefined score.
     """
     if not breached:
         raise DomainError("greedy selection requires at least one breached version")
@@ -370,7 +372,7 @@ def greedy_select_next(
     values = score_candidates(scenario, breached, planes[remaining], cfg)
     if np.isnan(values).all():
         return int(remaining[0]), TransferabilityScore.undefined()
-    best = int(np.nanargmin(values))
+    best = int(np.argmin(values))
     return int(remaining[best]), TransferabilityScore(float(values[best]), True)
 
 

@@ -9,13 +9,12 @@ from seeded_rng import philox
 def per_target_counts(scenario, priors, target, cfg, n_blocks=None):
     """(accepted, hits) of one target over blocks [0, n_blocks), the whole budget by default.
 
-    The target samples its own box, cut on the left by the deepest guard of
-    the priors and the target; block j draws from the stream keyed (seed, j).
+    Points are sampled over the box cut on the left by the priors' deepest
+    guard, whatever the target; block j draws from the stream keyed (seed, j).
     """
     if n_blocks is None:
         n_blocks = -(-cfg.n_samples // MC_BLOCK)
-    guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c))
-                for bd in [*priors, target])
+    guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c)) for bd in priors)
     d, y = scenario.delta, scenario.y_lim
     p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
     accepted = hits = 0

@@ -15,8 +15,14 @@ import pytest
 from marginseq import cli
 from marginseq.cli import MAX_PLAN_VERSIONS, main, load_settings, DEFAULT_SETTINGS
 from marginseq.errors import DomainError, ScenarioFileError
-from marginseq.regions import AttackSampleConfig
+from marginseq.regions import (
+    AttackSampleConfig,
+    build_attackable_region,
+    compound_transferability,
+    mc_transferability,
+)
 from marginseq.separators import ScenarioConfig
+from marginseq.versioning import generate_candidate_pool, plan_sequence, random_baseline_sequence
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -71,6 +77,34 @@ def test_stock_csv_matches_golden_bytes(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden, n_samples", [("pool_samples20000_len5.csv", 20_000),
+                                                ("pool_samples200000.csv", 200_000)])
+def test_sampled_golden_scores_within_3_sigma_of_exact(golden, n_samples):
+    # each printed score is one Monte Carlo estimate of the exact compound of
+    # its row given the rows printed before it
+    s = DEFAULT_SETTINGS
+    scenario = s.scenario
+    rows = parse_csv((DATA / golden).read_text(encoding="utf-8"))
+    pool = generate_candidate_pool(scenario, s.pool_size, s.pool_eps_d, s.pool_seed)
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, s.plan_k, s.plan_b_max).versions]
+    baseline = random_baseline_sequence(scenario, len(rows) // 2, s.pool_seed)
+    cfg = AttackSampleConfig("ensemble", n_samples, s.attack_seed)
+    for kind in ("greedy", "random"):
+        breached = list(seed_pair)
+        for i, row in enumerate(r for r in rows if r["row"] == kind):
+            target = (pool.boundaries[int(row["pool_index"])] if kind == "greedy"
+                      else baseline[i][1])
+            assert float(row["k"]) == pytest.approx(target.k, rel=1e-8)
+            exact = compound_transferability(
+                [build_attackable_region(scenario, bd) for bd in breached],
+                build_attackable_region(scenario, target)).value
+            est = mc_transferability(scenario, breached, target, cfg)
+            assert float(row["compound_at"]) == pytest.approx(est.value, rel=1e-8)
+            sigma = math.sqrt(max(exact * (1.0 - exact), 1e-12) / est.accepted)
+            assert abs(est.value - exact) <= 3.0 * sigma
+            breached.append(target)
 
 
 def test_table_deterministic_output(capsys):

@@ -253,7 +253,7 @@ def test_mc_partition_merge_identity(scenario):
 
 def test_mc_counts_partition_merge_identity(scenario):
     priors = list(canonical_pair(scenario))
-    # the last target's guard is deeper than the priors': it samples its own box
+    # the last target's guard is deeper than the priors', yet it counts on their box
     targets = [offset_boundary(scenario, 7.0, 12.7), *priors,
                DecisionBoundary.sloped(0.2, -1.0, scenario)]
     own = [guard_extent(scenario, t.plus.a, t.plus.b, t.plus.c) for t in targets]
@@ -264,12 +264,11 @@ def test_mc_counts_partition_merge_identity(scenario):
     accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, n_blocks)
     left = mc_counts(scenario, priors, planes, cfg, 0, 2)
     right = mc_counts(scenario, priors, planes, cfg, 2, n_blocks)
-    np.testing.assert_array_equal(accepted, left[0] + right[0])
+    assert accepted == left[0] + right[0]
     np.testing.assert_array_equal(hits, left[1] + right[1])
-    assert accepted[-1] != accepted[0]
     for row, target in enumerate(targets):
         one = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
-        assert (accepted[row], hits[row]) == one
+        assert (accepted, hits[row]) == one
         assert one == per_target_counts(scenario, priors, target, cfg, n_blocks)
 
 
@@ -281,9 +280,24 @@ def test_mc_counts_rows_in_slices_when_every_point_is_accepted(scenario):
     planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
     cfg = AttackSampleConfig("ensemble", MC_BLOCK + 1000, 78)
     accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
-    assert (accepted == cfg.n_samples).all()
+    assert accepted == cfg.n_samples
     for row, target in enumerate(targets):
-        assert (accepted[row], hits[row]) == per_target_counts(scenario, priors, target, cfg)
+        assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+
+
+def test_mc_accepted_count_is_the_same_for_every_target(scenario):
+    # candidates 11 and 46 have guards of their own, deeper than the breach's
+    # and apart; both count hits on the points accepted in the breach's box
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    breached.append(pool.boundaries[16])
+    targets = [pool.boundaries[11], pool.boundaries[46]]
+    prior_guard = max(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c) for bd in breached)
+    shallow, deep = (guard_extent(scenario, t.plus.a, t.plus.b, t.plus.c) for t in targets)
+    assert prior_guard < shallow < deep
+    cfg = AttackSampleConfig("ensemble", 20_000, 42)
+    accepted = {mc_transferability(scenario, breached, t, cfg).accepted for t in targets}
+    assert accepted == {202}
 
 
 def test_sampled_scores_undefined_when_breach_accepts_nothing(scenario):

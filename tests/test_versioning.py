@@ -362,21 +362,16 @@ def test_greedy_sampled_choice_near_exact_optimum(scenario):
     assert exact_scores[index] <= min(exact_scores) + max(width, 0.05)
 
 
-def test_greedy_sampled_undefined_score_before_defined(scenario):
-    # the near-flat first candidate pushes the sampling guard so far left that
-    # no sample lands in the breach; the defined second score must win
+def test_greedy_rejects_an_invalid_separator_in_either_mode(scenario):
+    # the near-flat first candidate separates nothing: its region reaches the
+    # left guard, so a sampled step must refuse it as the exact step does
     boundaries = (DecisionBoundary.sloped(1e-4, -5.0, scenario),
                   DecisionBoundary.sloped(7.0, -3.0, scenario))
     pool = CandidatePool((HiddenPoint(0.0, 1.0),) * 2, boundaries)
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
-    cfg = AttackSampleConfig("ensemble", 2000, 3)
-    with pytest.raises(UndefinedEstimateError):
-        mc_transferability(scenario, breached, boundaries[0], cfg)
-    second = mc_transferability(scenario, breached, boundaries[1], cfg)
-    assert second.accepted == 19
-    index, score = greedy_select_next(scenario, pool, breached, cfg)
-    assert index == 1
-    assert score.defined and score.value == second.value
+    for n_samples in (0, 2000):
+        with pytest.raises(GeometryError, match="left guard"):
+            greedy_select_next(scenario, pool, breached, AttackSampleConfig("ensemble", n_samples, 3))
 
 
 def _per_candidate_scores(scenario, breached, planes, cfg):
@@ -399,8 +394,8 @@ def _per_candidate_scores(scenario, breached, planes, cfg):
 @pytest.mark.parametrize("pool_seed, steps, n_samples",
                          [(42, 1, 30_000), (42, 1, 200), (1, 2, 30_000), (2, 2, 30_000)])
 def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps, n_samples):
-    # one shared stream per sampling box gives every row the digits of its
-    # own estimate, and NaN where that estimate is undefined
+    # one shared stream gives every row the digits of its own estimate, and
+    # the shared accepted count makes NaN all or nothing
     pool = generate_candidate_pool(scenario, 50, seed=pool_seed)
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     cfg = AttackSampleConfig("ensemble", n_samples, 1000 + pool_seed)
@@ -409,13 +404,13 @@ def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps
         planes = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in remaining])
         prior_guard = max(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c)
                           for bd in breached)
-        own_box = guard_extent(scenario, *planes.T) > prior_guard
-        assert own_box.any()
+        deep_guard = guard_extent(scenario, *planes.T) > prior_guard
+        assert deep_guard.any()
         expected = _per_candidate_scores(scenario, breached, planes, cfg)
         if pool_seed == 42:
             # the stock pool from the seed pair
-            assert own_box.sum() == 7
-            assert np.isnan(expected).sum() == (2 if n_samples == 200 else 0)
+            assert deep_guard.sum() == 7
+        assert np.isnan(expected).all() or not np.isnan(expected).any()
         np.testing.assert_array_equal(score_candidates(scenario, breached, planes, cfg), expected)
         index, _ = greedy_select_next(scenario, pool, breached, cfg)
         breached.append(pool.boundaries[index])
