@@ -293,6 +293,17 @@ def check_zero_transfer(
     return x_i >= scenario.delta
 
 
+def mc_left_cut(scenario: ScenarioConfig, priors: list[DecisionBoundary], guard: float) -> float:
+    """Abscissa left of which :func:`mc_counts` tests no point; -inf for no cut.
+
+    ``guard`` is the sampling box's depth.  See :func:`mc_counts` for the proof.
+    """
+    if not all(bd.plus.a < 0.0 for bd in priors):
+        return -math.inf
+    reach = max((abs(bd.plus.c) + abs(bd.plus.b) * scenario.y_lim) / -bd.plus.a for bd in priors)
+    return -reach - 1e-9 * guard
+
+
 def mc_counts(
     scenario: ScenarioConfig,
     priors: list[DecisionBoundary],
@@ -310,6 +321,20 @@ def mc_counts(
     keyed (seed, j) and tests the priors on them once; every row counts hits
     on the same accepted points.  Any partition of the block range across
     workers merges to exactly the counts of a single sequential pass.
+
+    Only the points at or right of one left cut, :func:`mc_left_cut`, are
+    tested.  A prior whose "+" side has a < 0 holds no point of the strip
+    left of -reach, reach = (|c| + |b|*y_lim) / -a as in :func:`guard_extent`.
+    The cut is -max(reach) - 1e-9*guard; a prior with a >= 0 means no cut.
+    Every point left of the cut is rejected in floating point too, so every
+    count is that of testing every point.  Proof: for x < cut and |y| <=
+    y_lim, the exact a*x + b*y - c exceeds -a*1e-9*guard, less a few ulps of
+    reach from rounding the cut.  As |x| <= guard and reach < guard, the
+    rounding error of the computed value is at most about
+    3u*(-a*guard + |b|*y_lim + |c|) <= 6u*(-a)*guard, u = 2**-53, far below
+    that margin.  So the computed value is strictly positive and the point
+    is rejected.  The margin is needed: a clipped region vertex can lie a few
+    ulps left of the bare -reach.
     """
     if not priors:
         raise DomainError("Monte Carlo transferability requires at least one prior")
@@ -317,6 +342,7 @@ def mc_counts(
     guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c)) for bd in priors)
     d, y = scenario.delta, scenario.y_lim
     p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
+    cut = mc_left_cut(scenario, priors, guard)
 
     accepted = 0
     hits = np.zeros(len(a), dtype=np.int64)
@@ -325,11 +351,15 @@ def mc_counts(
         if m <= 0:
             break
         u = philox(cfg.seed, j).random((m, 2))
-        yv = -y + u[:, 1] * (2.0 * y)
         m_sliver = int(round(m * p_sliver))
-        x = np.empty(m)
-        x[:m_sliver] = u[:m_sliver, 0] * d
-        x[m_sliver:] = -guard + u[m_sliver:, 0] * (guard - d)
+        # x overwrites u's first column, with the same roundings as u * d and
+        # -guard + u * (guard - d)
+        u[:m_sliver, 0] *= d
+        u[m_sliver:, 0] *= guard - d
+        u[m_sliver:, 0] += -guard
+        near = np.flatnonzero(u[:, 0] >= cut)
+        x = u[near, 0]
+        yv = -y + u[near, 1] * (2.0 * y)
         # the ensemble attacker's territory, OR-ed in place so no per-prior mask is kept
         mask = priors[0].signed_value(x, yv) >= 0.0
         for bd in priors[1:]:

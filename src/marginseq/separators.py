@@ -25,6 +25,7 @@ minimization over the hull boundary and is kept deliberately free of the
 slope algebra above, so the two routes check each other.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -242,6 +243,13 @@ def _sloped_from(scenario: ScenarioConfig, h: HiddenPoint, k: float, b: float) -
     return DecisionBoundary.sloped(k, b, scenario)
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_table(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's scan angles with their cosines and sines, kept for the last resolution."""
+    theta = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    return theta, np.cos(theta), np.sin(theta)
+
+
 def oracle_boundary(
     scenario: ScenarioConfig, h: HiddenPoint, resolution: int = 100_000
 ) -> DecisionBoundary:
@@ -265,10 +273,14 @@ def oracle_boundary(
 
     # Visibility of circle point at angle t from h: g(t) > 0.
     def g(t):
-        return np.cos(t) * (v - c) + np.sin(t) * w - 1.0
+        return math.cos(t) * (v - c) + math.sin(t) * w - 1.0
 
-    theta = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    vis = g(theta) > 0.0
+    theta, cos_t, sin_t = _scan_table(resolution)
+    # g over the whole scan, in place; the same roundings as g term by term
+    scan = cos_t * (v - c)
+    scan += sin_t * w
+    scan -= 1.0
+    vis = scan > 0.0
     flips = np.nonzero(vis != np.roll(vis, -1))[0]
     if len(flips) != 2:
         raise GeometryError("expected exactly two visibility transitions on the disk")

@@ -71,6 +71,7 @@ def test_table_reproduces_reference_values(capsys):
         (["boundary", "--k", "7", "--b", "-0.7"], "boundary_feasibility.csv"),
         (["pool", "--samples", "20000", "--sequence-length", "5"], "pool_samples20000_len5.csv"),
         (["pool", "--samples", "200000"], "pool_samples200000.csv"),
+        (["verify"], "verify.txt"),
     ],
 )
 def test_stock_csv_matches_golden_bytes(capsys, argv, golden):

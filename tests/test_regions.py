@@ -22,7 +22,14 @@ from marginseq import (
     score_candidates,
     union_area,
 )
-from marginseq.regions import MC_BLOCK, Breach, guard_extent, mc_block_counts, mc_counts
+from marginseq.regions import (
+    MC_BLOCK,
+    Breach,
+    guard_extent,
+    mc_block_counts,
+    mc_counts,
+    mc_left_cut,
+)
 from breach_reference import reference_score
 from mc_reference import per_target_counts
 from seeded_rng import philox
@@ -283,6 +290,56 @@ def test_mc_counts_rows_in_slices_when_every_point_is_accepted(scenario):
     assert accepted == cfg.n_samples
     for row, target in enumerate(targets):
         assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+
+
+def _pool_subset(scenario, seed):
+    """One to eight versions of the stock 50-candidate pool, drawn by seed."""
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    rng = philox(80, seed)
+    chosen = rng.choice(len(pool.boundaries), int(rng.integers(1, 9)), replace=False)
+    return [pool.boundaries[i] for i in chosen]
+
+
+_CUT_PRIORS = {
+    # nearly flat lines: the cut lies some 400 units deep, inside a 509-deep box
+    "flat-down": lambda s: [DecisionBoundary.sloped(0.074, -0.3, s)],
+    "flat-up": lambda s: [DecisionBoundary.sloped(-0.074, 0.3, s)],
+    # the cut lies right of the whole left band: only sliver points are tested
+    "steep": lambda s: [DecisionBoundary.sloped(1000.0, -50.0, s)],
+    # points on x = -3 itself are accepted
+    "vertical": lambda s: [DecisionBoundary.vertical(-3.0, s)],
+    "vertical-and-sloped": lambda s: [DecisionBoundary.vertical(-3.0, s),
+                                      DecisionBoundary.sloped(-2.0, 1.0, s)],
+    # one prior with a >= 0 holds both bands, so no point may be cut
+    "vertical-and-runaway": lambda s: [DecisionBoundary.vertical(-3.0, s),
+                                       DecisionBoundary.vertical(150.0, s)],
+    **{f"pool-subset-{i}": lambda s, i=i: _pool_subset(s, i) for i in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CUT_PRIORS))
+def test_mc_counts_equal_the_uncut_reference(scenario, name):
+    priors = _CUT_PRIORS[name](scenario)
+    targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario), priors[0]]
+    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
+    cfg = AttackSampleConfig("ensemble", MC_BLOCK + 1000, 79)
+    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
+    assert accepted > 0
+    for row, target in enumerate(targets):
+        assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+
+
+def test_every_region_vertex_lies_at_or_right_of_the_cut(scenario):
+    # a clipped vertex can lie a few ulps left of the bare -reach; the cut's
+    # margin keeps it in
+    versions = [bd for bd, _ in plan_sequence(scenario, 40, 7.0, 12.0).versions]
+    pool = generate_candidate_pool(scenario, 200, seed=5)
+    for bd in [*versions, *pool.boundaries]:
+        region = build_attackable_region(scenario, bd)
+        cut = mc_left_cut(scenario, [bd], region.guard)
+        assert cut > -region.guard
+        for piece in region.pieces:
+            assert all(p.x >= cut for p in piece.vertices)
 
 
 def test_mc_accepted_count_is_the_same_for_every_target(scenario):
