@@ -18,7 +18,7 @@ class VerticalTangentError(DomainError):
 
 
 class GeometryError(MarginSeqError):
-    """Internal geometric invariant violated; indicates a bug, not bad input."""
+    """Invalid separator (its attackable region is unbounded) or a violated geometric invariant."""
 
 
 class PoolExhaustedError(MarginSeqError):

@@ -36,8 +36,8 @@ from .separators import DecisionBoundary, ScenarioConfig
 # anywhere and the merged counts are identical to a single sequential pass.
 MC_BLOCK = 1 << 17
 
-# Separators per batched clip in Breach.scores and check_guards: bounds their
-# (rows x vertices) temporaries whatever the pool size.
+# Targets per batched clip in Breach.scores: bounds its (rows x vertices)
+# temporaries whatever the pool size.
 SCORE_BLOCK = 256
 
 MODE_ENSEMBLE = "ensemble"
@@ -104,12 +104,21 @@ def guard_extent(scenario: ScenarioConfig, a, b, c):
     """Left clipping depth G for the conceptually unbounded band {x <= -delta}.
 
     a, b and c are the coefficients of a separator's "+" side, as floats or
-    as arrays with one separator per entry.  Every valid separator yields a
-    bounded region well inside x >= -G; a region vertex landing on the guard
-    is converted into a loud error.
+    as arrays with one separator per entry.  This is the one validity rule:
+    a separator is valid when its "+" side is bounded on the left (a < 0)
+    and its leftmost abscissa in the strip, (c + |b|*y_lim)/a, lies right of
+    -G*(1 - 1e-9), so that its region lies well inside x >= -G.  Any other
+    separator, one whose G overflows included, raises :class:`GeometryError`.
     """
-    c0 = scenario.c
-    return np.maximum(2.0 * c0, (np.abs(c) + np.abs(b) * scenario.y_lim) / np.abs(a) + c0)
+    c0, y = scenario.c, scenario.y_lim
+    with np.errstate(all="ignore"):
+        span = np.abs(b) * y
+        guard = np.maximum(2.0 * c0, (np.abs(c) + span) / np.abs(a) + c0)
+        # an overflowing guard fails too: inf > inf is false, and so is nan
+        valid = (np.less(a, 0.0) & ((c + span) / a + guard > 1e-9 * guard)).all()
+    if not valid:
+        raise GeometryError("attackable region reached the left guard; invalid separator")
+    return guard
 
 
 def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolygon, ConvexPolygon]:
@@ -121,37 +130,14 @@ def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolyg
 
 
 def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary) -> AttackableRegion:
-    """Exact attackable region of one boundary as convex pieces, one per band."""
+    """Exact attackable region of one boundary as convex pieces, one per band.
+
+    An invalid separator raises :class:`GeometryError` (see :func:`guard_extent`).
+    """
     line = boundary.plus
     guard = float(guard_extent(scenario, line.a, line.b, line.c))
-    pieces = []
-    for band in band_rectangles(scenario, guard):
-        piece = halfplane_intersection([line], band)
-        for vert in piece.vertices:
-            if vert.x <= -guard + 1e-9 * max(1.0, guard):
-                raise GeometryError("attackable region reached the left guard; invalid separator")
-        pieces.append(piece)
-    return AttackableRegion(scenario, boundary, tuple(pieces), guard)
-
-
-def check_guards(scenario: ScenarioConfig, planes: np.ndarray) -> None:
-    """:func:`build_attackable_region`'s guard check for many separators at once.
-
-    ``planes`` holds one "+" half-plane (a, b, c) per row.  Each row's left
-    band is cut under that separator's own guard, as the scalar route does.
-    """
-    d, y = scenario.delta, scenario.y_lim
-    for start in range(0, len(planes), SCORE_BLOCK):
-        a, b, c = planes[start:start + SCORE_BLOCK].T
-        guard = guard_extent(scenario, a, b, c)
-        inner = np.full_like(guard, -d)
-        band = PolygonBatch(np.stack([-guard, inner, inner, -guard], axis=1),
-                            np.tile([-y, -y, y, y], (len(guard), 1)), np.full(len(guard), 4))
-        piece = clip_convex_batch(band, a, b, c)
-        valid = np.arange(piece.x.shape[1]) < piece.n[:, None]
-        edge = (-guard + 1e-9 * np.maximum(1.0, guard))[:, None]
-        if (valid & (piece.x <= edge)).any():
-            raise GeometryError("attackable region reached the left guard; invalid separator")
+    pieces = tuple(halfplane_intersection([line], band) for band in band_rectangles(scenario, guard))
+    return AttackableRegion(scenario, boundary, pieces, guard)
 
 
 def region_area(region: AttackableRegion) -> float:
@@ -294,12 +280,12 @@ def check_zero_transfer(
 
 
 def mc_left_cut(scenario: ScenarioConfig, priors: list[DecisionBoundary], guard: float) -> float:
-    """Abscissa left of which :func:`mc_counts` tests no point; -inf for no cut.
+    """Abscissa left of which :func:`mc_counts` tests no point.
 
-    ``guard`` is the sampling box's depth.  See :func:`mc_counts` for the proof.
+    ``priors`` are valid separators (see :func:`guard_extent`), so each has
+    a < 0, and ``guard`` is the sampling box's depth.  See :func:`mc_counts`
+    for the proof.
     """
-    if not all(bd.plus.a < 0.0 for bd in priors):
-        return -math.inf
     reach = max((abs(bd.plus.c) + abs(bd.plus.b) * scenario.y_lim) / -bd.plus.a for bd in priors)
     return -reach - 1e-9 * guard
 
@@ -314,19 +300,21 @@ def mc_counts(
 ) -> tuple[int, np.ndarray]:
     """(accepted, hits per target) over a contiguous range of sampling blocks.
 
-    Targets are given as one "+" half-plane (a, b, c) per row.  Points are
-    sampled over the box cut on the left by the priors' deepest guard, which
-    no prior region reaches, so the box holds the whole breached territory
-    whatever the targets.  Block j draws its points from a Philox stream
-    keyed (seed, j) and tests the priors on them once; every row counts hits
-    on the same accepted points.  Any partition of the block range across
-    workers merges to exactly the counts of a single sequential pass.
+    Targets are given as one "+" half-plane (a, b, c) per row.  An invalid
+    separator among the priors or the targets raises :class:`GeometryError`
+    (see :func:`guard_extent`).  Points are sampled over the box cut on the
+    left by the priors' deepest guard, which no prior region reaches, so the
+    box holds the whole breached territory whatever the targets.  Block j
+    draws its points from a Philox stream keyed (seed, j) and tests the
+    priors on them once; every row counts hits on the same accepted points.
+    Any partition of the block range across workers merges to exactly the
+    counts of a single sequential pass.
 
     Only the points at or right of one left cut, :func:`mc_left_cut`, are
-    tested.  A prior whose "+" side has a < 0 holds no point of the strip
-    left of -reach, reach = (|c| + |b|*y_lim) / -a as in :func:`guard_extent`.
-    The cut is -max(reach) - 1e-9*guard; a prior with a >= 0 means no cut.
-    Every point left of the cut is rejected in floating point too, so every
+    tested.  A valid prior's "+" side has a < 0 and holds no point of the
+    strip left of -reach, reach = (|c| + |b|*y_lim) / -a as in
+    :func:`guard_extent`.  The cut is -max(reach) - 1e-9*guard.  Every point
+    left of the cut is rejected in floating point too, so every
     count is that of testing every point.  Proof: for x < cut and |y| <=
     y_lim, the exact a*x + b*y - c exceeds -a*1e-9*guard, less a few ulps of
     reach from rounding the cut.  As |x| <= guard and reach < guard, the
@@ -339,7 +327,9 @@ def mc_counts(
     if not priors:
         raise DomainError("Monte Carlo transferability requires at least one prior")
     a, b, c = np.asarray(planes, dtype=float).reshape(-1, 3).T
-    guard = max(float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c)) for bd in priors)
+    guard_extent(scenario, a, b, c)
+    prior_planes = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in priors])
+    guard = float(guard_extent(scenario, *prior_planes.T).max())
     d, y = scenario.delta, scenario.y_lim
     p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
     cut = mc_left_cut(scenario, priors, guard)

@@ -36,9 +36,9 @@ from .regions import (
     Breach,
     TransferabilityScore,
     build_attackable_region,
-    check_guards,
     compound_transferability,
     directional_transferability,
+    guard_extent,
     mc_scores,
     philox,
 )
@@ -334,19 +334,20 @@ def score_candidates(
 ) -> np.ndarray:
     """Transferability from the breached versions of each candidate under cfg.
 
-    Candidates are given as one "+" half-plane (a, b, c) per row, and an
-    invalid separator among them raises :class:`GeometryError` in either
-    mode.  Exact area ratios from one :meth:`Breach.scores` batch when
+    Candidates are given as one "+" half-plane (a, b, c) per row.  An
+    invalid separator among them or the breached versions raises
+    :class:`GeometryError` in either mode (see :func:`guard_extent`).
+    Exact area ratios from one :meth:`Breach.scores` batch when
     cfg.n_samples == 0; otherwise Monte Carlo estimates from one shared
     stream (:func:`mc_scores`).  Scores are NaN, all of them, when the
     breach leaves the ratio undefined.
     """
-    planes = np.asarray(planes, dtype=float)
-    check_guards(scenario, planes)
-    if cfg.n_samples == 0:
-        regions = [build_attackable_region(scenario, bd) for bd in breached]
-        return Breach.of(regions).scores(planes)
-    return mc_scores(scenario, breached, planes, cfg)
+    planes = np.asarray(planes, dtype=float).reshape(-1, 3)
+    if cfg.n_samples:
+        return mc_scores(scenario, breached, planes, cfg)
+    guard_extent(scenario, *planes.T)  # sampled targets are checked in mc_counts
+    regions = [build_attackable_region(scenario, bd) for bd in breached]
+    return Breach.of(regions).scores(planes)
 
 
 def greedy_select_next(

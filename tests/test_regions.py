@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from marginseq import (
     DecisionBoundary,
     DomainError,
     GeometryError,
+    HalfPlane,
     UndefinedEstimateError,
     build_attackable_region,
     check_zero_transfer,
@@ -31,6 +33,7 @@ from marginseq.regions import (
     mc_left_cut,
 )
 from breach_reference import reference_score
+from guard_reference import reference_valid
 from mc_reference import per_target_counts
 from seeded_rng import philox
 
@@ -88,6 +91,90 @@ def test_region_guard_violation(scenario):
     runaway = DecisionBoundary.vertical(150.0, scenario)  # "+" side covers both bands
     with pytest.raises(GeometryError):
         build_attackable_region(scenario, runaway)
+
+
+def _entry_points(scenario, line):
+    """Every route that takes a separator's guard, each called on line."""
+    seed = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    plane = [(line.plus.a, line.plus.b, line.plus.c)]
+    sampled = AttackSampleConfig("ensemble", 2000, 3)
+    return {
+        "region": lambda: build_attackable_region(scenario, line),
+        "exact-scores": lambda: score_candidates(scenario, seed, plane,
+                                                 AttackSampleConfig("ensemble", 0, 0)),
+        "sampled-scores": lambda: score_candidates(scenario, seed, plane, sampled),
+        "mc-prior": lambda: mc_transferability(scenario, [line], seed[0], sampled),
+        "mc-target": lambda: mc_transferability(scenario, seed, line, sampled),
+    }
+
+
+_INVALID_LINES = {
+    # a = 0: the "+" side is unbounded on the left
+    "horizontal": lambda s: DecisionBoundary.through(HalfPlane(0.0, 1.0, 5.0), s),
+    # its real region is about 7e15, yet a clip of its left band under its own
+    # guard has area 4.98
+    "near-horizontal": lambda s: DecisionBoundary.through(
+        HalfPlane(-3.522238128030671e-13, 1.0, 19.789357068308135), s),
+    "overflowing-guard": lambda s: DecisionBoundary.through(HalfPlane(-1e-310, 1.0, 5.0), s),
+}
+
+
+@pytest.mark.parametrize("entry", ["region", "exact-scores", "sampled-scores", "mc-prior",
+                                   "mc-target"])
+@pytest.mark.parametrize("name", sorted(_INVALID_LINES))
+def test_invalid_separator_raises_at_every_entry_point(scenario, name, entry):
+    call = _entry_points(scenario, _INVALID_LINES[name](scenario))[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="left guard"):
+            call()
+
+
+def _swept_lines(scenario, n):
+    """n seeded lines of each kind, each oriented by the "+" centroid."""
+    rng = philox(1414)
+    c = scenario.c
+    kinds = {"typical": [], "a>0": [], "vertical": [], "near-horizontal": []}
+    for _ in range(n):
+        k = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1.5, 2.0))
+        kinds["typical"].append(DecisionBoundary.sloped(k, float(rng.uniform(-40.0, 40.0)), scenario))
+        # crosses y = 0 right of the "+" centroid, so its "+" side is bounded on the right
+        crossing = float(rng.uniform(c + 1.0, 3.0 * c))
+        kinds["a>0"].append(DecisionBoundary.sloped(k, -k * crossing, scenario))
+        kinds["vertical"].append(DecisionBoundary.vertical(float(rng.uniform(-3.0 * c, 3.0 * c)),
+                                                           scenario))
+        a = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-14.0, -8.0))
+        kinds["near-horizontal"].append(
+            DecisionBoundary.through(HalfPlane(a, 1.0, float(rng.uniform(-60.0, 60.0))), scenario))
+    return kinds
+
+
+def _valid(call) -> bool:
+    """False when call raises GeometryError; an undefined estimate is a verdict of valid."""
+    try:
+        call()
+    except GeometryError:
+        return False
+    except UndefinedEstimateError:
+        pass
+    return True
+
+
+def test_guard_verdict_equals_the_clipped_reference_on_a_sweep(scenario):
+    # the reference clips each line's region from its own left band, under a
+    # guard that is finite on every swept line; guard_extent gives the same
+    # verdict, and so does every entry point
+    valid_counts = {}
+    for kind, lines in _swept_lines(scenario, 500).items():
+        planes = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in lines])
+        verdicts = np.array([_valid(lambda p=p: guard_extent(scenario, *p)) for p in planes])
+        np.testing.assert_array_equal(verdicts, reference_valid(scenario, planes), err_msg=kind)
+        for line, verdict in zip(lines, verdicts):
+            for entry, call in _entry_points(scenario, line).items():
+                assert _valid(call) == verdict, (kind, entry, line)
+        valid_counts[kind] = int(verdicts.sum())
+    assert valid_counts["a>0"] == 0
+    assert all(0 < valid_counts[kind] < 500 for kind in ("typical", "vertical", "near-horizontal"))
 
 
 def test_closed_form_examples(scenario):
@@ -280,14 +367,14 @@ def test_mc_counts_partition_merge_identity(scenario):
 
 
 def test_mc_counts_rows_in_slices_when_every_point_is_accepted(scenario):
-    # a prior whose "+" side holds both bands accepts every point, so each
-    # row's hits are counted in a slice of its own
-    priors = [DecisionBoundary.vertical(150.0, scenario)]
+    # a deep vertical prior accepts nearly every point of its box, more than
+    # half a block, so each row's hits are counted in a slice of its own
+    priors = [DecisionBoundary.vertical(-1e4, scenario)]
     targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario)]
     planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
     cfg = AttackSampleConfig("ensemble", MC_BLOCK + 1000, 78)
     accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
-    assert accepted == cfg.n_samples
+    assert MC_BLOCK // accepted == 1
     for row, target in enumerate(targets):
         assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
 
@@ -310,9 +397,6 @@ _CUT_PRIORS = {
     "vertical": lambda s: [DecisionBoundary.vertical(-3.0, s)],
     "vertical-and-sloped": lambda s: [DecisionBoundary.vertical(-3.0, s),
                                       DecisionBoundary.sloped(-2.0, 1.0, s)],
-    # one prior with a >= 0 holds both bands, so no point may be cut
-    "vertical-and-runaway": lambda s: [DecisionBoundary.vertical(-3.0, s),
-                                       DecisionBoundary.vertical(150.0, s)],
     **{f"pool-subset-{i}": lambda s, i=i: _pool_subset(s, i) for i in range(6)},
 }
 

@@ -374,6 +374,16 @@ def test_greedy_rejects_an_invalid_separator_in_either_mode(scenario):
             greedy_select_next(scenario, pool, breached, AttackSampleConfig("ensemble", n_samples, 3))
 
 
+def test_greedy_rejects_an_invalid_breached_version_in_either_mode(scenario):
+    # vertical(150)'s "+" side holds both bands, so no step may score against it
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    seed = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    breached = [seed[0], DecisionBoundary.vertical(150.0, scenario)]
+    for n_samples in (0, 20_000):
+        with pytest.raises(GeometryError, match="left guard"):
+            greedy_select_next(scenario, pool, breached, AttackSampleConfig("ensemble", n_samples, 3))
+
+
 def _per_candidate_scores(scenario, breached, planes, cfg):
     """One mc_transferability estimate per row, NaN where it is undefined,
     each checked against the point-by-point counts."""
