@@ -26,7 +26,7 @@ class PoolExhaustedError(MarginSeqError):
 
 
 class UndefinedEstimateError(MarginSeqError):
-    """Monte Carlo acceptance too low to form an estimate."""
+    """No defined score: too few samples accepted, or a greedy step with nothing to pick by."""
 
 
 class ScenarioFileError(MarginSeqError, ValueError):

@@ -57,12 +57,13 @@ class AttackableRegion:
 
 @dataclass(frozen=True, slots=True)
 class TransferabilityScore:
-    value: float
-    defined: bool
+    """One transferability ratio; NaN marks a ratio that is undefined."""
 
-    @classmethod
-    def undefined(cls) -> "TransferabilityScore":
-        return cls(float("nan"), False)
+    value: float
+
+    @property
+    def defined(self) -> bool:
+        return not math.isnan(self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +217,7 @@ class Breach:
             raise DomainError("regions built under different scenarios")
         line = target.source_boundary.plus
         (value,) = self.scores(np.array([(line.a, line.b, line.c)])).tolist()
-        return TransferabilityScore(value, not math.isnan(value))
+        return TransferabilityScore(value)
 
     def scores(self, planes: np.ndarray) -> np.ndarray:
         """:meth:`score` of every target, given as one "+" half-plane (a, b, c) per row.
@@ -336,11 +337,13 @@ def mc_counts(
 
     accepted = 0
     hits = np.zeros(len(a), dtype=np.int64)
+    # every block draws into one buffer: a fresh 2 MB array per block can page-fault
+    buf = np.empty((min(MC_BLOCK, cfg.n_samples), 2))
     for j in range(block_start, block_stop):
         m = min(MC_BLOCK, cfg.n_samples - j * MC_BLOCK)
         if m <= 0:
             break
-        u = philox(cfg.seed, j).random((m, 2))
+        u = philox(cfg.seed, j).random((m, 2), out=buf[:m])
         m_sliver = int(round(m * p_sliver))
         # x overwrites u's first column, with the same roundings as u * d and
         # -guard + u * (guard - d)
@@ -379,12 +382,24 @@ def mc_block_counts(
     return accepted, int(hits[0])
 
 
-def _mc_run(scenario, priors, planes, cfg) -> tuple[int, np.ndarray, bool]:
-    """(accepted, hits per target row, defined) over the whole sampling budget."""
+def mc_scores(
+    scenario: ScenarioConfig,
+    priors: list[DecisionBoundary],
+    planes,
+    cfg: AttackSampleConfig,
+) -> tuple[np.ndarray, int]:
+    """(value per target row, accepted) over the whole sampling budget, from one stream.
+
+    Each value is the target's share of the accepted points.  The rows share
+    one accepted count, so the values are NaN, all of them, when that count
+    is below the acceptance floor, max(1, 1e-6 * n_samples).
+    """
     if cfg.n_samples < 1:
         raise DomainError("Monte Carlo transferability requires n_samples >= 1")
     accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, -(-cfg.n_samples // MC_BLOCK))
-    return accepted, hits, accepted >= max(1.0, _MIN_ACCEPTANCE * cfg.n_samples)
+    if accepted < max(1.0, _MIN_ACCEPTANCE * cfg.n_samples):
+        return np.full(len(hits), np.nan), accepted
+    return hits / accepted, accepted
 
 
 def mc_transferability(
@@ -398,31 +413,17 @@ def mc_transferability(
     Uniform points over the two "-" bands (stratified proportionally to band
     area) are kept when inside at least one prior region, the ensemble
     attacker's territory.  The estimate is the kept fraction the target
-    classifies "+".  The sampled box depends on the priors alone, so every
-    target scored against the same priors and cfg sees the same accepted points.
+    classifies "+": :func:`mc_scores` of a single row, which raises
+    :class:`UndefinedEstimateError` where that row is NaN.  The sampled box
+    depends on the priors alone, so every target scored against the same
+    priors and cfg sees the same accepted points.
     """
     line = target.plus
-    accepted, (hits,), defined = _mc_run(scenario, priors, [(line.a, line.b, line.c)], cfg)
-    hits = int(hits)
-    if not defined:
+    (value,), accepted = mc_scores(scenario, priors, [(line.a, line.b, line.c)], cfg)
+    if math.isnan(value):
         raise UndefinedEstimateError(
             f"only {accepted} of {cfg.n_samples} samples satisfied the attacker mode"
         )
-    value = hits / accepted
+    value = float(value)
     half_width = 1.96 * math.sqrt(value * (1.0 - value) / accepted)
     return MonteCarloEstimate(value, half_width, accepted)
-
-
-def mc_scores(
-    scenario: ScenarioConfig,
-    priors: list[DecisionBoundary],
-    planes,
-    cfg: AttackSampleConfig,
-) -> np.ndarray:
-    """:func:`mc_transferability`'s value for every target row, from one stream.
-
-    The rows share one accepted count, so either every value is defined or
-    all are NaN.
-    """
-    accepted, hits, defined = _mc_run(scenario, priors, planes, cfg)
-    return hits / accepted if defined else np.full(len(hits), np.nan)

@@ -41,6 +41,9 @@ W_ZERO_TOL = 1e-12
 # Ties in the foot-on-face test resolve toward the tangent branch; both
 # branches emit the same line at the tie, so this is a labeling choice.
 
+# Circle points the oracle scans to bracket the hull hinges.
+ORACLE_RESOLUTION = 100_000
+
 CASE_W_ZERO = "w_zero"
 CASE_W_POS_TANGENT = "w_pos_tangent"
 CASE_W_POS_DIRECT = "w_pos_direct"
@@ -243,19 +246,17 @@ def _sloped_from(scenario: ScenarioConfig, h: HiddenPoint, k: float, b: float) -
     return DecisionBoundary.sloped(k, b, scenario)
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_table(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The oracle's scan angles with their cosines and sines, kept for the last resolution."""
-    theta = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+@functools.cache
+def _scan_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's scan angles with their cosines and sines, built on first use."""
+    theta = np.linspace(0.0, 2.0 * math.pi, ORACLE_RESOLUTION, endpoint=False)
     return theta, np.cos(theta), np.sin(theta)
 
 
-def oracle_boundary(
-    scenario: ScenarioConfig, h: HiddenPoint, resolution: int = 100_000
-) -> DecisionBoundary:
+def oracle_boundary(scenario: ScenarioConfig, h: HiddenPoint) -> DecisionBoundary:
     """Separator found by numeric search, independent of the slope algebra.
 
-    Scans ``resolution`` circle points to bracket where the "+" disk stops
+    Scans ORACLE_RESOLUTION circle points to bracket where the "+" disk stops
     being visible from h, refines both hinge angles by bisection, and then
     minimizes the distance from (-c, 0) to the hull boundary exactly over
     the two bridge segments and the vertex h.  (The retained arc never holds
@@ -263,8 +264,6 @@ def oracle_boundary(
     of a bridge segment.)  The minimizing connection is then bisected.
     """
     validate_hidden_point(scenario, h)
-    if resolution < 16:
-        raise DomainError("resolution too small to bracket the hull hinges")
     c = scenario.c
     v, w = h.v, h.w
     o1 = np.array([c, 0.0])
@@ -275,7 +274,7 @@ def oracle_boundary(
     def g(t):
         return math.cos(t) * (v - c) + math.sin(t) * w - 1.0
 
-    theta, cos_t, sin_t = _scan_table(resolution)
+    theta, cos_t, sin_t = _scan_table()
     # g over the whole scan, in place; the same roundings as g term by term
     scan = cos_t * (v - c)
     scan += sin_t * w
@@ -287,7 +286,7 @@ def oracle_boundary(
 
     hinges = []
     for i in flips:
-        lo, hi = theta[i], theta[i] + (2.0 * math.pi / resolution)
+        lo, hi = theta[i], theta[i] + (2.0 * math.pi / ORACLE_RESOLUTION)
         glo = g(lo)
         for _ in range(90):
             mid = 0.5 * (lo + hi)

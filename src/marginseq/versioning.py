@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, PoolExhaustedError
+from .errors import DomainError, GeometryError, PoolExhaustedError, UndefinedEstimateError
 from .geometry import Point2, tangents_to_unit_circle
 from .regions import (
     AttackSampleConfig,
@@ -51,7 +51,8 @@ from .separators import (
 )
 
 DEFAULT_EPS_D = 2.0
-DEFAULT_BMAX_TOL = 1e-6
+# find_bmax stops bisecting once its bracket is this narrow
+BMAX_TOL = 1e-6
 
 _POOL_ATTEMPT_FACTOR = 10_000
 
@@ -128,16 +129,6 @@ def reconstruct_anchor(scenario: ScenarioConfig, k: float, b: float) -> tuple[fl
     return v, mirror * w
 
 
-def _admissible_anchor(scenario: ScenarioConfig, k: float, b: float) -> HiddenPoint | None:
-    v, w = reconstruct_anchor(scenario, k, b)
-    try:
-        h = HiddenPoint(v, w)
-        validate_hidden_point(scenario, h)
-    except DomainError:
-        return None
-    return h
-
-
 def anchor_admissible(scenario: ScenarioConfig, k: float, b: float) -> bool:
     """Whether the reflection anchor lies in the determining band.
 
@@ -145,9 +136,15 @@ def anchor_admissible(scenario: ScenarioConfig, k: float, b: float) -> bool:
     :func:`validate_hidden_point`, i.e. constraints 1 and 2 of
     :func:`check_boundary_feasibility` plus staying outside both training
     disks.  It does not promise the anchor reproduces (k, b); see the module
-    docstring.
+    docstring.  :func:`reconstruct_anchor`'s own :class:`DomainError` (k == 0,
+    or an anchor that is not finite) reaches the caller.
     """
-    return _admissible_anchor(scenario, k, b) is not None
+    h = HiddenPoint(*reconstruct_anchor(scenario, k, b))
+    try:
+        validate_hidden_point(scenario, h)
+    except DomainError:
+        return False
+    return True
 
 
 def check_boundary_feasibility(scenario: ScenarioConfig, k: float, b: float) -> FeasibilityReport:
@@ -189,22 +186,22 @@ def reconstruct_hidden_point(scenario: ScenarioConfig, k: float, b: float) -> Hi
     it provably does so exactly when check_boundary_feasibility(...) reports
     feasible (constraint 3 included).
     """
-    h = _admissible_anchor(scenario, k, b)
-    if h is None:
-        raise DomainError(f"no admissible anchor for boundary k={k}, b={b}")
+    h = HiddenPoint(*reconstruct_anchor(scenario, k, b))
+    try:
+        validate_hidden_point(scenario, h)
+    except DomainError as exc:
+        raise DomainError(f"boundary y = {k}*x + {b} has no admissible anchor: {exc}") from None
     return h
 
 
-def find_bmax(scenario: ScenarioConfig, k: float, tol: float = DEFAULT_BMAX_TOL) -> float:
+def find_bmax(scenario: ScenarioConfig, k: float) -> float:
     """Largest offset b > 0 keeping y = k*x - b anchor-admissible, by bisection.
 
     Admissibility is monotone along this ray (verified on a grid, not
-    assumed); the returned value is admissible and value + tol is not.
+    assumed); the returned value is admissible and value + BMAX_TOL is not.
     """
     if k <= 0.0:
         raise DomainError("offset search requires k > 0")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
     if not anchor_admissible(scenario, k, -k * scenario.delta):
         raise DomainError(f"base boundary y = k*(x - delta) has no admissible anchor for k={k}")
 
@@ -214,7 +211,7 @@ def find_bmax(scenario: ScenarioConfig, k: float, tol: float = DEFAULT_BMAX_TOL)
     flags = [anchor_admissible(scenario, k, -b) for b in np.linspace(lo, hi, 33)]
     if sorted(flags, reverse=True) != flags:
         raise GeometryError("anchor admissibility is not monotone along y = k*x - b")
-    while hi - lo > tol:
+    while hi - lo > BMAX_TOL:
         mid = 0.5 * (lo + hi)
         if anchor_admissible(scenario, k, -mid):
             lo = mid
@@ -252,11 +249,7 @@ def plan_sequence(
 
     versions = []
     for slope, intercept in _plan_intercepts(scenario, n_versions, k, step):
-        anchor = _admissible_anchor(scenario, slope, intercept)
-        if anchor is None:
-            raise DomainError(
-                f"version boundary y = {slope}*x + {intercept} has no admissible anchor"
-            )
+        anchor = reconstruct_hidden_point(scenario, slope, intercept)
         versions.append((DecisionBoundary.sloped(slope, intercept, scenario), anchor))
 
     if n_versions >= 3:
@@ -344,7 +337,7 @@ def score_candidates(
     """
     planes = np.asarray(planes, dtype=float).reshape(-1, 3)
     if cfg.n_samples:
-        return mc_scores(scenario, breached, planes, cfg)
+        return mc_scores(scenario, breached, planes, cfg)[0]
     guard_extent(scenario, *planes.T)  # sampled targets are checked in mc_counts
     regions = [build_attackable_region(scenario, bd) for bd in breached]
     return Breach.of(regions).scores(planes)
@@ -360,8 +353,9 @@ def greedy_select_next(
 
     Candidates whose boundary equals a breached one are excluded and the rest
     are scored by :func:`score_candidates`.  Ties break toward the lowest pool
-    index; when the scores are undefined the first remaining candidate is
-    returned with an undefined score.
+    index.  A step whose scores are undefined (NaN) has nothing to pick by:
+    it raises :class:`UndefinedEstimateError` naming the step, the
+    (len(breached) + 1)-th version, and, when sampled, the sample count.
     """
     if not breached:
         raise DomainError("greedy selection requires at least one breached version")
@@ -371,10 +365,13 @@ def greedy_select_next(
     if not remaining.size:
         raise PoolExhaustedError("every pool candidate has been consumed")
     values = score_candidates(scenario, breached, planes[remaining], cfg)
-    if np.isnan(values).all():
-        return int(remaining[0]), TransferabilityScore.undefined()
-    best = int(np.argmin(values))
-    return int(remaining[best]), TransferabilityScore(float(values[best]), True)
+    best = int(np.argmin(values))  # the first NaN, if any
+    score = TransferabilityScore(float(values[best]))
+    if not score.defined:
+        why = (f"no candidate reached the Monte Carlo acceptance floor with n_samples = "
+               f"{cfg.n_samples}" if cfg.n_samples else "the breached versions expose no area")
+        raise UndefinedEstimateError(f"step {len(breached) + 1}: {why}")
+    return int(remaining[best]), score
 
 
 def random_baseline_sequence(

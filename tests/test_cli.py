@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from marginseq import cli
-from marginseq.cli import MAX_PLAN_VERSIONS, main, load_settings, DEFAULT_SETTINGS
+from marginseq.cli import MAX_PLAN_VERSIONS, MAX_POOL_SIZE, main, load_settings, DEFAULT_SETTINGS
 from marginseq.errors import DomainError, ScenarioFileError
 from marginseq.regions import (
     AttackSampleConfig,
@@ -316,7 +316,7 @@ def test_pool_sampled_step_without_estimate_exits(capsys):
     code, out, err = run_cli(capsys, "pool", "--samples", "1", "--sequence-length", "5")
     assert (code, out) == (2, "")
     assert err == ("marginseq: step 3: no candidate reached the Monte Carlo acceptance floor"
-                   " at --samples 1\n")
+                   " with n_samples = 1\n")
 
 
 def test_attack_mode_is_not_configurable(tmp_path, capsys):
@@ -370,6 +370,16 @@ def test_pool_size_must_cover_sequence(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--scenario", str(cfg), "pool", "--sequence-length", "6")
     assert code == 2
     assert "pool size" in err
+
+
+@pytest.mark.parametrize("size", [MAX_POOL_SIZE + 1, 100_000_000_000])
+def test_pool_size_limit(tmp_path, capsys, size):
+    # refused before any candidate is drawn, so no allocation is attempted
+    cfg = tmp_path / "huge_pool.ini"
+    cfg.write_text(f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[pool]\nsize = {size}\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")
+    assert (code, out) == (2, "")
+    assert f"limit of {MAX_POOL_SIZE}" in err
 
 
 def test_scenario_file_overrides(tmp_path, capsys, monkeypatch):

@@ -151,7 +151,7 @@ def test_oracle_matches_closed_form(scenario):
         else:
             h = sample_hidden_point(scenario, rng)
         closed, _ = boundary_from_hidden(scenario, h)
-        numeric = oracle_boundary(scenario, h, resolution=40_000)
+        numeric = oracle_boundary(scenario, h)
         worst = max(worst, boundary_deviation(closed, numeric))
     assert worst <= 1e-6
 

@@ -13,6 +13,7 @@ from marginseq import (
     HalfPlane,
     HiddenPoint,
     PoolExhaustedError,
+    TransferabilityScore,
     UndefinedEstimateError,
     anchor_admissible,
     boundary_from_hidden,
@@ -30,6 +31,7 @@ from marginseq import (
     verify_plan,
 )
 from marginseq.regions import Breach, guard_extent
+from marginseq.versioning import BMAX_TOL
 from breach_reference import reference_score
 from mc_reference import per_target_counts
 from seeded_rng import philox
@@ -142,10 +144,9 @@ def test_find_bmax_monotone_in_k(scenario):
 
 
 def test_find_bmax_bisection_contract(scenario):
-    tol = 1e-6
-    b_max = find_bmax(scenario, 7.0, tol)
+    b_max = find_bmax(scenario, 7.0)
     assert anchor_admissible(scenario, 7.0, -b_max)
-    assert not anchor_admissible(scenario, 7.0, -(b_max + 2.0 * tol))
+    assert not anchor_admissible(scenario, 7.0, -(b_max + 2.0 * BMAX_TOL))
 
 
 def test_find_bmax_domain_errors(scenario):
@@ -328,11 +329,18 @@ def test_greedy_guard_violation(scenario):
         greedy_select_next(scenario, pool, [_exposes_nothing(scenario)], EXACT)
 
 
-def test_greedy_undefined_scores(scenario):
+def test_greedy_without_a_defined_score_raises_in_either_mode(scenario):
+    # NaN marks an undefined score, and a step with no defined score has
+    # nothing to pick by: exact, the breach exposes no area; sampled, one
+    # sample accepts nothing
+    assert not TransferabilityScore(math.nan).defined
+    assert TransferabilityScore(0.0).defined
     pool = _line_pool(scenario, [5.0, 9.0])
-    index, score = greedy_select_next(scenario, pool, [_exposes_nothing(scenario)], EXACT)
-    assert index == 0
-    assert not score.defined
+    with pytest.raises(UndefinedEstimateError, match=r"^step 2: .*expose no area"):
+        greedy_select_next(scenario, pool, [_exposes_nothing(scenario)], EXACT)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    with pytest.raises(UndefinedEstimateError, match=r"^step 3: .*n_samples = 1$"):
+        greedy_select_next(scenario, pool, breached, AttackSampleConfig("ensemble", 1, 42))
 
 
 def test_greedy_sampled_mode_matches_exact_choice(scenario):
