@@ -281,11 +281,12 @@ def check_zero_transfer(
 
 
 def mc_left_cut(scenario: ScenarioConfig, priors: list[DecisionBoundary], guard: float) -> float:
-    """Abscissa left of which :func:`mc_counts` tests no point.
+    """Abscissa left of which :func:`mc_counts` draws no point.
 
     ``priors`` are valid separators (see :func:`guard_extent`), so each has
-    a < 0, and ``guard`` is the sampling box's depth.  See :func:`mc_counts`
-    for the proof.
+    a < 0, and ``guard`` is the sampling box's depth.  Points left of the
+    cut would all be rejected, so only their count is drawn; see
+    :func:`mc_counts` for the proof.
     """
     reach = max((abs(bd.plus.c) + abs(bd.plus.b) * scenario.y_lim) / -bd.plus.a for bd in priors)
     return -reach - 1e-9 * guard
@@ -303,27 +304,38 @@ def mc_counts(
 
     Targets are given as one "+" half-plane (a, b, c) per row.  An invalid
     separator among the priors or the targets raises :class:`GeometryError`
-    (see :func:`guard_extent`).  Points are sampled over the box cut on the
-    left by the priors' deepest guard, which no prior region reaches, so the
-    box holds the whole breached territory whatever the targets.  Block j
-    draws its points from a Philox stream keyed (seed, j) and tests the
-    priors on them once; every row counts hits on the same accepted points.
-    Any partition of the block range across workers merges to exactly the
-    counts of a single sequential pass.
+    (see :func:`guard_extent`).  n_samples counts uniform points over the box
+    cut on the left by the priors' deepest guard, which no prior region
+    reaches, so the box holds the whole breached territory whatever the
+    targets.  Block j holds min(MC_BLOCK, the rest) of them and draws from a
+    Philox stream keyed (seed, j); it tests the priors once, and every row
+    counts hits on the same accepted points.  Any partition of the block
+    range across workers merges to exactly the counts of a single
+    sequential pass.
 
-    Only the points at or right of one left cut, :func:`mc_left_cut`, are
-    tested.  A valid prior's "+" side has a < 0 and holds no point of the
-    strip left of -reach, reach = (|c| + |b|*y_lim) / -a as in
-    :func:`guard_extent`.  The cut is -max(reach) - 1e-9*guard.  Every point
-    left of the cut is rejected in floating point too, so every
-    count is that of testing every point.  Proof: for x < cut and |y| <=
-    y_lim, the exact a*x + b*y - c exceeds -a*1e-9*guard, less a few ulps of
-    reach from rounding the cut.  As |x| <= guard and reach < guard, the
-    rounding error of the computed value is at most about
-    3u*(-a*guard + |b|*y_lim + |c|) <= 6u*(-a)*guard, u = 2**-53, far below
-    that margin.  So the computed value is strictly positive and the point
-    is rejected.  The margin is needed: a clipped region vertex can lie a few
-    ulps left of the bare -reach.
+    Points left of one cut, :func:`mc_left_cut`, would all be rejected, so
+    only their count is drawn.  A block's m points split into a fixed
+    m_sliver = round(m*p_sliver) in the band {0 <= x < delta} and m -
+    m_sliver in the left band [-guard, -delta].  Of the latter, the number
+    at or right of the cut is Binomial(m - m_sliver, q), q = (-delta -
+    cut) / (guard - delta) or 0 when the cut lies right of the band, and
+    given that number they are uniform on [cut, -delta].  So the stream
+    draws that number k, then m_sliver + k uniform pairs: the counts have
+    the distribution of testing every point of the box.  The seeded digits
+    depend on numpy's ``Generator.binomial`` as well as
+    ``Generator.random``.
+
+    Proof that the skipped points are rejected.  A valid prior's "+" side has
+    a < 0 and holds no point of the strip left of -reach, reach = (|c| +
+    |b|*y_lim) / -a as in :func:`guard_extent`.  The cut is -max(reach) -
+    1e-9*guard.  For x < cut and |y| <= y_lim, the exact a*x + b*y - c
+    exceeds -a*1e-9*guard, less a few ulps of reach from rounding the cut.
+    As |x| <= guard and reach < guard, the rounding error of the computed
+    value is at most about 3u*(-a*guard + |b|*y_lim + |c|) <= 6u*(-a)*guard,
+    u = 2**-53, far below that margin.  So the computed value is strictly
+    positive and the point is rejected in floating point too.  The margin is
+    needed: a clipped region vertex can lie a few ulps left of the bare
+    -reach.
     """
     if not priors:
         raise DomainError("Monte Carlo transferability requires at least one prior")
@@ -334,25 +346,20 @@ def mc_counts(
     d, y = scenario.delta, scenario.y_lim
     p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
     cut = mc_left_cut(scenario, priors, guard)
+    q = max(0.0, (-d - cut) / (guard - d))
 
     accepted = 0
     hits = np.zeros(len(a), dtype=np.int64)
-    # every block draws into one buffer: a fresh 2 MB array per block can page-fault
-    buf = np.empty((min(MC_BLOCK, cfg.n_samples), 2))
     for j in range(block_start, block_stop):
         m = min(MC_BLOCK, cfg.n_samples - j * MC_BLOCK)
         if m <= 0:
             break
-        u = philox(cfg.seed, j).random((m, 2), out=buf[:m])
+        rng = philox(cfg.seed, j)
         m_sliver = int(round(m * p_sliver))
-        # x overwrites u's first column, with the same roundings as u * d and
-        # -guard + u * (guard - d)
-        u[:m_sliver, 0] *= d
-        u[m_sliver:, 0] *= guard - d
-        u[m_sliver:, 0] += -guard
-        near = np.flatnonzero(u[:, 0] >= cut)
-        x = u[near, 0]
-        yv = -y + u[near, 1] * (2.0 * y)
+        k = int(rng.binomial(m - m_sliver, q))
+        u = rng.random((m_sliver + k, 2))
+        x = np.concatenate([u[:m_sliver, 0] * d, cut + u[m_sliver:, 0] * (-d - cut)])
+        yv = -y + u[:, 1] * (2.0 * y)
         # the ensemble attacker's territory, OR-ed in place so no per-prior mask is kept
         mask = priors[0].signed_value(x, yv) >= 0.0
         for bd in priors[1:]:
@@ -412,8 +419,11 @@ def mc_transferability(
 
     Uniform points over the two "-" bands (stratified proportionally to band
     area) are kept when inside at least one prior region, the ensemble
-    attacker's territory.  The estimate is the kept fraction the target
-    classifies "+": :func:`mc_scores` of a single row, which raises
+    attacker's territory.  Points left of :func:`mc_left_cut` would all be
+    rejected, so only their count is drawn (see :func:`mc_counts`);
+    ``accepted`` still counts the kept points among n_samples over the whole
+    box.  The estimate is the kept fraction the target classifies "+":
+    :func:`mc_scores` of a single row, which raises
     :class:`UndefinedEstimateError` where that row is NaN.  The sampled box
     depends on the priors alone, so every target scored against the same
     priors and cfg sees the same accepted points.

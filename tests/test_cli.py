@@ -13,7 +13,14 @@ import warnings
 import pytest
 
 from marginseq import cli
-from marginseq.cli import MAX_PLAN_VERSIONS, MAX_POOL_SIZE, main, load_settings, DEFAULT_SETTINGS
+from marginseq.cli import (
+    DEFAULT_SETTINGS,
+    MAX_PLAN_VERSIONS,
+    MAX_POOL_SIZE,
+    MAX_SEQUENCE_LENGTH,
+    load_settings,
+    main,
+)
 from marginseq.errors import DomainError, ScenarioFileError
 from marginseq.regions import (
     AttackSampleConfig,
@@ -380,6 +387,17 @@ def test_pool_size_limit(tmp_path, capsys, size):
     code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")
     assert (code, out) == (2, "")
     assert f"limit of {MAX_POOL_SIZE}" in err
+
+
+@pytest.mark.parametrize("length", [MAX_SEQUENCE_LENGTH + 1, 3000])
+def test_pool_sequence_length_limit(tmp_path, capsys, length):
+    # refused before any candidate is drawn, even when the pool could cover it
+    cfg = tmp_path / "big_pool.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[pool]\nsize = 3000\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool",
+                             "--sequence-length", str(length))
+    assert (code, out) == (2, "")
+    assert f"limit of {MAX_SEQUENCE_LENGTH}" in err
 
 
 def test_scenario_file_overrides(tmp_path, capsys, monkeypatch):

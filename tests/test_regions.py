@@ -24,6 +24,7 @@ from marginseq import (
     score_candidates,
     union_area,
 )
+from marginseq import regions
 from marginseq.regions import (
     MC_BLOCK,
     Breach,
@@ -34,7 +35,7 @@ from marginseq.regions import (
 )
 from breach_reference import reference_score
 from guard_reference import reference_valid
-from mc_reference import per_target_counts
+from mc_reference import full_box_counts, per_target_counts
 from seeded_rng import philox
 
 AR1_AREA = 61.390714285714285  # boundary y = 7x - 0.7
@@ -391,7 +392,7 @@ _CUT_PRIORS = {
     # nearly flat lines: the cut lies some 400 units deep, inside a 509-deep box
     "flat-down": lambda s: [DecisionBoundary.sloped(0.074, -0.3, s)],
     "flat-up": lambda s: [DecisionBoundary.sloped(-0.074, 0.3, s)],
-    # the cut lies right of the whole left band: only sliver points are tested
+    # the cut lies right of the whole left band: only sliver points are drawn
     "steep": lambda s: [DecisionBoundary.sloped(1000.0, -50.0, s)],
     # points on x = -3 itself are accepted
     "vertical": lambda s: [DecisionBoundary.vertical(-3.0, s)],
@@ -409,6 +410,82 @@ def test_mc_counts_equal_the_uncut_reference(scenario, name):
     cfg = AttackSampleConfig("ensemble", MC_BLOCK + 1000, 79)
     accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
     assert accepted > 0
+    for row, target in enumerate(targets):
+        assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(_CUT_PRIORS))
+def test_near_box_rates_agree_with_the_full_box(scenario, name):
+    # the near box draws a binomial count for the left band, the full box
+    # every point; pooled over seeds, their acceptance and hit rates agree
+    priors = _CUT_PRIORS[name](scenario)
+    targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario), priors[0]]
+    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
+    near = np.zeros(1 + len(targets), dtype=np.int64)
+    full = np.zeros_like(near)
+    n_samples, n_seeds = 20_000, 40
+    for seed in range(n_seeds):
+        cfg = AttackSampleConfig("ensemble", n_samples, 500 + seed)
+        accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 1)
+        near += [accepted, *hits]
+        cfg = AttackSampleConfig("ensemble", n_samples, 600 + seed)
+        counts = [full_box_counts(scenario, priors, t, cfg) for t in targets]
+        full += [counts[0][0], *(h for _, h in counts)]
+    assert near[0] > 0
+    n = n_samples * n_seeds
+    for k_near, k_full in zip(near, full):
+        p = (k_near + k_full) / (2 * n)
+        assert abs(k_near - k_full) / n <= 4.0 * math.sqrt(p * (1.0 - p) * 2.0 / n)
+
+
+class _RecordedStream:
+    """A block's generator that logs [trials, q, k, pairs drawn] per block."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def binomial(self, n, p):
+        k = self.rng.binomial(n, p)
+        self.log.append([n, p, int(k)])
+        return k
+
+    def random(self, shape):
+        self.log[-1].append(shape[0])
+        return self.rng.random(shape)
+
+
+@pytest.mark.parametrize("name, n_samples", [
+    ("steep", MC_BLOCK + 1000),
+    ("deep-vertical", MC_BLOCK + 1000),
+    ("pair", 1),
+    ("pair", 1000),
+    ("pair", 3 * MC_BLOCK + 1234),
+])
+def test_mc_counts_draw_only_right_of_the_cut(scenario, monkeypatch, name, n_samples):
+    priors = {"steep": _CUT_PRIORS["steep"](scenario),
+              "deep-vertical": [DecisionBoundary.vertical(-1e4, scenario)],
+              "pair": list(canonical_pair(scenario))}[name]
+    targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario), priors[0]]
+    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
+    cfg = AttackSampleConfig("ensemble", n_samples, 81)
+    n_blocks = -(-n_samples // MC_BLOCK)
+    log = []
+    philox_ = regions.philox
+    monkeypatch.setattr(regions, "philox", lambda seed, j: _RecordedStream(philox_(seed, j), log))
+    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, n_blocks)
+    monkeypatch.undo()
+    assert len(log) == n_blocks
+    sizes = [min(MC_BLOCK, n_samples - j * MC_BLOCK) for j in range(n_blocks)]
+    # every block stands for its whole share of n_samples, left band and sliver
+    for m, (trials, q, k, pairs) in zip(sizes, log):
+        assert 1 <= trials <= m and pairs == m - trials + k
+    q = log[0][1]
+    if name == "steep":
+        assert q == 0.0 and all(k == 0 for _, _, k, _ in log)
+    elif name == "deep-vertical":
+        assert q > 0.99
+    else:
+        assert 0.0 < q < 0.05
     for row, target in enumerate(targets):
         assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
 
