@@ -22,7 +22,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError, MarginSeqError, ScenarioFileError
-from .regions import MODE_ENSEMBLE, AttackSampleConfig, build_attackable_region, region_area
+from .regions import (MODE_ENSEMBLE, AttackSampleConfig, build_attackable_region, planes_of,
+                      region_area)
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
@@ -50,9 +51,15 @@ MAX_POOL_SIZE = 100_000
 
 # Each exact greedy step of cmd_pool rebuilds its breach from every breached version,
 # so a run's time grows with the square of --sequence-length.  On a 2-core host, with
-# 3,000 candidates, 100 versions take 4.6 s end to end and 200 take 12.5 s; with
-# 100,000 candidates each step takes about 0.7 s.
+# 3,000 candidates, 100 versions take 2.3 s end to end and 200 take 6.6 s; with
+# 100,000 candidates each step takes about 0.4 s.
 MAX_SEQUENCE_LENGTH = 100
+
+# The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
+# which the two limits above bound only by their product.  On a 2-core host a run of
+# 300,000 takes 2.3 s end to end as 3,000 candidates over 98 steps and 2.7 s as 100,000
+# over 3 steps; 100,000 candidates over 18 steps, 1.8 million, take 8.7 s.
+MAX_CANDIDATES_SCORED = 300_000
 
 
 @dataclass(frozen=True)
@@ -229,9 +236,9 @@ def cmd_table(settings: Settings, args, out) -> int:
     rows = []
     for n in (2, 4, 6, 8, 10):
         plan = plan_sequence(scenario, n, k, b_max)
-        regions = [build_attackable_region(scenario, bd) for bd, _ in plan.versions]
-        ar1 = region_area(regions[0])
-        ar3 = region_area(regions[2]) if n >= 3 else None
+        versions = [bd for bd, _ in plan.versions]
+        ar1 = region_area(build_attackable_region(scenario, versions[0]))
+        ar3 = region_area(build_attackable_region(scenario, versions[2])) if n >= 3 else None
         nominal = REFERENCE_ALPHAS.get(n) if is_reference else None
         rows.append((n, plan.step if plan.n_tiers else None, ar1, ar3, plan.alpha, nominal))
     writer = ReportWriter(
@@ -257,6 +264,10 @@ def cmd_pool(settings: Settings, args, out) -> int:
                           f"{MAX_POOL_SIZE}")
     if settings.pool_size < length:
         raise DomainError("pool size must cover the requested sequence length")
+    scored = settings.pool_size * (length - 2)
+    if scored > MAX_CANDIDATES_SCORED:
+        raise DomainError(f"{length - 2} greedy steps over {settings.pool_size} candidates would "
+                          f"score {scored}, above the limit of {MAX_CANDIDATES_SCORED}")
     pool = generate_candidate_pool(scenario, settings.pool_size, settings.pool_eps_d,
                                    settings.pool_seed)
     seed_plan = plan_sequence(scenario, 2, settings.plan_k, settings.plan_b_max)
@@ -276,8 +287,7 @@ def cmd_pool(settings: Settings, args, out) -> int:
     baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed)
     versions = [bd for bd, _ in seed_plan.versions]
     for step, (hidden, boundary) in enumerate(baseline, start=3):
-        line = boundary.plus
-        (value,) = score_candidates(scenario, versions, [(line.a, line.b, line.c)], cfg)
+        (value,) = score_candidates(scenario, versions, planes_of([boundary]), cfg)
         kind, k, b, x0 = _boundary_fields(boundary)
         rows.append(("random", step, None, kind, k, b, x0,
                      hidden.v, hidden.w, float(value)))

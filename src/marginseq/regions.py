@@ -52,7 +52,6 @@ class AttackableRegion:
     scenario: ScenarioConfig
     source_boundary: DecisionBoundary
     pieces: tuple[ConvexPolygon, ...]
-    guard: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,6 +121,16 @@ def guard_extent(scenario: ScenarioConfig, a, b, c):
     return guard
 
 
+def planes_of(boundaries) -> np.ndarray:
+    """One "+" half-plane (a, b, c) row per separator, the form every batched route takes."""
+    return np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in boundaries]).reshape(-1, 3)
+
+
+def deepest_guard(scenario: ScenarioConfig, boundaries) -> float:
+    """Largest :func:`guard_extent` of one or more separators, from one call over all of them."""
+    return float(guard_extent(scenario, *planes_of(boundaries).T).max())
+
+
 def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolygon, ConvexPolygon]:
     """The two "-" bands cut to the strip and bounded on the left by the guard."""
     y = scenario.y_lim
@@ -135,10 +144,9 @@ def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary
 
     An invalid separator raises :class:`GeometryError` (see :func:`guard_extent`).
     """
-    line = boundary.plus
-    guard = float(guard_extent(scenario, line.a, line.b, line.c))
-    pieces = tuple(halfplane_intersection([line], band) for band in band_rectangles(scenario, guard))
-    return AttackableRegion(scenario, boundary, pieces, guard)
+    bands = band_rectangles(scenario, deepest_guard(scenario, [boundary]))
+    pieces = tuple(halfplane_intersection([boundary.plus], band) for band in bands)
+    return AttackableRegion(scenario, boundary, pieces)
 
 
 def region_area(region: AttackableRegion) -> float:
@@ -164,60 +172,54 @@ def closed_form_ar_area(scenario: ScenarioConfig, k: float, b: float) -> float:
 class Breach:
     """Territory the breached versions expose to an attacker, one piece per band.
 
-    The ensemble attacker holds every breached version.  :meth:`of` cuts the
-    bands under the deepest breached guard, which no breached region reaches:
-    the pieces are the bands, ``inside`` each band cut by every breached "-"
-    side and ``area`` the union, band less inside.  A target scores two clips
-    per band however many versions are breached; :meth:`extend` adds one with
-    one clip per band.  :meth:`within` holds one region's own pieces instead.
+    The ensemble attacker holds every breached version.  :meth:`of` takes
+    their separators and cuts the bands under the deepest breached guard,
+    which no breached region reaches: the pieces are the bands, ``inside``
+    each band cut by every breached "-" side and ``area`` the union, band
+    less inside.  A target scores two clips per band however many versions
+    are breached; :meth:`extend` adds one with one clip per band.
     """
 
     scenario: ScenarioConfig
-    priors: tuple[AttackableRegion, ...]
+    priors: tuple[DecisionBoundary, ...]
+    guard: float
     pieces: tuple[ConvexPolygon, ...]
     inside: tuple[ConvexPolygon, ...]
     area: float
 
     @classmethod
-    def of(cls, priors: list[AttackableRegion]) -> "Breach":
+    def of(cls, scenario: ScenarioConfig, priors: list[DecisionBoundary]) -> "Breach":
         if not priors:
-            raise DomainError("transferability requires at least one breached region")
-        scenario = priors[0].scenario
-        if any(r.scenario != scenario for r in priors):
-            raise DomainError("regions built under different scenarios")
-        bands = band_rectangles(scenario, max(r.guard for r in priors))
-        outside = [r.source_boundary.minus for r in priors]
-        inside = tuple(halfplane_intersection(outside, b) for b in bands)
+            raise DomainError("transferability requires at least one breached version")
+        guard = deepest_guard(scenario, priors)
+        bands = band_rectangles(scenario, guard)
+        inside = tuple(halfplane_intersection([bd.minus for bd in priors], b) for b in bands)
         area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(bands, inside))
-        return cls(scenario, tuple(priors), bands, inside, area)
+        return cls(scenario, tuple(priors), guard, bands, inside, area)
 
     @classmethod
     def within(cls, region: AttackableRegion) -> "Breach":
-        """One region's own pieces with nothing inside; it has no priors and cannot grow."""
+        """One region's own pieces with nothing inside; no priors, no guard, and it cannot grow."""
         empty = (ConvexPolygon.empty(),) * len(region.pieces)
-        return cls(region.scenario, (), region.pieces, empty, region_area(region))
+        return cls(region.scenario, (), math.nan, region.pieces, empty, region_area(region))
 
-    def extend(self, region: AttackableRegion) -> "Breach":
-        """:meth:`of` the breached regions and one more, bit for bit.
+    def extend(self, boundary: DecisionBoundary) -> "Breach":
+        """:meth:`of` the breached separators and one more, bit for bit.
 
-        One clip per band, unless region's guard is deeper than every breached one.
+        One clip per band, unless boundary's guard is deeper than every breached one.
         """
         if not self.priors:
             raise DomainError("a breach of one region's own pieces cannot grow")
-        priors = (*self.priors, region)
-        if region.scenario != self.scenario or region.guard > max(r.guard for r in self.priors):
-            return Breach.of(priors)
-        inside = tuple(clip_convex(i, region.source_boundary.minus) for i in self.inside)
+        priors = (*self.priors, boundary)
+        if deepest_guard(self.scenario, [boundary]) > self.guard:
+            return Breach.of(self.scenario, priors)
+        inside = tuple(clip_convex(i, boundary.minus) for i in self.inside)
         area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(self.pieces, inside))
-        return Breach(self.scenario, priors, self.pieces, inside, area)
+        return Breach(self.scenario, priors, self.guard, self.pieces, inside, area)
 
-    def score(self, target: AttackableRegion) -> TransferabilityScore:
+    def score(self, target: DecisionBoundary) -> TransferabilityScore:
         """Share of the breached territory that target classifies "+"."""
-        if target.scenario != self.scenario:
-            raise DomainError("regions built under different scenarios")
-        line = target.source_boundary.plus
-        (value,) = self.scores(np.array([(line.a, line.b, line.c)])).tolist()
-        return TransferabilityScore(value)
+        return TransferabilityScore(float(self.scores(planes_of([target]))[0]))
 
     def scores(self, planes: np.ndarray) -> np.ndarray:
         """:meth:`score` of every target, given as one "+" half-plane (a, b, c) per row.
@@ -225,8 +227,9 @@ class Breach:
         Each row scores area(band n plus) - area(inside n plus) per band; one
         batched clip per block cuts every band and inside polygon for every
         target.  NaN throughout when the breached area is zero, as the ratio
-        is then undefined.
+        is then undefined.  An invalid target raises :class:`GeometryError`.
         """
+        guard_extent(self.scenario, *planes.T)
         if self.area == 0.0:
             return np.full(len(planes), np.nan)
         polys = self.pieces + self.inside
@@ -244,23 +247,32 @@ class Breach:
         return np.clip(values, 0.0, 1.0)
 
 
+def _separators(regions: list[AttackableRegion]) -> tuple[ScenarioConfig, list[DecisionBoundary]]:
+    """The one scenario every region was built under, and each region's separator."""
+    if len({r.scenario for r in regions}) > 1:
+        raise DomainError("regions built under different scenarios")
+    return regions[0].scenario, [r.source_boundary for r in regions]
+
+
 def directional_transferability(
     ar1: AttackableRegion, ar2: AttackableRegion
 ) -> TransferabilityScore:
     """Overlap of ar2 with ar1, relative to ar1: S(ar1 n ar2) / S(ar1)."""
-    return Breach.within(ar1).score(ar2)
+    _separators([ar1, ar2])
+    return Breach.within(ar1).score(ar2.source_boundary)
 
 
 def compound_transferability(
     priors: list[AttackableRegion], target: AttackableRegion
 ) -> TransferabilityScore:
     """S(target n union of priors) / S(union of priors), exactly."""
-    return Breach.of(priors).score(target)
+    scenario, separators = _separators([*priors, target])
+    return Breach.of(scenario, separators[:-1]).score(separators[-1])
 
 
 def union_area(priors: list[AttackableRegion]) -> float:
     """Exact area of the union of attackable regions."""
-    return Breach.of(priors).area if priors else 0.0
+    return Breach.of(*_separators(priors)).area if priors else 0.0
 
 
 def check_zero_transfer(
@@ -302,16 +314,16 @@ def mc_counts(
 ) -> tuple[int, np.ndarray]:
     """(accepted, hits per target) over a contiguous range of sampling blocks.
 
-    Targets are given as one "+" half-plane (a, b, c) per row.  An invalid
-    separator among the priors or the targets raises :class:`GeometryError`
-    (see :func:`guard_extent`).  n_samples counts uniform points over the box
-    cut on the left by the priors' deepest guard, which no prior region
-    reaches, so the box holds the whole breached territory whatever the
-    targets.  Block j holds min(MC_BLOCK, the rest) of them and draws from a
-    Philox stream keyed (seed, j); it tests the priors once, and every row
-    counts hits on the same accepted points.  Any partition of the block
-    range across workers merges to exactly the counts of a single
-    sequential pass.
+    The priors are the breached separators and the targets one "+"
+    half-plane (a, b, c) per row, as :class:`Breach` takes them; an invalid
+    one raises :class:`GeometryError`.  n_samples counts uniform points over
+    the box cut on the left by the priors' :func:`deepest_guard`, as are
+    :meth:`Breach.of`'s bands, which no prior region reaches, so the box
+    holds the whole breached territory whatever the targets.  Block j holds
+    min(MC_BLOCK, the rest) of them and draws from a Philox stream keyed
+    (seed, j); it tests the priors once, and every row counts hits on the
+    same accepted points.  Any partition of the block range across workers
+    merges to exactly the counts of a single sequential pass.
 
     Points left of one cut, :func:`mc_left_cut`, would all be rejected, so
     only their count is drawn.  A block's m points split into a fixed
@@ -341,8 +353,7 @@ def mc_counts(
         raise DomainError("Monte Carlo transferability requires at least one prior")
     a, b, c = np.asarray(planes, dtype=float).reshape(-1, 3).T
     guard_extent(scenario, a, b, c)
-    prior_planes = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in priors])
-    guard = float(guard_extent(scenario, *prior_planes.T).max())
+    guard = deepest_guard(scenario, priors)
     d, y = scenario.delta, scenario.y_lim
     p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
     cut = mc_left_cut(scenario, priors, guard)
@@ -383,9 +394,7 @@ def mc_block_counts(
     block_stop: int,
 ) -> tuple[int, int]:
     """(accepted, hits) of one target: :func:`mc_counts` of a single row."""
-    line = target.plus
-    accepted, hits = mc_counts(scenario, priors, [(line.a, line.b, line.c)], cfg,
-                               block_start, block_stop)
+    accepted, hits = mc_counts(scenario, priors, planes_of([target]), cfg, block_start, block_stop)
     return accepted, int(hits[0])
 
 
@@ -428,8 +437,7 @@ def mc_transferability(
     depends on the priors alone, so every target scored against the same
     priors and cfg sees the same accepted points.
     """
-    line = target.plus
-    (value,), accepted = mc_scores(scenario, priors, [(line.a, line.b, line.c)], cfg)
+    (value,), accepted = mc_scores(scenario, priors, planes_of([target]), cfg)
     if math.isnan(value):
         raise UndefinedEstimateError(
             f"only {accepted} of {cfg.n_samples} samples satisfied the attacker mode"

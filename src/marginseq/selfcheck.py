@@ -14,10 +14,10 @@ import numpy as np
 from .errors import DomainError
 from .regions import (
     AttackSampleConfig,
+    Breach,
     build_attackable_region,
     check_zero_transfer,
     closed_form_ar_area,
-    compound_transferability,
     directional_transferability,
     mc_transferability,
     philox,
@@ -206,10 +206,7 @@ def check_mc_consistency(scenario: ScenarioConfig) -> CheckResult:
         if not separates_training_disks(scenario, target):
             target = DecisionBoundary.sloped(k, -cap, scenario)
         priors = [bd1, bd2]
-        exact = compound_transferability(
-            [build_attackable_region(scenario, b) for b in priors],
-            build_attackable_region(scenario, target),
-        ).value
+        exact = Breach.of(scenario, priors).score(target).value
         cfg = AttackSampleConfig("ensemble", 200_000, 78)
         est = mc_transferability(scenario, priors, target, cfg)
         sigma = math.sqrt(max(exact * (1.0 - exact), 1e-12) / est.accepted)

@@ -36,11 +36,10 @@ from .regions import (
     Breach,
     TransferabilityScore,
     build_attackable_region,
-    compound_transferability,
     directional_transferability,
-    guard_extent,
     mc_scores,
     philox,
+    planes_of,
 )
 from .separators import (
     DecisionBoundary,
@@ -253,8 +252,7 @@ def plan_sequence(
         versions.append((DecisionBoundary.sloped(slope, intercept, scenario), anchor))
 
     if n_versions >= 3:
-        ars = [build_attackable_region(scenario, bd) for bd, _ in versions[:3]]
-        alpha = compound_transferability(ars[:2], ars[2]).value
+        alpha = Breach.of(scenario, [versions[0][0], versions[1][0]]).score(versions[2][0]).value
     else:
         alpha = 0.0
     return SequencePlan(scenario, n_tiers, step, tuple(versions), alpha)
@@ -262,14 +260,14 @@ def plan_sequence(
 
 def verify_plan(plan: SequencePlan) -> PlanVerification:
     """Exact audit: prefix bounds, union stability, and the zero-transfer pair."""
-    scenario = plan.scenario
-    ars = [build_attackable_region(scenario, bd) for bd, _ in plan.versions]
-    at_pair = directional_transferability(ars[0], ars[1]).value if len(ars) >= 2 else 0.0
+    versions = [bd for bd, _ in plan.versions]
+    seed_pair = [build_attackable_region(plan.scenario, bd) for bd in versions[:2]]
+    at_pair = directional_transferability(*seed_pair).value if len(seed_pair) == 2 else 0.0
 
     compound, unions = [], []
-    for i in range(3, len(ars) + 1):
-        breach = Breach.of(ars[:2]) if i == 3 else breach.extend(ars[i - 2])
-        compound.append((i, breach.score(ars[i - 1]).value))
+    for i in range(3, len(versions) + 1):
+        breach = Breach.of(plan.scenario, versions[:2]) if i == 3 else breach.extend(versions[i - 2])
+        compound.append((i, breach.score(versions[i - 1]).value))
         unions.append(breach.area)
     base = unions[0] if unions else 1.0  # the seed pair's union, which no later version may grow
     union_dev = max((abs(u - base) / base for u in unions), default=0.0) if base > 0.0 else math.inf
@@ -295,13 +293,18 @@ def generate_candidate_pool(
 
     Points are rejected inside the eps_d exclusion disks around both training
     centroids, keeping candidates the required distance from task data; each
-    candidate's boundary is precomputed.
+    candidate's boundary is precomputed.  An eps_d that leaves no band point
+    outside both disks raises :class:`DomainError` before any draw.
     """
     if size < 1:
         raise DomainError("pool size must be >= 1")
     if eps_d <= 1.0:
         raise DomainError("eps_d must exceed the training disk radius 1")
     c, y_lim = scenario.c, scenario.y_lim
+    farthest = np.hypot(c, y_lim)  # from both centroids, reached at the band points (0, +-y_lim)
+    if eps_d >= farthest:
+        raise DomainError(f"band minus eps_d={eps_d} exclusion disks is empty: eps_d must be "
+                          f"below hypot(c, y_lim) = {farthest:.9g}")
     rng = philox(seed, 0)
     points: list[HiddenPoint] = []
     attempts = 0
@@ -327,20 +330,17 @@ def score_candidates(
 ) -> np.ndarray:
     """Transferability from the breached versions of each candidate under cfg.
 
-    Candidates are given as one "+" half-plane (a, b, c) per row.  An
-    invalid separator among them or the breached versions raises
-    :class:`GeometryError` in either mode (see :func:`guard_extent`).
-    Exact area ratios from one :meth:`Breach.scores` batch when
-    cfg.n_samples == 0; otherwise Monte Carlo estimates from one shared
-    stream (:func:`mc_scores`).  Scores are NaN, all of them, when the
-    breach leaves the ratio undefined.
+    Candidates are given as one "+" half-plane (a, b, c) per row.  This only
+    picks the scorer; both take the breached separators and check every
+    guard (see :func:`guard_extent`).  Exact area ratios from one
+    :meth:`Breach.scores` batch when cfg.n_samples == 0; otherwise Monte
+    Carlo estimates from one shared stream (:func:`mc_scores`).  Scores are
+    NaN, all of them, when the breach leaves the ratio undefined.
     """
     planes = np.asarray(planes, dtype=float).reshape(-1, 3)
     if cfg.n_samples:
         return mc_scores(scenario, breached, planes, cfg)[0]
-    guard_extent(scenario, *planes.T)  # sampled targets are checked in mc_counts
-    regions = [build_attackable_region(scenario, bd) for bd in breached]
-    return Breach.of(regions).scores(planes)
+    return Breach.of(scenario, breached).scores(planes)
 
 
 def greedy_select_next(
@@ -359,8 +359,8 @@ def greedy_select_next(
     """
     if not breached:
         raise DomainError("greedy selection requires at least one breached version")
-    planes = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in pool.boundaries]).reshape(-1, 3)
-    taken = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in breached])
+    planes = planes_of(pool.boundaries)
+    taken = planes_of(breached)
     remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
     if not remaining.size:
         raise PoolExhaustedError("every pool candidate has been consumed")

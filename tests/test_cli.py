@@ -15,6 +15,7 @@ import pytest
 from marginseq import cli
 from marginseq.cli import (
     DEFAULT_SETTINGS,
+    MAX_CANDIDATES_SCORED,
     MAX_PLAN_VERSIONS,
     MAX_POOL_SIZE,
     MAX_SEQUENCE_LENGTH,
@@ -398,6 +399,29 @@ def test_pool_sequence_length_limit(tmp_path, capsys, length):
                              "--sequence-length", str(length))
     assert (code, out) == (2, "")
     assert f"limit of {MAX_SEQUENCE_LENGTH}" in err
+
+
+def _undrawn(*args):
+    raise AssertionError("the pool was drawn")
+
+
+def test_pool_candidates_scored_limit(tmp_path, capsys, monkeypatch):
+    # 18 greedy steps over 100,000 candidates: each limit alone admits the run
+    monkeypatch.setattr(cli, "generate_candidate_pool", _undrawn)
+    cfg = tmp_path / "big_pool.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[pool]\nsize = 100000\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool", "--sequence-length", "20")
+    assert (code, out) == (2, "")
+    assert f"limit of {MAX_CANDIDATES_SCORED}" in err
+
+
+def test_pool_empty_by_geometry_exits(tmp_path, capsys):
+    cfg = tmp_path / "far_pool.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n"
+                   "[pool]\nsize = 100000\neps_d = 1000\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool", "--sequence-length", "4")
+    assert (code, out) == (2, "")
+    assert "hypot(c, y_lim)" in err
 
 
 def test_scenario_file_overrides(tmp_path, capsys, monkeypatch):

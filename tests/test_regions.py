@@ -32,8 +32,9 @@ from marginseq.regions import (
     mc_block_counts,
     mc_counts,
     mc_left_cut,
+    planes_of,
 )
-from breach_reference import reference_score
+from breach_reference import reference_breach, reference_score
 from guard_reference import reference_valid
 from mc_reference import full_box_counts, per_target_counts
 from seeded_rng import philox
@@ -99,10 +100,13 @@ def _entry_points(scenario, line):
     seed = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     plane = [(line.plus.a, line.plus.b, line.plus.c)]
     sampled = AttackSampleConfig("ensemble", 2000, 3)
+    exact = AttackSampleConfig("ensemble", 0, 0)
     return {
         "region": lambda: build_attackable_region(scenario, line),
-        "exact-scores": lambda: score_candidates(scenario, seed, plane,
-                                                 AttackSampleConfig("ensemble", 0, 0)),
+        "breach-prior": lambda: Breach.of(scenario, [line]),
+        "breach-target": lambda: Breach.of(scenario, seed).scores(planes_of([line])),
+        "exact-prior": lambda: score_candidates(scenario, [line], planes_of(seed), exact),
+        "exact-scores": lambda: score_candidates(scenario, seed, plane, exact),
         "sampled-scores": lambda: score_candidates(scenario, seed, plane, sampled),
         "mc-prior": lambda: mc_transferability(scenario, [line], seed[0], sampled),
         "mc-target": lambda: mc_transferability(scenario, seed, line, sampled),
@@ -120,8 +124,8 @@ _INVALID_LINES = {
 }
 
 
-@pytest.mark.parametrize("entry", ["region", "exact-scores", "sampled-scores", "mc-prior",
-                                   "mc-target"])
+@pytest.mark.parametrize("entry", ["region", "breach-prior", "breach-target", "exact-prior",
+                                   "exact-scores", "sampled-scores", "mc-prior", "mc-target"])
 @pytest.mark.parametrize("name", sorted(_INVALID_LINES))
 def test_invalid_separator_raises_at_every_entry_point(scenario, name, entry):
     call = _entry_points(scenario, _INVALID_LINES[name](scenario))[entry]
@@ -497,8 +501,9 @@ def test_every_region_vertex_lies_at_or_right_of_the_cut(scenario):
     pool = generate_candidate_pool(scenario, 200, seed=5)
     for bd in [*versions, *pool.boundaries]:
         region = build_attackable_region(scenario, bd)
-        cut = mc_left_cut(scenario, [bd], region.guard)
-        assert cut > -region.guard
+        guard = _guard(scenario, bd)
+        cut = mc_left_cut(scenario, [bd], guard)
+        assert cut > -guard
         for piece in region.pieces:
             assert all(p.x >= cut for p in piece.vertices)
 
@@ -557,6 +562,8 @@ def test_scenario_mismatch_rejected(scenario):
         compound_transferability([ar_a], ar_b)
     with pytest.raises(DomainError):
         compound_transferability([ar_b, ar_a], ar_a)
+    with pytest.raises(DomainError):
+        union_area([ar_a, ar_b])
 
 
 def test_compound_matches_inclusion_exclusion_over_stock_pool(scenario):
@@ -565,10 +572,11 @@ def test_compound_matches_inclusion_exclusion_over_stock_pool(scenario):
     priors = [build_attackable_region(scenario, bd) for bd in canonical_pair(scenario)]
     prior_area = union_area(priors)
     pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
+    prior_guard = max(_guard(scenario, r.source_boundary) for r in priors)
     deeper = 0
     for boundary in pool.boundaries:
         target = build_attackable_region(scenario, boundary)
-        deeper += target.guard > max(r.guard for r in priors)
+        deeper += _guard(scenario, boundary) > prior_guard
         overlap = region_area(target) + prior_area - union_area(priors + [target])
         score = compound_transferability(priors, target)
         assert score.value == pytest.approx(overlap / prior_area, abs=1e-12)
@@ -593,6 +601,14 @@ def _planes(boundaries):
     return np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in boundaries])
 
 
+def _guard(scenario, bd):
+    return float(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c))
+
+
+def _six_priors(scenario):
+    return [*canonical_pair(scenario), *generate_candidate_pool(scenario, 4, 2.0, 7).boundaries]
+
+
 def _assert_scores_match(breach, regions):
     got = breach.scores(_planes(r.source_boundary for r in regions))
     for value, region in zip(got, regions):
@@ -605,9 +621,8 @@ def _assert_scores_match(breach, regions):
 
 
 @pytest.mark.parametrize("breach", [
-    lambda s: Breach.of([build_attackable_region(s, bd) for bd in canonical_pair(s)]),
-    lambda s: Breach.of([build_attackable_region(s, bd) for bd in
-                         [*canonical_pair(s), *generate_candidate_pool(s, 4, 2.0, 7).boundaries]]),
+    lambda s: Breach.of(s, list(canonical_pair(s))),
+    lambda s: Breach.of(s, _six_priors(s)),
     lambda s: Breach.within(build_attackable_region(s, offset_boundary(s, 7.0, 0.7))),
 ], ids=["seed-pair", "six-priors", "one-region"])
 def test_breach_scores_match_scalar_over_stock_pool(scenario, breach):
@@ -625,7 +640,7 @@ def test_breach_scores_near_origin_sliver(scenario):
     target = build_attackable_region(
         scenario, DecisionBoundary.sloped(-6306.151366477757, 1.000444171950221e-11, scenario)
     )
-    for breach in (Breach.of([prior]), Breach.within(prior)):
+    for breach in (Breach.of(scenario, [prior.source_boundary]), Breach.within(prior)):
         _assert_scores_match(breach, [target, prior])
 
 
@@ -633,42 +648,52 @@ def _assert_same_breach(got, want):
     assert repr((got.pieces, got.inside, got.area)) == repr((want.pieces, want.inside, want.area))
 
 
+def _regions(scenario, boundaries):
+    return [build_attackable_region(scenario, bd) for bd in boundaries]
+
+
+@pytest.mark.parametrize("name", [*sorted(_CUT_PRIORS), "six-priors"])
+def test_breach_of_separators_matches_the_region_built_reference(scenario, name):
+    priors = _six_priors(scenario) if name == "six-priors" else _CUT_PRIORS[name](scenario)
+    _assert_same_breach(Breach.of(scenario, priors), reference_breach(_regions(scenario, priors)))
+
+
 @pytest.mark.parametrize("n", [3, 10, 40])
 def test_breach_extend_matches_of_over_plan_prefixes(scenario, n):
-    regions = [build_attackable_region(scenario, bd)
-               for bd, _ in plan_sequence(scenario, n, 7.0, 12.0).versions]
-    breach = Breach.of(regions[:1])
+    versions = [bd for bd, _ in plan_sequence(scenario, n, 7.0, 12.0).versions]
+    regions = _regions(scenario, versions)
+    breach = Breach.of(scenario, versions[:1])
+    _assert_same_breach(breach, reference_breach(regions[:1]))
     for i in range(1, n):
-        assert regions[i].guard <= regions[0].guard  # stock plans keep the first guard
-        breach = breach.extend(regions[i])
-        _assert_same_breach(breach, Breach.of(regions[: i + 1]))
+        # stock plans keep the first guard
+        assert _guard(scenario, versions[i]) <= _guard(scenario, versions[0])
+        breach = breach.extend(versions[i])
+        _assert_same_breach(breach, Breach.of(scenario, versions[: i + 1]))
+        _assert_same_breach(breach, reference_breach(regions[: i + 1]))
 
 
 def test_breach_extend_rebuilds_under_a_deeper_guard(scenario):
-    priors = [build_attackable_region(scenario, bd) for bd in canonical_pair(scenario)]
-    breach = Breach.of(priors)
+    priors = list(canonical_pair(scenario))
+    breach = Breach.of(scenario, priors)
+    prior_guard = max(_guard(scenario, bd) for bd in priors)
     pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
-    deeper = [r for r in (build_attackable_region(scenario, bd) for bd in pool.boundaries)
-              if r.guard > max(p.guard for p in priors)]
+    deeper = [bd for bd in pool.boundaries if _guard(scenario, bd) > prior_guard]
     assert deeper
-    for region in deeper:
-        grown = breach.extend(region)
-        _assert_same_breach(grown, Breach.of(priors + [region]))
+    for bd in deeper:
+        grown = breach.extend(bd)
+        _assert_same_breach(grown, Breach.of(scenario, priors + [bd]))
+        _assert_same_breach(grown, reference_breach(_regions(scenario, priors + [bd])))
         assert grown.pieces != breach.pieces
 
 
 def test_breach_extend_domain_errors(scenario):
-    other = type(scenario)(90.0, 0.1, 30.0)
     ar = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 0.7))
     with pytest.raises(DomainError):
-        Breach.of([ar]).extend(build_attackable_region(other, offset_boundary(other, 7.0, 0.7)))
-    with pytest.raises(DomainError):
-        Breach.within(ar).extend(ar)
+        Breach.within(ar).extend(ar.source_boundary)
 
 
 def test_breach_scores_undefined_for_empty_breach(scenario):
     # this version's "+" side misses both "-" bands, so it exposes nothing
-    empty = build_attackable_region(scenario, DecisionBoundary.sloped(1000.0, -1000.0, scenario))
-    breach = Breach.of([empty])
+    breach = Breach.of(scenario, [DecisionBoundary.sloped(1000.0, -1000.0, scenario)])
     assert breach.area == 0.0
     assert np.isnan(breach.scores(_planes(canonical_pair(scenario)))).all()

@@ -30,6 +30,7 @@ from marginseq import (
     score_candidates,
     verify_plan,
 )
+from marginseq import versioning
 from marginseq.regions import Breach, guard_extent
 from marginseq.versioning import BMAX_TOL
 from breach_reference import reference_score
@@ -247,6 +248,18 @@ def test_pool_validation(scenario):
         generate_candidate_pool(scenario, 5, 5000.0, seed=1)
 
 
+@pytest.mark.parametrize("eps_d", ["hypot", 1000.0])
+def test_pool_empty_by_geometry_draws_nothing(scenario, monkeypatch, eps_d):
+    # (0, +-y_lim) is the band point farthest from both centroids; at this
+    # eps_d no candidate can exist, so not one stream is opened
+    eps_d = float(np.hypot(scenario.c, scenario.y_lim)) if eps_d == "hypot" else eps_d
+    streams = []
+    monkeypatch.setattr(versioning, "philox", lambda *key: streams.append(key))
+    with pytest.raises(DomainError, match="empty"):
+        generate_candidate_pool(scenario, 100_000, eps_d, seed=1)
+    assert streams == []
+
+
 def _line_pool(scenario, offsets):
     boundaries = tuple(DecisionBoundary.sloped(7.0, -b, scenario) for b in offsets)
     hidden = tuple(reconstruct_hidden_point(scenario, 7.0, -b) for b in offsets)
@@ -302,7 +315,7 @@ def test_greedy_exact_steps_match_scalar_scores(scenario):
     picks = []
     for _ in range(8):
         index, score = greedy_select_next(scenario, pool, breached, EXACT)
-        breach = Breach.of([build_attackable_region(scenario, bd) for bd in breached])
+        breach = Breach.of(scenario, breached)
         scalar = reference_score(breach, build_attackable_region(scenario, pool.boundaries[index]))
         assert repr(score.value) == repr(scalar)
         picks.append(index)
