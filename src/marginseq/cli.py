@@ -22,19 +22,19 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError, MarginSeqError, ScenarioFileError
-from .regions import (MODE_ENSEMBLE, AttackSampleConfig, build_attackable_region, planes_of,
-                      region_area)
+from .regions import (MODE_ENSEMBLE, AttackSampleConfig, Breach, build_attackable_region,
+                      planes_of, region_area)
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
     DEFAULT_EPS_D,
     check_boundary_feasibility,
     generate_candidate_pool,
-    greedy_select_next,
     plan_sequence,
     random_baseline_sequence,
     reconstruct_anchor,
     score_candidates,
+    select_next,
     verify_plan,
 )
 
@@ -49,16 +49,17 @@ MAX_PLAN_VERSIONS = 200
 # candidates build in about 1.4 s, and one exact greedy step over them takes about 0.65 s.
 MAX_POOL_SIZE = 100_000
 
-# Each exact greedy step of cmd_pool rebuilds its breach from every breached version,
-# so a run's time grows with the square of --sequence-length.  On a 2-core host, with
-# 3,000 candidates, 100 versions take 2.3 s end to end and 200 take 6.6 s; with
-# 100,000 candidates each step takes about 0.4 s.
+# cmd_pool holds one breach per sequence and extends it by one version a row, so a
+# greedy step's time goes to scoring the pool; only its check for taken candidates grows
+# with the versions breached.  On a 2-core host, with 3,000 candidates, 100 versions
+# take 2.6-3.3 s end to end and 200 take 6.1-7.0 s; with 100,000 candidates each step
+# takes about 0.4 s.
 MAX_SEQUENCE_LENGTH = 100
 
 # The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
 # which the two limits above bound only by their product.  On a 2-core host a run of
-# 300,000 takes 2.3 s end to end as 3,000 candidates over 98 steps and 2.7 s as 100,000
-# over 3 steps; 100,000 candidates over 18 steps, 1.8 million, take 8.7 s.
+# 300,000 takes 2.6-3.3 s end to end as 3,000 candidates over 98 steps and 2.8 s as
+# 100,000 over 3 steps; 100,000 candidates over 18 steps, 1.8 million, take 8.7 s.
 MAX_CANDIDATES_SCORED = 300_000
 
 
@@ -271,27 +272,28 @@ def cmd_pool(settings: Settings, args, out) -> int:
     pool = generate_candidate_pool(scenario, settings.pool_size, settings.pool_eps_d,
                                    settings.pool_seed)
     seed_plan = plan_sequence(scenario, 2, settings.plan_k, settings.plan_b_max)
+    seed_pair = [bd for bd, _ in seed_plan.versions]
     cfg = AttackSampleConfig(MODE_ENSEMBLE, settings.attack_samples, settings.attack_seed)
 
     rows = []
-    breached = [bd for bd, _ in seed_plan.versions]
+    breach = Breach.of(scenario, seed_pair)
     for step in range(3, length + 1):
-        index, score = greedy_select_next(scenario, pool, breached, cfg)
+        index, score = select_next(pool, breach, cfg)
         boundary = pool.boundaries[index]
         hidden = pool.hidden_points[index]
         kind, k, b, x0 = _boundary_fields(boundary)
         rows.append(("greedy", step, index, kind, k, b, x0,
                      hidden.v, hidden.w, score.value))
-        breached.append(boundary)
+        breach = breach.extend(boundary)
 
     baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed)
-    versions = [bd for bd, _ in seed_plan.versions]
+    breach = Breach.of(scenario, seed_pair)
     for step, (hidden, boundary) in enumerate(baseline, start=3):
-        (value,) = score_candidates(scenario, versions, planes_of([boundary]), cfg)
+        (value,) = score_candidates(breach, planes_of([boundary]), cfg)
         kind, k, b, x0 = _boundary_fields(boundary)
         rows.append(("random", step, None, kind, k, b, x0,
                      hidden.v, hidden.w, float(value)))
-        versions.append(boundary)
+        breach = breach.extend(boundary)
 
     writer = ReportWriter(
         scenario,

@@ -100,6 +100,14 @@ def philox(seed: int, stream: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+def strip_reach(scenario: ScenarioConfig, a, b, c):
+    """(|c| + |b|*y_lim) / |a|, per separator given as in :func:`guard_extent`.
+
+    A valid separator's "+" side holds no point of the strip left of -reach.
+    """
+    return (np.abs(c) + np.abs(b) * scenario.y_lim) / np.abs(a)
+
+
 def guard_extent(scenario: ScenarioConfig, a, b, c):
     """Left clipping depth G for the conceptually unbounded band {x <= -delta}.
 
@@ -110,12 +118,12 @@ def guard_extent(scenario: ScenarioConfig, a, b, c):
     -G*(1 - 1e-9), so that its region lies well inside x >= -G.  Any other
     separator, one whose G overflows included, raises :class:`GeometryError`.
     """
-    c0, y = scenario.c, scenario.y_lim
+    c0 = scenario.c
     with np.errstate(all="ignore"):
-        span = np.abs(b) * y
-        guard = np.maximum(2.0 * c0, (np.abs(c) + span) / np.abs(a) + c0)
+        guard = np.maximum(2.0 * c0, strip_reach(scenario, a, b, c) + c0)
+        leftmost = (c + np.abs(b) * scenario.y_lim) / a
         # an overflowing guard fails too: inf > inf is false, and so is nan
-        valid = (np.less(a, 0.0) & ((c + span) / a + guard > 1e-9 * guard)).all()
+        valid = (np.less(a, 0.0) & (leftmost + guard > 1e-9 * guard)).all()
     if not valid:
         raise GeometryError("attackable region reached the left guard; invalid separator")
     return guard
@@ -300,8 +308,7 @@ def mc_left_cut(scenario: ScenarioConfig, priors: list[DecisionBoundary], guard:
     cut would all be rejected, so only their count is drawn; see
     :func:`mc_counts` for the proof.
     """
-    reach = max((abs(bd.plus.c) + abs(bd.plus.b) * scenario.y_lim) / -bd.plus.a for bd in priors)
-    return -reach - 1e-9 * guard
+    return -float(strip_reach(scenario, *planes_of(priors).T).max()) - 1e-9 * guard
 
 
 def mc_counts(
@@ -339,7 +346,7 @@ def mc_counts(
 
     Proof that the skipped points are rejected.  A valid prior's "+" side has
     a < 0 and holds no point of the strip left of -reach, reach = (|c| +
-    |b|*y_lim) / -a as in :func:`guard_extent`.  The cut is -max(reach) -
+    |b|*y_lim) / -a, its :func:`strip_reach`.  The cut is -max(reach) -
     1e-9*guard.  For x < cut and |y| <= y_lim, the exact a*x + b*y - c
     exceeds -a*1e-9*guard, less a few ulps of reach from rounding the cut.
     As |x| <= guard and reach < guard, the rounding error of the computed

@@ -53,7 +53,11 @@ DEFAULT_EPS_D = 2.0
 # find_bmax stops bisecting once its bracket is this narrow
 BMAX_TOL = 1e-6
 
-_POOL_ATTEMPT_FACTOR = 10_000
+# generate_candidate_pool refuses, before any draw, a pool whose expected draw count,
+# size / admissible_share, exceeds this.  On a 2-core host its loop tests 1.5-2.7e7
+# points/s in batches of 1,000 or more, about 0.3 s at the limit, but 3.3e6 points/s in
+# the 64-point batches a pool under 64 candidates draws, about 1.5 s on average.
+MAX_POOL_DRAWS = 5_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,6 +290,30 @@ def verify_plan(plan: SequencePlan) -> PlanVerification:
     )
 
 
+def admissible_share(scenario: ScenarioConfig, eps_d: float) -> float:
+    """Share of the determining band outside both eps_d exclusion disks, in closed form.
+
+    At height w the disk around (c, 0), of radius e = eps_d, leaves the band
+    the width clamp(c - sqrt(max(0, e^2 - w^2)), 0, c - 1) on its side of
+    v = 0, and the other disk the same on the other.  That width is 0 for
+    |w| <= w0 = sqrt(e^2 - c^2), c - 1 for |w| >= w1 = sqrt(e^2 - 1), and
+    c - sqrt(e^2 - w^2) between, whose integral takes
+    f(w) = (w*sqrt(e^2 - w^2) + e^2*asin(w/e))/2.  Zero when eps_d reaches
+    hypot(c, y_lim), the distance from both centroids to the band points
+    (0, +-y_lim) farthest from them.
+    """
+    c, y, e = scenario.c, scenario.y_lim, eps_d
+    if e >= np.hypot(c, y):
+        return 0.0
+    w0, w1 = (min(y, math.sqrt(max(0.0, e * e - r * r))) for r in (c, 1.0))
+
+    def f(w):
+        return 0.5 * (w * math.sqrt(max(0.0, e * e - w * w)) + e * e * math.asin(w / e))
+
+    half = c * (w1 - w0) - (f(w1) - f(w0)) + (c - 1.0) * (y - w1)
+    return max(0.0, half) / ((c - 1.0) * y)
+
+
 def generate_candidate_pool(
     scenario: ScenarioConfig, size: int, eps_d: float = DEFAULT_EPS_D, seed: int = 0
 ) -> CandidatePool:
@@ -294,26 +322,27 @@ def generate_candidate_pool(
     Points are rejected inside the eps_d exclusion disks around both training
     centroids, keeping candidates the required distance from task data; each
     candidate's boundary is precomputed.  An eps_d that leaves no band point
-    outside both disks raises :class:`DomainError` before any draw.
+    outside both disks, or so small a share of it that size candidates would
+    take more than MAX_POOL_DRAWS draws on average (see
+    :func:`admissible_share`), raises :class:`DomainError` before any draw.
     """
     if size < 1:
         raise DomainError("pool size must be >= 1")
     if eps_d <= 1.0:
         raise DomainError("eps_d must exceed the training disk radius 1")
     c, y_lim = scenario.c, scenario.y_lim
-    farthest = np.hypot(c, y_lim)  # from both centroids, reached at the band points (0, +-y_lim)
-    if eps_d >= farthest:
+    share = admissible_share(scenario, eps_d)
+    if share == 0.0:
         raise DomainError(f"band minus eps_d={eps_d} exclusion disks is empty: eps_d must be "
-                          f"below hypot(c, y_lim) = {farthest:.9g}")
+                          f"below hypot(c, y_lim) = {np.hypot(c, y_lim):.9g}")
+    if size / share > MAX_POOL_DRAWS:
+        raise DomainError(f"band minus eps_d={eps_d} exclusion disks is nearly empty: "
+                          f"{size} candidates need about {size / share:.4g} draws, above the "
+                          f"limit of {MAX_POOL_DRAWS}")
     rng = philox(seed, 0)
     points: list[HiddenPoint] = []
-    attempts = 0
-    max_attempts = _POOL_ATTEMPT_FACTOR * size
     while len(points) < size:
-        if attempts >= max_attempts:
-            raise DomainError(f"band minus eps_d={eps_d} exclusion disks is empty or nearly so")
         batch = max(size - len(points), 64)
-        attempts += batch
         v = rng.uniform(-(c - 1.0), c - 1.0, batch)
         w = rng.uniform(-y_lim, y_lim, batch)
         ok = (np.hypot(v - c, w) > eps_d) & (np.hypot(v + c, w) > eps_d)
@@ -325,22 +354,47 @@ def generate_candidate_pool(
     return CandidatePool(tuple(points), boundaries)
 
 
-def score_candidates(
-    scenario: ScenarioConfig, breached: list[DecisionBoundary], planes, cfg: AttackSampleConfig
-) -> np.ndarray:
-    """Transferability from the breached versions of each candidate under cfg.
+def score_candidates(breach: Breach, planes, cfg: AttackSampleConfig) -> np.ndarray:
+    """Transferability from the held breach of each candidate under cfg.
 
     Candidates are given as one "+" half-plane (a, b, c) per row.  This only
-    picks the scorer; both take the breached separators and check every
-    guard (see :func:`guard_extent`).  Exact area ratios from one
-    :meth:`Breach.scores` batch when cfg.n_samples == 0; otherwise Monte
-    Carlo estimates from one shared stream (:func:`mc_scores`).  Scores are
-    NaN, all of them, when the breach leaves the ratio undefined.
+    picks the scorer; both check every target's guard (see
+    :func:`guard_extent`).  Exact area ratios from one :meth:`Breach.scores`
+    batch when cfg.n_samples == 0; otherwise Monte Carlo estimates from one
+    shared stream over the breach's separators (:func:`mc_scores`).  Scores
+    are NaN, all of them, when the breach leaves the ratio undefined.
     """
     planes = np.asarray(planes, dtype=float).reshape(-1, 3)
     if cfg.n_samples:
-        return mc_scores(scenario, breached, planes, cfg)[0]
-    return Breach.of(scenario, breached).scores(planes)
+        return mc_scores(breach.scenario, breach.priors, planes, cfg)[0]
+    return breach.scores(planes)
+
+
+def select_next(
+    pool: CandidatePool, breach: Breach, cfg: AttackSampleConfig
+) -> tuple[int, TransferabilityScore]:
+    """Pool index minimizing transferability from the held breach.
+
+    Candidates whose boundary equals a breached one are excluded and the rest
+    are scored by :func:`score_candidates`.  Ties break toward the lowest pool
+    index.  A step whose scores are undefined (NaN) has nothing to pick by:
+    it raises :class:`UndefinedEstimateError` naming the step, the
+    (len(breach.priors) + 1)-th version, and, when sampled, the sample count.
+    A sequence holds one breach and grows it with :meth:`Breach.extend`.
+    """
+    planes = planes_of(pool.boundaries)
+    taken = planes_of(breach.priors)
+    remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
+    if not remaining.size:
+        raise PoolExhaustedError("every pool candidate has been consumed")
+    values = score_candidates(breach, planes[remaining], cfg)
+    best = int(np.argmin(values))  # the first NaN, if any
+    score = TransferabilityScore(float(values[best]))
+    if not score.defined:
+        why = (f"no candidate reached the Monte Carlo acceptance floor with n_samples = "
+               f"{cfg.n_samples}" if cfg.n_samples else "the breached versions expose no area")
+        raise UndefinedEstimateError(f"step {len(breach.priors) + 1}: {why}")
+    return int(remaining[best]), score
 
 
 def greedy_select_next(
@@ -349,29 +403,8 @@ def greedy_select_next(
     breached: list[DecisionBoundary],
     cfg: AttackSampleConfig,
 ) -> tuple[int, TransferabilityScore]:
-    """Pool index minimizing transferability from the breached versions.
-
-    Candidates whose boundary equals a breached one are excluded and the rest
-    are scored by :func:`score_candidates`.  Ties break toward the lowest pool
-    index.  A step whose scores are undefined (NaN) has nothing to pick by:
-    it raises :class:`UndefinedEstimateError` naming the step, the
-    (len(breached) + 1)-th version, and, when sampled, the sample count.
-    """
-    if not breached:
-        raise DomainError("greedy selection requires at least one breached version")
-    planes = planes_of(pool.boundaries)
-    taken = planes_of(breached)
-    remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
-    if not remaining.size:
-        raise PoolExhaustedError("every pool candidate has been consumed")
-    values = score_candidates(scenario, breached, planes[remaining], cfg)
-    best = int(np.argmin(values))  # the first NaN, if any
-    score = TransferabilityScore(float(values[best]))
-    if not score.defined:
-        why = (f"no candidate reached the Monte Carlo acceptance floor with n_samples = "
-               f"{cfg.n_samples}" if cfg.n_samples else "the breached versions expose no area")
-        raise UndefinedEstimateError(f"step {len(breached) + 1}: {why}")
-    return int(remaining[best]), score
+    """:func:`select_next` over ``Breach.of(scenario, breached)``, built afresh each call."""
+    return select_next(pool, Breach.of(scenario, breached), cfg)
 
 
 def random_baseline_sequence(

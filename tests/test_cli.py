@@ -88,6 +88,15 @@ def test_stock_csv_matches_golden_bytes(capsys, argv, golden):
     assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
+def test_long_pool_run_matches_golden_bytes(tmp_path, capsys):
+    # 58 greedy and 58 random steps, each grown from the breach before it
+    cfg = tmp_path / "pool1000.ini"
+    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[pool]\nsize = 1000\n")
+    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool", "--sequence-length", "60")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "pool_size1000_len60.csv").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("golden, n_samples", [("pool_samples20000_len5.csv", 20_000),
                                                 ("pool_samples200000.csv", 200_000)])
 def test_sampled_golden_scores_within_3_sigma_of_exact(golden, n_samples):

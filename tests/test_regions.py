@@ -105,9 +105,10 @@ def _entry_points(scenario, line):
         "region": lambda: build_attackable_region(scenario, line),
         "breach-prior": lambda: Breach.of(scenario, [line]),
         "breach-target": lambda: Breach.of(scenario, seed).scores(planes_of([line])),
-        "exact-prior": lambda: score_candidates(scenario, [line], planes_of(seed), exact),
-        "exact-scores": lambda: score_candidates(scenario, seed, plane, exact),
-        "sampled-scores": lambda: score_candidates(scenario, seed, plane, sampled),
+        "exact-prior": lambda: score_candidates(Breach.of(scenario, [line]), planes_of(seed),
+                                                exact),
+        "exact-scores": lambda: score_candidates(Breach.of(scenario, seed), plane, exact),
+        "sampled-scores": lambda: score_candidates(Breach.of(scenario, seed), plane, sampled),
         "mc-prior": lambda: mc_transferability(scenario, [line], seed[0], sampled),
         "mc-target": lambda: mc_transferability(scenario, seed, line, sampled),
     }
@@ -526,7 +527,7 @@ def test_mc_accepted_count_is_the_same_for_every_target(scenario):
 def test_sampled_scores_undefined_when_breach_accepts_nothing(scenario):
     empty_prior = offset_boundary(scenario, 7.0, 31.0)
     planes = [(bd.plus.a, bd.plus.b, bd.plus.c) for bd in canonical_pair(scenario)]
-    values = score_candidates(scenario, [empty_prior], planes,
+    values = score_candidates(Breach.of(scenario, [empty_prior]), planes,
                               AttackSampleConfig("ensemble", 100_000, 9))
     assert np.isnan(values).all() and len(values) == 2
 

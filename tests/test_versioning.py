@@ -32,7 +32,7 @@ from marginseq import (
 )
 from marginseq import versioning
 from marginseq.regions import Breach, guard_extent
-from marginseq.versioning import BMAX_TOL
+from marginseq.versioning import BMAX_TOL, admissible_share, select_next
 from breach_reference import reference_score
 from mc_reference import per_target_counts
 from seeded_rng import philox
@@ -260,6 +260,51 @@ def test_pool_empty_by_geometry_draws_nothing(scenario, monkeypatch, eps_d):
     assert streams == []
 
 
+def _quadrature_share(scenario, eps_d, n=1_000_000):
+    """Midpoint rule over w in [0, y_lim] of the uncovered band width at height w."""
+    c, y = scenario.c, scenario.y_lim
+    w = (np.arange(n) + 0.5) * (y / n)
+    width = np.clip(c - np.sqrt(np.maximum(0.0, eps_d**2 - w**2)), 0.0, c - 1.0)
+    return width.sum() * (y / n) / ((c - 1.0) * y)
+
+
+@pytest.mark.parametrize("eps_d", [2.0, 31.0, 99.5, 100.5, 104.0])
+def test_admissible_share_matches_quadrature(scenario, eps_d):
+    assert admissible_share(scenario, eps_d) == pytest.approx(
+        _quadrature_share(scenario, eps_d), rel=1e-6)
+
+
+def test_nearly_empty_pool_draws_nothing(scenario, monkeypatch):
+    # eps_d = 104.4 leaves 5.7e-9 of the band: 10,000 candidates would take
+    # about 1.7e12 draws, so the pool is refused before a stream is opened
+    streams = []
+    monkeypatch.setattr(versioning, "philox", lambda *key: streams.append(key))
+    assert admissible_share(scenario, 104.4) == pytest.approx(5.747e-9, rel=1e-3)
+    with pytest.raises(DomainError, match="nearly empty"):
+        generate_candidate_pool(scenario, 10_000, 104.4, seed=1)
+    assert streams == []
+
+
+def test_nearly_empty_pool_verdict_follows_expected_draws(scenario, monkeypatch):
+    # at eps_d = 104.0 the verdict turns on size / share against the draw
+    # limit, whatever the seed; a lower limit keeps the admitted run short
+    share = admissible_share(scenario, 104.0)
+    largest = int(versioning.MAX_POOL_DRAWS * share)
+    streams = []
+    real = versioning.philox
+    monkeypatch.setattr(versioning, "philox", lambda *key: streams.append(key) or real(*key))
+    with pytest.raises(DomainError, match="nearly empty"):
+        generate_candidate_pool(scenario, largest + 1, 104.0, seed=1)
+    assert streams == []
+    monkeypatch.setattr(versioning, "MAX_POOL_DRAWS", 1_000_000)
+    assert 100 / share <= 1_000_000 < 101 / share
+    with pytest.raises(DomainError, match="nearly empty"):
+        generate_candidate_pool(scenario, 101, 104.0, seed=1)
+    assert streams == []
+    assert len(generate_candidate_pool(scenario, 100, 104.0, seed=1).boundaries) == 100
+    assert streams == [(1, 0)]
+
+
 def _line_pool(scenario, offsets):
     boundaries = tuple(DecisionBoundary.sloped(7.0, -b, scenario) for b in offsets)
     hidden = tuple(reconstruct_hidden_point(scenario, 7.0, -b) for b in offsets)
@@ -321,6 +366,48 @@ def test_greedy_exact_steps_match_scalar_scores(scenario):
         picks.append(index)
         breached.append(pool.boundaries[index])
     assert picks == [896, 453, 724, 266, 731, 271, 552, 187]
+
+
+def _held_and_list_steps(scenario, pool, cfg, steps):
+    """Greedy picks and score reprs from one held breach, each checked against
+    greedy_select_next over the breached list."""
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    breach = Breach.of(scenario, breached)
+    picks = []
+    for _ in range(steps):
+        index, score = select_next(pool, breach, cfg)
+        listed, listed_score = greedy_select_next(scenario, pool, breached, cfg)
+        assert (index, repr(score.value)) == (listed, repr(listed_score.value))
+        picks.append((index, repr(score.value)))
+        breach = breach.extend(pool.boundaries[index])
+        breached.append(pool.boundaries[index])
+    return picks
+
+
+# Exact picks over 1000-candidate pools at the stock eps_d = 2, drawn from the
+# 32-bit seed np.random.SeedSequence(s) derives for s = 0, 7 and 15: tangent-branch
+# candidates whose separators pass within rounding of the origin, 8 steps each.
+_STOCK_EPS_PICKS = {
+    0: [995, 457, 337, 403, 534, 940, 628, 978],
+    7: [239, 914, 162, 608, 554, 0, 315, 792],
+    15: [826, 141, 26, 519, 174, 673, 770, 123],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_STOCK_EPS_PICKS))
+def test_greedy_exact_steps_at_stock_eps_d(scenario, seed):
+    (pool_seed,) = np.random.SeedSequence(seed).generate_state(1, dtype=np.uint32)
+    pool = generate_candidate_pool(scenario, 1000, 2.0, int(pool_seed))
+    picks = _held_and_list_steps(scenario, pool, EXACT, 8)
+    assert [index for index, _ in picks] == _STOCK_EPS_PICKS[seed]
+
+
+def test_held_breach_sampled_steps_equal_list_steps(scenario):
+    # the stock pool at 20,000 samples: the greedy rows of pool_samples20000_len5.csv
+    pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
+    picks = _held_and_list_steps(scenario, pool, AttackSampleConfig("ensemble", 20_000, 42), 3)
+    assert [(index, f"{float(value):.9g}") for index, value in picks] == [
+        (16, "0.346534653"), (11, "0.564356436"), (20, "0.0537891986")]
 
 
 def _exposes_nothing(scenario):
@@ -442,7 +529,8 @@ def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps
             # the stock pool from the seed pair
             assert deep_guard.sum() == 7
         assert np.isnan(expected).all() or not np.isnan(expected).any()
-        np.testing.assert_array_equal(score_candidates(scenario, breached, planes, cfg), expected)
+        np.testing.assert_array_equal(score_candidates(Breach.of(scenario, breached), planes, cfg),
+                                      expected)
         index, _ = greedy_select_next(scenario, pool, breached, cfg)
         breached.append(pool.boundaries[index])
 
