@@ -40,10 +40,11 @@ from .versioning import (
 
 SCHEMA_VERSION = "1"
 
-# cmd_plan reads every prefix score from verify_plan, which grows its breach one
-# version at a time: N = 200 takes about 0.5 s and N = 400 about 0.8 s on a
-# 2-core host.  This is the only bound on --n.
-MAX_PLAN_VERSIONS = 200
+# cmd_plan reads every prefix score from verify_plan, which grows its prefix breaches
+# in one chain and scores them in one batched clip per 256 prefixes.  On a 2-core host
+# running about 1.9 times slower than when quiet, `plan --n 1000 --svg` takes about
+# 0.65 s end to end and `--n 200` about 0.38 s.  This is the only bound on --n.
+MAX_PLAN_VERSIONS = 1000
 
 # generate_candidate_pool draws its first batch at full size.  On a 2-core host 100,000
 # candidates build in about 1.4 s, and one exact greedy step over them takes about 0.65 s.

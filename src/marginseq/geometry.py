@@ -8,6 +8,7 @@ story.  All types are immutable values and all functions are pure.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -202,14 +203,18 @@ class PolygonBatch(NamedTuple):
     n: np.ndarray
 
     @classmethod
-    def repeat(cls, polys: Sequence[ConvexPolygon], copies: int) -> "PolygonBatch":
-        """``copies`` runs of the polygons, one polygon per row, in order."""
-        counts = [len(p.vertices) for p in polys]
-        xy = np.zeros((len(polys), max(counts), 2))
-        for row, poly in zip(xy, polys):
-            row[:len(poly.vertices)] = np.reshape(poly.vertices, (-1, 2))
-        return cls(np.tile(xy[:, :, 0], (copies, 1)), np.tile(xy[:, :, 1], (copies, 1)),
-                   np.tile(counts, copies))
+    def of(cls, polys: Sequence[ConvexPolygon]) -> "PolygonBatch":
+        """The polygons, one per row, in order."""
+        counts = np.array([len(p.vertices) for p in polys], dtype=np.intp)
+        xy = np.zeros((len(polys), counts.max(initial=0), 2))
+        # every vertex's two coordinates in one flat run, filling the rows' leading slots
+        flat = chain.from_iterable(chain.from_iterable(p.vertices for p in polys))
+        xy[np.arange(xy.shape[1]) < counts[:, None]] = np.fromiter(flat, float).reshape(-1, 2)
+        return cls(xy[:, :, 0], xy[:, :, 1], counts)
+
+    def take(self, rows) -> "PolygonBatch":
+        """The given rows, in the given order; a row may be taken more than once."""
+        return PolygonBatch(self.x[rows], self.y[rows], self.n[rows])
 
 
 def _successors(polys: PolygonBatch) -> tuple[np.ndarray, np.ndarray]:

@@ -36,8 +36,8 @@ from .separators import DecisionBoundary, ScenarioConfig
 # anywhere and the merged counts are identical to a single sequential pass.
 MC_BLOCK = 1 << 17
 
-# Targets per batched clip in Breach.scores: bounds its (rows x vertices)
-# temporaries whatever the pool size.
+# Target rows per batched clip in Breach.scores and paired_scores: bounds the
+# (rows x vertices) temporaries whatever the pool size or plan length.
 SCORE_BLOCK = 256
 
 MODE_ENSEMBLE = "ensemble"
@@ -185,7 +185,7 @@ class Breach:
     which no breached region reaches: the pieces are the bands, ``inside``
     each band cut by every breached "-" side and ``area`` the union, band
     less inside.  A target scores two clips per band however many versions
-    are breached; :meth:`extend` adds one with one clip per band.
+    are breached; :meth:`chain` adds versions with one clip per band each.
     """
 
     scenario: ScenarioConfig
@@ -202,8 +202,13 @@ class Breach:
         guard = deepest_guard(scenario, priors)
         bands = band_rectangles(scenario, guard)
         inside = tuple(halfplane_intersection([bd.minus for bd in priors], b) for b in bands)
+        return cls._exposing(scenario, tuple(priors), guard, bands, inside)
+
+    @classmethod
+    def _exposing(cls, scenario, priors, guard, bands, inside) -> "Breach":
+        """The breach whose area is each band less its inside, summed in band order."""
         area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(bands, inside))
-        return cls(scenario, tuple(priors), guard, bands, inside, area)
+        return cls(scenario, priors, guard, bands, inside, area)
 
     @classmethod
     def within(cls, region: AttackableRegion) -> "Breach":
@@ -211,19 +216,30 @@ class Breach:
         empty = (ConvexPolygon.empty(),) * len(region.pieces)
         return cls(region.scenario, (), math.nan, region.pieces, empty, region_area(region))
 
-    def extend(self, boundary: DecisionBoundary) -> "Breach":
-        """:meth:`of` the breached separators and one more, bit for bit.
+    def chain(self, sequence) -> list["Breach"]:
+        """This breach, then it extended by each separator of sequence in turn.
 
-        One clip per band, unless boundary's guard is deeper than every breached one.
+        Each equals :meth:`of` its breached separators, bit for bit.  One
+        :func:`guard_extent` call covers the whole sequence; a separator
+        costs one clip per band, unless its guard is deeper than every
+        breached one, where the breach is rebuilt by :meth:`of`.
         """
         if not self.priors:
             raise DomainError("a breach of one region's own pieces cannot grow")
-        priors = (*self.priors, boundary)
-        if deepest_guard(self.scenario, [boundary]) > self.guard:
-            return Breach.of(self.scenario, priors)
-        inside = tuple(clip_convex(i, boundary.minus) for i in self.inside)
-        area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(self.pieces, inside))
-        return Breach(self.scenario, priors, self.guard, self.pieces, inside, area)
+        out = [self]
+        for boundary, guard in zip(sequence, guard_extent(self.scenario, *planes_of(sequence).T)):
+            last = out[-1]
+            priors = (*last.priors, boundary)
+            if guard > last.guard:
+                out.append(Breach.of(self.scenario, priors))
+            else:
+                inside = tuple(clip_convex(i, boundary.minus) for i in last.inside)
+                out.append(Breach._exposing(self.scenario, priors, last.guard, last.pieces, inside))
+        return out
+
+    def extend(self, boundary: DecisionBoundary) -> "Breach":
+        """:meth:`of` the breached separators and one more: the last of :meth:`chain`."""
+        return self.chain([boundary])[-1]
 
     def score(self, target: DecisionBoundary) -> TransferabilityScore:
         """Share of the breached territory that target classifies "+"."""
@@ -232,27 +248,59 @@ class Breach:
     def scores(self, planes: np.ndarray) -> np.ndarray:
         """:meth:`score` of every target, given as one "+" half-plane (a, b, c) per row.
 
-        Each row scores area(band n plus) - area(inside n plus) per band; one
-        batched clip per block cuts every band and inside polygon for every
-        target.  NaN throughout when the breached area is zero, as the ratio
-        is then undefined.  An invalid target raises :class:`GeometryError`.
+        NaN throughout when the breached area is zero, as the ratio is then
+        undefined.  An invalid target raises :class:`GeometryError`.  See
+        :func:`paired_scores`, which shares the body.
         """
-        guard_extent(self.scenario, *planes.T)
-        if self.area == 0.0:
-            return np.full(len(planes), np.nan)
-        polys = self.pieces + self.inside
-        numer = np.zeros(len(planes))
-        for start in range(0, len(planes), SCORE_BLOCK):
-            block = planes[start:start + SCORE_BLOCK]
-            a, b, c = np.repeat(block, len(polys), axis=0).T
-            areas = polygon_areas(clip_convex_batch(PolygonBatch.repeat(polys, len(block)), a, b, c))
-            for band, inside in areas.reshape(len(block), 2, -1).T:
-                numer[start:start + SCORE_BLOCK] += band - inside
-        values = numer / self.area
-        bad = (values < -1e-9) | (values > 1.0 + 1e-9)
-        if bad.any():
-            raise GeometryError(f"transferability ratio {float(values[bad][0])} outside [0, 1]")
-        return np.clip(values, 0.0, 1.0)
+        return _score_rows([self], np.zeros(len(planes), dtype=np.intp), planes)
+
+
+def paired_scores(breaches, planes) -> np.ndarray:
+    """Row i of planes, one "+" half-plane (a, b, c) per row, scored against breaches[i].
+
+    Each row gets what ``breaches[i].scores`` gives it alone, bit for bit,
+    NaN included.  Every breach is of one scenario.
+    """
+    if len(breaches) != len(planes):
+        raise DomainError(f"{len(planes)} target rows for {len(breaches)} breaches")
+    return _score_rows(breaches, np.arange(len(breaches)), planes)
+
+
+def _score_rows(breaches, owner: np.ndarray, planes) -> np.ndarray:
+    """Row i of planes scored against breaches[owner[i]].
+
+    Each row scores area(band n plus) - area(inside n plus) per band, over
+    its breach's area.  One batched clip per block of SCORE_BLOCK rows cuts
+    every band and inside polygon of each row's breach, taken as rows of one
+    :class:`PolygonBatch` of all the breaches' polygons.  A row is NaN when
+    its breach's area is zero, as the ratio is then undefined.  An invalid
+    target raises :class:`GeometryError`.
+    """
+    scenarios = {b.scenario for b in breaches}
+    if len(scenarios) > 1:
+        raise DomainError("breaches built under different scenarios")
+    planes = np.asarray(planes, dtype=float).reshape(-1, 3)
+    if not len(planes):
+        return np.zeros(0)
+    guard_extent(scenarios.pop(), *planes.T)
+    bands = len(breaches[0].pieces)
+    width = 2 * bands  # a breach's bands, then their inside polygons
+    polys = PolygonBatch.of([p for b in breaches for p in (*b.pieces, *b.inside)])
+    numer = np.zeros(len(planes))
+    for start in range(0, len(planes), SCORE_BLOCK):
+        block = slice(start, start + SCORE_BLOCK)
+        rows = (owner[block, None] * width + np.arange(width)).ravel()
+        a, b, c = np.repeat(planes[block], width, axis=0).T
+        areas = polygon_areas(clip_convex_batch(polys.take(rows), a, b, c))
+        for band, inside in areas.reshape(-1, 2, bands).T:
+            numer[block] += band - inside
+    area = np.array([b.area for b in breaches])[owner]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(area == 0.0, np.nan, numer / area)
+    bad = (values < -1e-9) | (values > 1.0 + 1e-9)
+    if bad.any():
+        raise GeometryError(f"transferability ratio {float(values[bad][0])} outside [0, 1]")
+    return np.clip(values, 0.0, 1.0)
 
 
 def _separators(regions: list[AttackableRegion]) -> tuple[ScenarioConfig, list[DecisionBoundary]]:

@@ -18,9 +18,10 @@ from .regions import (
     build_attackable_region,
     check_zero_transfer,
     closed_form_ar_area,
-    directional_transferability,
     mc_transferability,
+    paired_scores,
     philox,
+    planes_of,
     region_area,
 )
 from .separators import (
@@ -171,18 +172,17 @@ def _zero_transfer_pair(scenario: ScenarioConfig, rng: "np.random.Generator"):
 
 def check_zero_transfer_pairs(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9003, 0)
-    worst_exact = 0.0
+    breaches, targets = [], []
     worst_mc = 0.0
     for _ in range(_ZERO_TRANSFER_PAIRS):
         bd1, bd2, ar1, ar2 = _zero_transfer_pair(scenario, rng)
         assert check_zero_transfer(bd1, bd2, scenario)
-        worst_exact = max(
-            worst_exact,
-            directional_transferability(ar1, ar2).value,
-            directional_transferability(ar2, ar1).value,
-        )
+        # both directional ratios, scored below with every other pair's
+        breaches += [Breach.within(ar1), Breach.within(ar2)]
+        targets += [bd2, bd1]
         cfg = AttackSampleConfig("ensemble", 100_000, 77)
         worst_mc = max(worst_mc, mc_transferability(scenario, [bd1], bd2, cfg).value)
+    worst_exact = max(0.0, *paired_scores(breaches, planes_of(targets)).tolist())
     passed = worst_exact == 0.0 and worst_mc == 0.0
     return CheckResult(
         "zero-transfer pairs exact and sampled == 0",
@@ -193,7 +193,7 @@ def check_zero_transfer_pairs(scenario: ScenarioConfig) -> CheckResult:
 
 def check_mc_consistency(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9004, 0)
-    worst_sigma = 0.0
+    breaches, targets, estimates = [], [], []
     for _ in range(_MC_SETS):
         bd1, bd2, _, _ = _zero_transfer_pair(scenario, rng)
         k = bd1.k
@@ -206,9 +206,12 @@ def check_mc_consistency(scenario: ScenarioConfig) -> CheckResult:
         if not separates_training_disks(scenario, target):
             target = DecisionBoundary.sloped(k, -cap, scenario)
         priors = [bd1, bd2]
-        exact = Breach.of(scenario, priors).score(target).value
+        breaches.append(Breach.of(scenario, priors))
+        targets.append(target)
         cfg = AttackSampleConfig("ensemble", 200_000, 78)
-        est = mc_transferability(scenario, priors, target, cfg)
+        estimates.append(mc_transferability(scenario, priors, target, cfg))
+    worst_sigma = 0.0
+    for exact, est in zip(paired_scores(breaches, planes_of(targets)).tolist(), estimates):
         sigma = math.sqrt(max(exact * (1.0 - exact), 1e-12) / est.accepted)
         worst_sigma = max(worst_sigma, abs(est.value - exact) / (3.0 * sigma))
     return CheckResult(

@@ -36,8 +36,8 @@ from .regions import (
     Breach,
     TransferabilityScore,
     build_attackable_region,
-    directional_transferability,
     mc_scores,
+    paired_scores,
     philox,
     planes_of,
 )
@@ -263,16 +263,21 @@ def plan_sequence(
 
 
 def verify_plan(plan: SequencePlan) -> PlanVerification:
-    """Exact audit: prefix bounds, union stability, and the zero-transfer pair."""
-    versions = [bd for bd, _ in plan.versions]
-    seed_pair = [build_attackable_region(plan.scenario, bd) for bd in versions[:2]]
-    at_pair = directional_transferability(*seed_pair).value if len(seed_pair) == 2 else 0.0
+    """Exact audit: prefix bounds, union stability, and the zero-transfer pair.
 
-    compound, unions = [], []
-    for i in range(3, len(versions) + 1):
-        breach = Breach.of(plan.scenario, versions[:2]) if i == 3 else breach.extend(versions[i - 2])
-        compound.append((i, breach.score(versions[i - 1]).value))
-        unions.append(breach.area)
+    The seed pair's directional row and every prefix row are scored in one
+    :func:`paired_scores` call, against prefix breaches grown by one
+    :meth:`Breach.chain`.
+    """
+    scenario = plan.scenario
+    versions = [bd for bd, _ in plan.versions]
+    prefixes = Breach.of(scenario, versions[:2]).chain(versions[2:-1]) if len(versions) > 2 else []
+    pair = [Breach.within(build_attackable_region(scenario, versions[0]))] if len(versions) > 1 else []
+    values = paired_scores(pair + prefixes, planes_of(versions[1:])).tolist()
+    at_pair = values.pop(0) if pair else 0.0
+
+    compound = list(zip(range(3, len(versions) + 1), values))
+    unions = [breach.area for breach in prefixes]
     base = unions[0] if unions else 1.0  # the seed pair's union, which no later version may grow
     union_dev = max((abs(u - base) / base for u in unions), default=0.0) if base > 0.0 else math.inf
 

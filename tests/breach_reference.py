@@ -1,11 +1,14 @@
 """The exact scorer written out with the scalar clip, one target at a time,
-and the breach built from the breached versions' attackable regions."""
+the breach built from the breached versions' attackable regions, and the plan
+audit that scores one prefix at a time."""
 
 import math
 from types import SimpleNamespace
 
 from marginseq.geometry import halfplane_intersection, polygon_area
-from marginseq.regions import band_rectangles, guard_extent
+from marginseq.regions import (Breach, band_rectangles, build_attackable_region,
+                               directional_transferability, guard_extent)
+from marginseq.versioning import PlanVerification
 
 
 def reference_breach(regions):
@@ -39,3 +42,26 @@ def reference_score(breach, target):
         numer += (polygon_area(halfplane_intersection(plus, piece))
                   - polygon_area(halfplane_intersection(plus, inside)))
     return min(1.0, max(0.0, numer / breach.area))
+
+
+def reference_verify_plan(plan):
+    """What ``verify_plan`` gives, one one-row score per prefix over an extended breach."""
+    versions = [bd for bd, _ in plan.versions]
+    seed_pair = [build_attackable_region(plan.scenario, bd) for bd in versions[:2]]
+    at_pair = directional_transferability(*seed_pair).value if len(seed_pair) == 2 else 0.0
+
+    compound, unions = [], []
+    for i in range(3, len(versions) + 1):
+        breach = Breach.of(plan.scenario, versions[:2]) if i == 3 else breach.extend(versions[i - 2])
+        compound.append((i, breach.score(versions[i - 1]).value))
+        unions.append(breach.area)
+    base = unions[0] if unions else 1.0
+    union_dev = max((abs(u - base) / base for u in unions), default=0.0) if base > 0.0 else math.inf
+
+    max_compound = max((v for _, v in compound), default=0.0)
+    tie = max_compound - 1e-12 * max(1.0, max_compound)
+    max_at = next((i for i, v in compound if v >= tie), 0)
+    return PlanVerification(
+        plan.alpha, at_pair, tuple(compound), max_compound, max_at, union_dev,
+        all(v <= plan.alpha + 1e-12 for _, v in compound), union_dev <= 1e-9, at_pair == 0.0,
+    )

@@ -235,6 +235,16 @@ def test_clip_batch_shared_half_plane_and_areas():
         assert area == pytest.approx(polygon_area(clip_convex(poly, half)), rel=1e-12)
 
 
+def test_polygon_batch_of_and_take_match_rows_built_one_by_one():
+    polys = [UNIT_SQUARE, ConvexPolygon.empty(), SLIVER_TAIL, rectangle(-3.0, 2.0, -1.0, 4.0)]
+    for got, want in zip(PolygonBatch.of(polys), _batch(polys)):
+        np.testing.assert_array_equal(got, want)
+    rows = [2, 0, 2, 1, 3]
+    for got, want in zip(PolygonBatch.of(polys).take(rows), _batch([polys[i] for i in rows])):
+        np.testing.assert_array_equal(got, want)
+    assert [a.shape for a in PolygonBatch.of([])] == [(0, 0), (0, 0), (0,)]
+
+
 def test_tangents_from_origin():
     tl = tangents_to_unit_circle(Point2(100.0, 0.0), Point2(0.0, 0.0))
     expected = 1.0 / math.sqrt(9999.0)

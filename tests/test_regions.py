@@ -10,6 +10,7 @@ from marginseq import (
     DomainError,
     GeometryError,
     HalfPlane,
+    ScenarioConfig,
     UndefinedEstimateError,
     build_attackable_region,
     check_zero_transfer,
@@ -27,11 +28,13 @@ from marginseq import (
 from marginseq import regions
 from marginseq.regions import (
     MC_BLOCK,
+    SCORE_BLOCK,
     Breach,
     guard_extent,
     mc_block_counts,
     mc_counts,
     mc_left_cut,
+    paired_scores,
     planes_of,
 )
 from breach_reference import reference_breach, reference_score
@@ -105,6 +108,8 @@ def _entry_points(scenario, line):
         "region": lambda: build_attackable_region(scenario, line),
         "breach-prior": lambda: Breach.of(scenario, [line]),
         "breach-target": lambda: Breach.of(scenario, seed).scores(planes_of([line])),
+        "breach-chain": lambda: Breach.of(scenario, seed).chain([line]),
+        "paired-target": lambda: paired_scores([Breach.of(scenario, seed)], planes_of([line])),
         "exact-prior": lambda: score_candidates(Breach.of(scenario, [line]), planes_of(seed),
                                                 exact),
         "exact-scores": lambda: score_candidates(Breach.of(scenario, seed), plane, exact),
@@ -125,8 +130,9 @@ _INVALID_LINES = {
 }
 
 
-@pytest.mark.parametrize("entry", ["region", "breach-prior", "breach-target", "exact-prior",
-                                   "exact-scores", "sampled-scores", "mc-prior", "mc-target"])
+@pytest.mark.parametrize("entry", ["region", "breach-prior", "breach-target", "breach-chain",
+                                   "paired-target", "exact-prior", "exact-scores",
+                                   "sampled-scores", "mc-prior", "mc-target"])
 @pytest.mark.parametrize("name", sorted(_INVALID_LINES))
 def test_invalid_separator_raises_at_every_entry_point(scenario, name, entry):
     call = _entry_points(scenario, _INVALID_LINES[name](scenario))[entry]
@@ -691,6 +697,84 @@ def test_breach_extend_domain_errors(scenario):
     ar = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 0.7))
     with pytest.raises(DomainError):
         Breach.within(ar).extend(ar.source_boundary)
+    with pytest.raises(DomainError):
+        Breach.within(ar).chain([])
+
+
+def _deeper_mid_chain(scenario):
+    """The seed pair, then pool separators with one deeper-guard separator mid-sequence."""
+    seed = list(canonical_pair(scenario))
+    seed_guard = max(_guard(scenario, bd) for bd in seed)
+    pool = generate_candidate_pool(scenario, 50, 2.0, seed=42).boundaries
+    shallow = [bd for bd in pool if _guard(scenario, bd) <= seed_guard]
+    deeper = [bd for bd in pool if _guard(scenario, bd) > seed_guard]
+    return seed, [*shallow[:6], deeper[0], *shallow[6:10], deeper[1], *shallow[10:12]]
+
+
+def test_breach_chain_matches_successive_of(scenario):
+    seed, sequence = _deeper_mid_chain(scenario)
+    chain = Breach.of(scenario, seed).chain(sequence)
+    assert len(chain) == len(sequence) + 1
+    rebuilt = 0
+    for i, breach in enumerate(chain):
+        want = Breach.of(scenario, seed + sequence[:i])
+        _assert_same_breach(breach, want)
+        assert (breach.priors, breach.guard) == (want.priors, want.guard)
+        rebuilt += i > 0 and breach.guard > chain[i - 1].guard
+    # the deeper separators rebuild the bands, the last of them mid-chain
+    assert rebuilt == 2 and chain[-1].guard > chain[len(sequence) - 3].guard
+    grown = chain[0]
+    for bd in sequence:
+        grown = grown.extend(bd)
+    _assert_same_breach(grown, chain[-1])
+
+
+def test_breach_chain_of_nothing_is_the_breach_itself(scenario):
+    breach = Breach.of(scenario, list(canonical_pair(scenario)))
+    assert breach.chain([]) == [breach]
+
+
+def _paired_rows(scenario):
+    """Breaches and targets of a mixed paired call: chained breaches,
+    single-region breaches and zero-area breaches, more rows than SCORE_BLOCK."""
+    seed, sequence = _deeper_mid_chain(scenario)
+    pool = generate_candidate_pool(scenario, 60, 2.0, seed=5).boundaries
+    chained = Breach.of(scenario, seed).chain(sequence)
+    within = [Breach.within(build_attackable_region(scenario, bd)) for bd in pool[:8]]
+    empty = Breach.of(scenario, [DecisionBoundary.sloped(1000.0, -1000.0, scenario)])
+    kinds = [*chained, *within, empty]
+    rng = philox(1919)
+    breaches = [kinds[i] for i in rng.integers(0, len(kinds), SCORE_BLOCK + 45)]
+    targets = [pool[i] for i in rng.integers(0, len(pool), len(breaches))]
+    return breaches, targets
+
+
+def test_paired_scores_equal_per_row_scores(scenario):
+    breaches, targets = _paired_rows(scenario)
+    got = paired_scores(breaches, planes_of(targets))
+    want = np.array([b.scores(planes_of([t]))[0] for b, t in zip(breaches, targets)])
+    assert repr(got.tolist()) == repr(want.tolist())
+    assert np.isnan(got).any() and not np.isnan(got).all()
+    assert got[~np.isnan(got)].min() < got[~np.isnan(got)].max()
+
+
+def test_paired_scores_domain_errors(scenario):
+    seed = list(canonical_pair(scenario))
+    breach = Breach.of(scenario, seed)
+    assert paired_scores([], planes_of([])).shape == (0,)
+    with pytest.raises(DomainError):
+        paired_scores([breach], planes_of(seed))
+    other = ScenarioConfig(50.0, 0.1, 30.0)
+    elsewhere = Breach.of(other, [DecisionBoundary.sloped(7.0, -0.7, other)])
+    with pytest.raises(DomainError):
+        paired_scores([breach, elsewhere], planes_of(seed))
+
+
+def test_paired_scores_reject_one_invalid_row(scenario):
+    breaches, targets = _paired_rows(scenario)
+    targets[SCORE_BLOCK + 7] = _INVALID_LINES["near-horizontal"](scenario)
+    with pytest.raises(GeometryError, match="left guard"):
+        paired_scores(breaches, planes_of(targets))
 
 
 def test_breach_scores_undefined_for_empty_breach(scenario):

@@ -30,10 +30,11 @@ from marginseq import (
     score_candidates,
     verify_plan,
 )
-from marginseq import versioning
+from marginseq import regions, versioning
+from marginseq.geometry import clip_convex_batch
 from marginseq.regions import Breach, guard_extent
 from marginseq.versioning import BMAX_TOL, admissible_share, select_next
-from breach_reference import reference_score
+from breach_reference import reference_score, reference_verify_plan
 from mc_reference import per_target_counts
 from seeded_rng import philox
 
@@ -222,6 +223,30 @@ def test_verify_plan_catches_tampering(scenario):
     report = verify_plan(tampered)
     assert not report.bound_ok
     assert report.max_compound > plan.alpha
+
+
+def test_verify_plan_equals_the_per_prefix_reference(scenario):
+    # the stock slope and budget, then a steeper slope at 30% and a steeper one at 100%
+    # of the budget find_bmax leaves above the base line
+    sweep = [(7.0, 12.0)] + [(k, share * (find_bmax(scenario, k) - k * scenario.delta - 1e-9))
+                             for k, share in ((12.0, 0.3), (30.0, 1.0))]
+    plans = [plan_sequence(scenario, n, k, b_max) for k, b_max in sweep for n in range(2, 61)]
+    for plan in plans + [plan_sequence(scenario, 1000, 7.0, 12.0)]:
+        assert repr(verify_plan(plan)) == repr(reference_verify_plan(plan))
+
+
+@pytest.mark.parametrize("n", [40, 1000])
+def test_verify_plan_scores_in_one_clip_per_block(scenario, monkeypatch, n):
+    plan = plan_sequence(scenario, n, 7.0, 12.0)
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0].n))
+        return clip_convex_batch(*args)
+
+    monkeypatch.setattr(regions, "clip_convex_batch", counting)
+    verify_plan(plan)
+    assert len(calls) == math.ceil((n - 1) / regions.SCORE_BLOCK)
 
 
 def test_pool_generation(scenario):
