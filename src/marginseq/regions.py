@@ -14,8 +14,9 @@ That keeps every transferability ratio exact; the Monte Carlo estimator
 exists as an independent, sampling-based cross-check of those exact numbers.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,8 +140,66 @@ def deepest_guard(scenario: ScenarioConfig, boundaries) -> float:
     return float(guard_extent(scenario, *planes_of(boundaries).T).max())
 
 
+def _dominated(widest: dict, boundary: DecisionBoundary) -> bool:
+    """Whether widest, the largest c per "+" normal (a, b), holds boundary's "+" side."""
+    line = boundary.plus
+    return widest.get((line.a, line.b), -math.inf) >= line.c
+
+
+def _undominated(boundaries) -> tuple[list[DecisionBoundary], dict]:
+    """:func:`undominated` and the largest c per "+" normal (a, b) it saw."""
+    kept, widest = [], {}
+    for bd in boundaries:
+        if not _dominated(widest, bd):
+            kept.append(bd)
+            widest[bd.plus.a, bd.plus.b] = bd.plus.c
+    return kept, widest
+
+
+def undominated(boundaries) -> list[DecisionBoundary]:
+    """The separators, in order, less each one an earlier separator dominates.
+
+    Separator j is dominated when an earlier separator i has the same "+"
+    normal, (a_i, b_i) == (a_j, b_j), and c_i >= c_j: i's "+" side holds j's
+    and j's "-" side holds i's.  :func:`mc_counts` tests only these priors
+    and :meth:`Breach.of` clips only by their "-" sides; the sampling box,
+    :func:`mc_left_cut`, :func:`deepest_guard` and ``Breach.priors`` still
+    come from every separator, so every count and polygon is unchanged.  A
+    dominated separator listed before its dominator is kept.  +0.0 and -0.0
+    compare equal, so a vertical pair whose b differs in sign shares a normal.
+
+    Proof that the Monte Carlo verdict is exact.  Both separators compute the
+    same float s = a*x + b*y (a b of either zero sign adds a zero, which
+    moves no comparison), and j accepts a point when fl(s - c_j) <= 0.
+    Rounding is monotone, so c_j <= c_i gives fl(s - c_i) <= fl(s - c_j) <=
+    0: i has already accepted every point j accepts.
+
+    Proof that a skipped clip is an identity of :func:`clip_convex`.  i's
+    "-" side is clipped by before j's, and later clips only keep vertices or
+    add crossings on edges between them, so every vertex of the current
+    inside lies in i's "-" side: its value there, fl(c_i - s), is at most a
+    few ulps of the clip's scale or, for a vertex i's own clip kept by its
+    tolerance, that clip's eps.  Its value under j, fl(c_j - s), is no
+    larger by the same monotone rounding, so it stays within j's eps =
+    1e-12 * scale: clip j keeps every vertex, emits no crossing, and
+    :meth:`ConvexPolygon.from_points` keeps the same vertices.  The one
+    vertex this leaves to the tolerance is one i's clip kept off its line by
+    more than rounding, once the polygon has shrunk enough to give j a
+    smaller eps.  That takes i's line to pass within 1e-12 of the scale of
+    a band corner or a crossing of earlier lines without passing through
+    it, which no stock plan does (and pool sequences share no normal); the
+    tests pin every skip, bit for bit, against the clip by every separator.
+    """
+    return _undominated(boundaries)[0]
+
+
+@functools.lru_cache(maxsize=256)
 def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolygon, ConvexPolygon]:
-    """The two "-" bands cut to the strip and bounded on the left by the guard."""
+    """The two "-" bands cut to the strip and bounded on the left by the guard.
+
+    Memoised per (scenario, guard): both are immutable values, and the
+    versions of a plan share one guard.
+    """
     y = scenario.y_lim
     left = rectangle(-guard, -scenario.delta, -y, y)
     sliver = rectangle(0.0, scenario.delta, -y, y)
@@ -184,8 +243,11 @@ class Breach:
     their separators and cuts the bands under the deepest breached guard,
     which no breached region reaches: the pieces are the bands, ``inside``
     each band cut by every breached "-" side and ``area`` the union, band
-    less inside.  A target scores two clips per band however many versions
-    are breached; :meth:`chain` adds versions with one clip per band each.
+    less inside.  Only the :func:`undominated` separators are clipped by, as
+    a dominated one's clip leaves inside as it is.  A target scores two
+    clips per band however many versions are breached; :meth:`chain` adds
+    an undominated version with one clip per band and a dominated one with
+    none.  ``widest`` records the largest c per "+" normal (a, b).
     """
 
     scenario: ScenarioConfig
@@ -194,6 +256,8 @@ class Breach:
     pieces: tuple[ConvexPolygon, ...]
     inside: tuple[ConvexPolygon, ...]
     area: float
+    # derived from priors, so it takes no part in ==; never mutated once built
+    widest: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, scenario: ScenarioConfig, priors: list[DecisionBoundary]) -> "Breach":
@@ -201,14 +265,15 @@ class Breach:
             raise DomainError("transferability requires at least one breached version")
         guard = deepest_guard(scenario, priors)
         bands = band_rectangles(scenario, guard)
-        inside = tuple(halfplane_intersection([bd.minus for bd in priors], b) for b in bands)
-        return cls._exposing(scenario, tuple(priors), guard, bands, inside)
+        clipping, widest = _undominated(priors)
+        inside = tuple(halfplane_intersection([bd.minus for bd in clipping], b) for b in bands)
+        return cls._exposing(scenario, tuple(priors), guard, bands, inside, widest)
 
     @classmethod
-    def _exposing(cls, scenario, priors, guard, bands, inside) -> "Breach":
+    def _exposing(cls, scenario, priors, guard, bands, inside, widest) -> "Breach":
         """The breach whose area is each band less its inside, summed in band order."""
         area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(bands, inside))
-        return cls(scenario, priors, guard, bands, inside, area)
+        return cls(scenario, priors, guard, bands, inside, area, widest)
 
     @classmethod
     def within(cls, region: AttackableRegion) -> "Breach":
@@ -220,9 +285,11 @@ class Breach:
         """This breach, then it extended by each separator of sequence in turn.
 
         Each equals :meth:`of` its breached separators, bit for bit.  One
-        :func:`guard_extent` call covers the whole sequence; a separator
-        costs one clip per band, unless its guard is deeper than every
-        breached one, where the breach is rebuilt by :meth:`of`.
+        :func:`guard_extent` call covers the whole sequence.  A separator
+        whose guard is deeper than every breached one rebuilds the breach by
+        :meth:`of`; else one that ``widest`` shows dominated (see
+        :func:`undominated`) is carried over with no clip, and any other
+        costs one clip per band.
         """
         if not self.priors:
             raise DomainError("a breach of one region's own pieces cannot grow")
@@ -232,9 +299,14 @@ class Breach:
             priors = (*last.priors, boundary)
             if guard > last.guard:
                 out.append(Breach.of(self.scenario, priors))
+            elif _dominated(last.widest, boundary):
+                out.append(replace(last, priors=priors))
             else:
                 inside = tuple(clip_convex(i, boundary.minus) for i in last.inside)
-                out.append(Breach._exposing(self.scenario, priors, last.guard, last.pieces, inside))
+                line = boundary.plus
+                widest = {**last.widest, (line.a, line.b): line.c}
+                out.append(Breach._exposing(self.scenario, priors, last.guard, last.pieces,
+                                            inside, widest))
         return out
 
     def extend(self, boundary: DecisionBoundary) -> "Breach":
@@ -376,9 +448,11 @@ def mc_counts(
     :meth:`Breach.of`'s bands, which no prior region reaches, so the box
     holds the whole breached territory whatever the targets.  Block j holds
     min(MC_BLOCK, the rest) of them and draws from a Philox stream keyed
-    (seed, j); it tests the priors once, and every row counts hits on the
-    same accepted points.  Any partition of the block range across workers
-    merges to exactly the counts of a single sequential pass.
+    (seed, j); it tests each point against the :func:`undominated` priors
+    only, which accept exactly the points every prior would, and every row
+    counts hits on the same accepted points.  Any partition of the block
+    range across workers merges to exactly the counts of a single
+    sequential pass.
 
     Points left of one cut, :func:`mc_left_cut`, would all be rejected, so
     only their count is drawn.  A block's m points split into a fixed
@@ -413,6 +487,7 @@ def mc_counts(
     p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
     cut = mc_left_cut(scenario, priors, guard)
     q = max(0.0, (-d - cut) / (guard - d))
+    tested = undominated(priors)
 
     accepted = 0
     hits = np.zeros(len(a), dtype=np.int64)
@@ -427,8 +502,8 @@ def mc_counts(
         x = np.concatenate([u[:m_sliver, 0] * d, cut + u[m_sliver:, 0] * (-d - cut)])
         yv = -y + u[:, 1] * (2.0 * y)
         # the ensemble attacker's territory, OR-ed in place so no per-prior mask is kept
-        mask = priors[0].signed_value(x, yv) >= 0.0
-        for bd in priors[1:]:
+        mask = tested[0].signed_value(x, yv) >= 0.0
+        for bd in tested[1:]:
             mask |= bd.signed_value(x, yv) >= 0.0
         xs, ys = x[mask], yv[mask]
         accepted += len(xs)

@@ -25,7 +25,7 @@ out on the boundary lines themselves, which is exact regardless.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,12 +99,19 @@ class PlanVerification:
 
 @dataclass(frozen=True, slots=True)
 class CandidatePool:
+    """Hidden points and their separators; ``planes`` holds the separators' (a, b, c) rows."""
+
     hidden_points: tuple[HiddenPoint, ...]
     boundaries: tuple[DecisionBoundary, ...]
+    # derived from boundaries; an ndarray would break == and repr
+    planes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.hidden_points) != len(self.boundaries):
             raise DomainError("hidden point and boundary lists must be parallel")
+        planes = planes_of(self.boundaries)
+        planes.setflags(write=False)
+        object.__setattr__(self, "planes", planes)
 
 
 def sample_hidden_point(scenario: ScenarioConfig, rng: "np.random.Generator") -> HiddenPoint:
@@ -387,7 +394,7 @@ def select_next(
     (len(breach.priors) + 1)-th version, and, when sampled, the sample count.
     A sequence holds one breach and grows it with :meth:`Breach.extend`.
     """
-    planes = planes_of(pool.boundaries)
+    planes = pool.planes
     taken = planes_of(breach.priors)
     remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
     if not remaining.size:

@@ -21,6 +21,7 @@ from marginseq import (
     mc_transferability,
     plan_sequence,
     polygon_area,
+    rectangle,
     region_area,
     score_candidates,
     union_area,
@@ -358,24 +359,27 @@ def test_mc_partition_merge_identity(scenario):
 
 
 def test_mc_counts_partition_merge_identity(scenario):
-    priors = list(canonical_pair(scenario))
-    # the last target's guard is deeper than the priors', yet it counts on their box
-    targets = [offset_boundary(scenario, 7.0, 12.7), *priors,
-               DecisionBoundary.sloped(0.2, -1.0, scenario)]
-    own = [guard_extent(scenario, t.plus.a, t.plus.b, t.plus.c) for t in targets]
-    assert own[-1] > max(own[:-1])
-    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
-    cfg = AttackSampleConfig("ensemble", 3 * MC_BLOCK + 1234, 77)
-    n_blocks = -(-cfg.n_samples // MC_BLOCK)
-    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, n_blocks)
-    left = mc_counts(scenario, priors, planes, cfg, 0, 2)
-    right = mc_counts(scenario, priors, planes, cfg, 2, n_blocks)
-    assert accepted == left[0] + right[0]
-    np.testing.assert_array_equal(hits, left[1] + right[1])
-    for row, target in enumerate(targets):
-        one = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
-        assert (accepted, hits[row]) == one
-        assert one == per_target_counts(scenario, priors, target, cfg, n_blocks)
+    # the seed pair, then a 15-prior plan prefix whose last 13 priors are dominated
+    plan = [bd for bd, _ in plan_sequence(scenario, 16, 7.0, 12.0).versions]
+    assert regions.undominated(plan[:15]) == plan[:2]
+    for priors in (list(canonical_pair(scenario)), plan[:15]):
+        # the last target's guard is deeper than the priors', yet it counts on their box
+        targets = [offset_boundary(scenario, 7.0, 12.7), *priors[:2], plan[15],
+                   DecisionBoundary.sloped(0.2, -1.0, scenario)]
+        own = [guard_extent(scenario, t.plus.a, t.plus.b, t.plus.c) for t in targets]
+        assert own[-1] > max(own[:-1])
+        planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
+        cfg = AttackSampleConfig("ensemble", 3 * MC_BLOCK + 1234, 77)
+        n_blocks = -(-cfg.n_samples // MC_BLOCK)
+        accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, n_blocks)
+        left = mc_counts(scenario, priors, planes, cfg, 0, 2)
+        right = mc_counts(scenario, priors, planes, cfg, 2, n_blocks)
+        assert accepted == left[0] + right[0]
+        np.testing.assert_array_equal(hits, left[1] + right[1])
+        for row, target in enumerate(targets):
+            one = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
+            assert (accepted, hits[row]) == one
+            assert one == per_target_counts(scenario, priors, target, cfg, n_blocks)
 
 
 def test_mc_counts_rows_in_slices_when_every_point_is_accepted(scenario):
@@ -782,3 +786,103 @@ def test_breach_scores_undefined_for_empty_breach(scenario):
     breach = Breach.of(scenario, [DecisionBoundary.sloped(1000.0, -1000.0, scenario)])
     assert breach.area == 0.0
     assert np.isnan(breach.scores(_planes(canonical_pair(scenario)))).all()
+
+
+def _with_c(bd, c):
+    """bd's "+" normal (a, b) with another c: a parallel shift, oriented as bd is."""
+    return DecisionBoundary(HalfPlane(bd.plus.a, bd.plus.b, c))
+
+
+def _dominance_case(scenario, name):
+    """(separators, the undominated ones) of one edge of the dominance rule."""
+    bd1, bd2 = canonical_pair(scenario)
+    c1 = bd1.plus.c
+    vertical = DecisionBoundary.vertical(-3.0, scenario)
+    if name == "duplicate":
+        return [bd1, bd2, bd1], [bd1, bd2]
+    if name == "ulp-inward":
+        return [bd1, bd2, _with_c(bd1, math.nextafter(c1, -math.inf))], [bd1, bd2]
+    if name == "ulp-outward":
+        wider = _with_c(bd1, math.nextafter(c1, math.inf))
+        return [bd1, bd2, wider], [bd1, bd2, wider]
+    if name == "dominated-first":
+        inner = _with_c(bd1, c1 - 5.0)
+        return [inner, bd2, bd1, _with_c(bd1, c1 - 2.0)], [inner, bd2, bd1]
+    if name == "vertical-signed-zero":
+        mirrored = vertical.mirrored()
+        assert math.copysign(1.0, vertical.plus.b) != math.copysign(1.0, mirrored.plus.b)
+        return [vertical, bd1, mirrored], [vertical, bd1]
+    if name == "deeper-guard":
+        # x >= 150 lies inside x >= -3 but reaches deeper, so its guard rebuilds the bands
+        far = _with_c(vertical, -150.0)
+        assert _guard(scenario, far) > max(_guard(scenario, bd) for bd in (vertical, bd1, bd2))
+        return [vertical, bd1, bd2, far, _with_c(bd2, bd2.plus.c - 1.0)], [vertical, bd1, bd2]
+    raise KeyError(name)
+
+
+_DOMINANCE = ["duplicate", "ulp-inward", "ulp-outward", "dominated-first",
+              "vertical-signed-zero", "deeper-guard"]
+
+
+def _assert_chain_matches_reference(scenario, separators, prefixes):
+    """Breach.of and every prefix of Breach.chain against the breach clipped by every separator."""
+    chain = Breach.of(scenario, separators[:1]).chain(separators[1:])
+    built = _regions(scenario, separators)
+    for i in prefixes:
+        want = reference_breach(built[:i])
+        _assert_same_breach(chain[i - 1], want)
+        _assert_same_breach(Breach.of(scenario, separators[:i]), want)
+        assert chain[i - 1].priors == tuple(separators[:i])
+    return chain
+
+
+def _assert_mc_matches_reference(scenario, priors, targets, n_samples):
+    cfg = AttackSampleConfig("ensemble", n_samples, 83)
+    accepted, hits = mc_counts(scenario, priors, planes_of(targets), cfg, 0, 1)
+    assert accepted > 0
+    for row, target in enumerate(targets):
+        assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+
+
+@pytest.mark.parametrize("name", _DOMINANCE)
+def test_dominated_separators_leave_breach_and_counts_bit_for_bit(scenario, name):
+    separators, kept = _dominance_case(scenario, name)
+    assert regions.undominated(separators) == kept
+    chain = _assert_chain_matches_reference(scenario, separators, range(1, len(separators) + 1))
+    if name == "deeper-guard":
+        assert chain[3].guard > chain[2].guard and chain[3].inside != chain[2].inside
+    targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario),
+               *separators]
+    _assert_mc_matches_reference(scenario, separators, targets, MC_BLOCK // 4)
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 1000])
+def test_stock_plans_match_the_every_separator_references(scenario, n):
+    versions = [bd for bd, _ in plan_sequence(scenario, n, 7.0, 12.0).versions]
+    # every later version is a parallel shift of version 1 or 2
+    assert regions.undominated(versions) == versions[:2]
+    prefixes = range(1, n + 1) if n <= 40 else [1, 2, 3, 4, 97, 500, 999, 1000]
+    _assert_chain_matches_reference(scenario, versions, prefixes)
+    targets = [versions[-1], versions[2], DecisionBoundary.sloped(0.2, -1.0, scenario)]
+    _assert_mc_matches_reference(scenario, versions[:-1], targets, MC_BLOCK // 8)
+
+
+def test_chain_clips_only_by_undominated_separators(scenario, monkeypatch):
+    versions = [bd for bd, _ in plan_sequence(scenario, 40, 7.0, 12.0).versions]
+    pool = generate_candidate_pool(scenario, 50, 2.0, seed=42).boundaries
+    shallow = [bd for bd in pool if _guard(scenario, bd) <= _guard(scenario, versions[0])][:5]
+    seed = Breach.of(scenario, versions[:2])
+    clips = []
+    real = regions.clip_convex
+    monkeypatch.setattr(regions, "clip_convex", lambda p, h: clips.append(h) or real(p, h))
+    seed.chain(versions[2:])
+    assert clips == []
+    seed.chain(shallow)
+    assert len(clips) == 2 * len(shallow)
+
+
+def test_band_rectangles_are_built_once_per_guard(scenario):
+    bands = regions.band_rectangles(scenario, 250.0)
+    assert regions.band_rectangles(scenario, 250.0) is bands
+    y = scenario.y_lim
+    assert bands == (rectangle(-250.0, -scenario.delta, -y, y), rectangle(0.0, scenario.delta, -y, y))

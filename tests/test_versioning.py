@@ -586,3 +586,18 @@ def test_random_baseline_same_side_fraction(scenario):
 def test_pool_parallel_lists_validated(scenario):
     with pytest.raises(DomainError):
         CandidatePool((), (DecisionBoundary.vertical(-1.0, scenario),))
+
+
+def test_pool_holds_its_planes_outside_eq_and_repr(scenario, monkeypatch):
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    np.testing.assert_array_equal(pool.planes, regions.planes_of(pool.boundaries))
+    again = CandidatePool(pool.hidden_points, pool.boundaries)
+    assert again == pool and hash(again) == hash(pool) and repr(again) == repr(pool)
+    assert "planes" not in repr(pool)
+    # a step reads the pool's rows and builds only the breached versions' own
+    built = []
+    real = versioning.planes_of
+    monkeypatch.setattr(versioning, "planes_of", lambda bds: built.append(len(bds)) or real(bds))
+    seed_pair = [pool.boundaries[0], pool.boundaries[1]]
+    select_next(pool, Breach.of(scenario, seed_pair), AttackSampleConfig("ensemble", 0, 0))
+    assert built == [2]
