@@ -47,20 +47,21 @@ SCHEMA_VERSION = "1"
 MAX_PLAN_VERSIONS = 1000
 
 # generate_candidate_pool draws its first batch at full size.  On a 2-core host 100,000
-# candidates build in about 1.4 s, and one exact greedy step over them takes about 0.65 s.
+# candidates build in about 1.4 s.  One exact greedy step over them takes 0.6-0.7 s when
+# it clips the candidates' band areas under a new guard and about 0.4 s when the pool
+# holds them.
 MAX_POOL_SIZE = 100_000
 
 # cmd_pool holds one breach per sequence and extends it by one version a row, so a
 # greedy step's time goes to scoring the pool; only its check for taken candidates grows
 # with the versions breached.  On a 2-core host, with 3,000 candidates, 100 versions
-# take 2.6-3.3 s end to end and 200 take 6.1-7.0 s; with 100,000 candidates each step
-# takes about 0.4 s.
+# take 1.5-2.1 s end to end.
 MAX_SEQUENCE_LENGTH = 100
 
 # The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
 # which the two limits above bound only by their product.  On a 2-core host a run of
-# 300,000 takes 2.6-3.3 s end to end as 3,000 candidates over 98 steps and 2.8 s as
-# 100,000 over 3 steps; 100,000 candidates over 18 steps, 1.8 million, take 8.7 s.
+# 300,000 takes 1.5-2.1 s end to end as 3,000 candidates over 98 steps and 3.2-4.0 s as
+# 100,000 over 3 steps; 100,000 candidates over 18 steps, 1.8 million, take 7.3-8.3 s.
 MAX_CANDIDATES_SCORED = 300_000
 
 

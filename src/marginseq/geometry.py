@@ -227,7 +227,7 @@ def _interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Columns u[:, 0], v[:, 0], u[:, 1], v[:, 1], ..."""
     out = np.empty((len(u), u.shape[1], 2), u.dtype)
     out[:, :, 0], out[:, :, 1] = u, v
-    return out.reshape(len(u), -1)
+    return out.reshape(len(u), 2 * u.shape[1])
 
 
 def clip_convex_batch(polys: PolygonBatch, a, b, c) -> PolygonBatch:

@@ -37,8 +37,8 @@ from .separators import DecisionBoundary, ScenarioConfig
 # anywhere and the merged counts are identical to a single sequential pass.
 MC_BLOCK = 1 << 17
 
-# Target rows per batched clip in Breach.scores and paired_scores: bounds the
-# (rows x vertices) temporaries whatever the pool size or plan length.
+# Target rows per batched clip in Breach.scores, paired_scores and plus_band_areas:
+# bounds the (rows x vertices) temporaries whatever the pool size or plan length.
 SCORE_BLOCK = 256
 
 MODE_ENSEMBLE = "ensemble"
@@ -206,6 +206,27 @@ def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolyg
     return left, sliver
 
 
+def plus_band_areas(scenario: ScenarioConfig, guard: float, planes) -> np.ndarray:
+    """Area of each :func:`band_rectangles` band on the "+" side of each row of planes.
+
+    planes holds one "+" half-plane (a, b, c) per row, and row i of the
+    result its band areas in band order, from one batched clip per block of
+    SCORE_BLOCK rows.  They are the band areas :meth:`Breach.scores` would
+    clip for a breach under this guard, bit for bit (see :func:`_score_rows`).
+    """
+    bands = band_rectangles(scenario, guard)
+    polys = PolygonBatch.of(bands)
+    planes = np.asarray(planes, dtype=float).reshape(-1, 3)
+    areas = np.zeros((len(planes), len(bands)))
+    for start in range(0, len(planes), SCORE_BLOCK):
+        block = planes[start:start + SCORE_BLOCK]
+        a, b, c = np.repeat(block, len(bands), axis=0).T
+        rows = np.tile(np.arange(len(bands)), len(block))
+        clipped = clip_convex_batch(polys.take(rows), a, b, c)
+        areas[start:start + len(block)] = polygon_areas(clipped).reshape(-1, len(bands))
+    return areas
+
+
 def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary) -> AttackableRegion:
     """Exact attackable region of one boundary as convex pieces, one per band.
 
@@ -244,10 +265,14 @@ class Breach:
     which no breached region reaches: the pieces are the bands, ``inside``
     each band cut by every breached "-" side and ``area`` the union, band
     less inside.  Only the :func:`undominated` separators are clipped by, as
-    a dominated one's clip leaves inside as it is.  A target scores two
-    clips per band however many versions are breached; :meth:`chain` adds
-    an undominated version with one clip per band and a dominated one with
-    none.  ``widest`` records the largest c per "+" normal (a, b).
+    a dominated one's clip leaves inside as it is, and every breach with
+    priors keeps ``band_rectangles(scenario, guard)`` as its pieces.  A
+    target scores at most two clips per band however many versions are
+    breached: one of the band, whose area :func:`plus_band_areas` can hold
+    per guard, and one of its inside polygon, none once that is empty.
+    :meth:`chain` adds an undominated version with one clip per band and a
+    dominated one with none.  ``widest`` records the largest c per "+"
+    normal (a, b).
     """
 
     scenario: ScenarioConfig
@@ -317,14 +342,17 @@ class Breach:
         """Share of the breached territory that target classifies "+"."""
         return TransferabilityScore(float(self.scores(planes_of([target]))[0]))
 
-    def scores(self, planes: np.ndarray) -> np.ndarray:
+    def scores(self, planes: np.ndarray, band_areas=None) -> np.ndarray:
         """:meth:`score` of every target, given as one "+" half-plane (a, b, c) per row.
 
         NaN throughout when the breached area is zero, as the ratio is then
         undefined.  An invalid target raises :class:`GeometryError`.  See
-        :func:`paired_scores`, which shares the body.
+        :func:`paired_scores`, which shares the body.  band_areas, if given,
+        holds each row's area of every band on its "+" side, as
+        :func:`plus_band_areas` of this breach's guard gives it; only the
+        inside polygons are then clipped.
         """
-        return _score_rows([self], np.zeros(len(planes), dtype=np.intp), planes)
+        return _score_rows([self], np.zeros(len(planes), dtype=np.intp), planes, band_areas)
 
 
 def paired_scores(breaches, planes) -> np.ndarray:
@@ -338,15 +366,31 @@ def paired_scores(breaches, planes) -> np.ndarray:
     return _score_rows(breaches, np.arange(len(breaches)), planes)
 
 
-def _score_rows(breaches, owner: np.ndarray, planes) -> np.ndarray:
+def _score_rows(breaches, owner: np.ndarray, planes, band_areas=None) -> np.ndarray:
     """Row i of planes scored against breaches[owner[i]].
 
-    Each row scores area(band n plus) - area(inside n plus) per band, over
-    its breach's area.  One batched clip per block of SCORE_BLOCK rows cuts
-    every band and inside polygon of each row's breach, taken as rows of one
-    :class:`PolygonBatch` of all the breaches' polygons.  A row is NaN when
-    its breach's area is zero, as the ratio is then undefined.  An invalid
-    target raises :class:`GeometryError`.
+    Each row scores area(band n plus) - area(inside n plus) per band,
+    summed in band order, over its breach's area.  One batched clip per
+    block of SCORE_BLOCK rows cuts each row's non-empty polygons of its
+    breach, taken as rows of one :class:`PolygonBatch` of all the breaches'
+    polygons: the bands and inside polygons, or only the inside polygons
+    when band_areas holds each row's band areas.  An empty polygon's area is
+    0.0 and is not clipped.  A row is NaN when its breach's area is zero, as
+    the ratio is then undefined.  An invalid target raises
+    :class:`GeometryError`.
+
+    Proof that no value depends on which polygons are clipped together.
+    :func:`clip_convex_batch` computes a row from that row's polygon and
+    half-plane alone: its tolerance takes max|x| and max|y| over the row's
+    valid vertices, and every padded column is masked out.
+    :func:`polygon_areas` wraps each row at its own count and adds +0.0 for
+    each padded column to a running sum that starts at +0.0, which leaves
+    the sum as it is.  So a row's area is the same whatever the other rows
+    and the padding width, and an empty polygon's clip has no vertex and
+    area 0.0, the value it is given.  Band areas held from a clip of the
+    same band and half-plane are therefore the areas this clip would give,
+    and each row's sum of band - inside runs over the same values in the
+    same order.
     """
     scenarios = {b.scenario for b in breaches}
     if len(scenarios) > 1:
@@ -358,14 +402,20 @@ def _score_rows(breaches, owner: np.ndarray, planes) -> np.ndarray:
     bands = len(breaches[0].pieces)
     width = 2 * bands  # a breach's bands, then their inside polygons
     polys = PolygonBatch.of([p for b in breaches for p in (*b.pieces, *b.inside)])
-    numer = np.zeros(len(planes))
+    areas = np.zeros((len(planes), width))
+    first = 0  # a breach's first polygon that is clipped
+    if band_areas is not None:
+        areas[:, :bands] = band_areas
+        first = bands
     for start in range(0, len(planes), SCORE_BLOCK):
-        block = slice(start, start + SCORE_BLOCK)
-        rows = (owner[block, None] * width + np.arange(width)).ravel()
-        a, b, c = np.repeat(planes[block], width, axis=0).T
-        areas = polygon_areas(clip_convex_batch(polys.take(rows), a, b, c))
-        for band, inside in areas.reshape(-1, 2, bands).T:
-            numer[block] += band - inside
+        cells = owner[start:start + SCORE_BLOCK, None] * width + np.arange(first, width)
+        row, col = np.nonzero(polys.n[cells] > 0)
+        a, b, c = planes[start + row].T
+        clipped = clip_convex_batch(polys.take(cells[row, col]), a, b, c)
+        areas[start + row, first + col] = polygon_areas(clipped)
+    numer = np.zeros(len(planes))
+    for band in range(bands):
+        numer += areas[:, band] - areas[:, bands + band]
     area = np.array([b.area for b in breaches])[owner]
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(area == 0.0, np.nan, numer / area)

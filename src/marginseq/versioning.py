@@ -40,6 +40,7 @@ from .regions import (
     paired_scores,
     philox,
     planes_of,
+    plus_band_areas,
 )
 from .separators import (
     DecisionBoundary,
@@ -105,6 +106,8 @@ class CandidatePool:
     boundaries: tuple[DecisionBoundary, ...]
     # derived from boundaries; an ndarray would break == and repr
     planes: np.ndarray = field(init=False, compare=False, repr=False)
+    # the last band_areas call's (scenario, guard) and its result, held the same way
+    _held_bands: tuple = field(default=(None, None), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.hidden_points) != len(self.boundaries):
@@ -112,6 +115,20 @@ class CandidatePool:
         planes = planes_of(self.boundaries)
         planes.setflags(write=False)
         object.__setattr__(self, "planes", planes)
+
+    def band_areas(self, scenario: ScenarioConfig, guard: float) -> np.ndarray:
+        """:func:`plus_band_areas` of every candidate under guard: one row per candidate.
+
+        Computed on first use and held for the last (scenario, guard) only,
+        which the exact steps of a sequence share until a pick deepens the
+        breach's guard.
+        """
+        key, areas = self._held_bands
+        if key != (scenario, guard):
+            areas = plus_band_areas(scenario, guard, self.planes)
+            areas.setflags(write=False)
+            object.__setattr__(self, "_held_bands", ((scenario, guard), areas))
+        return areas
 
 
 def sample_hidden_point(scenario: ScenarioConfig, rng: "np.random.Generator") -> HiddenPoint:
@@ -366,20 +383,24 @@ def generate_candidate_pool(
     return CandidatePool(tuple(points), boundaries)
 
 
-def score_candidates(breach: Breach, planes, cfg: AttackSampleConfig) -> np.ndarray:
+def score_candidates(breach: Breach, planes, cfg: AttackSampleConfig,
+                     band_areas=None) -> np.ndarray:
     """Transferability from the held breach of each candidate under cfg.
 
     Candidates are given as one "+" half-plane (a, b, c) per row.  This only
     picks the scorer; both check every target's guard (see
     :func:`guard_extent`).  Exact area ratios from one :meth:`Breach.scores`
-    batch when cfg.n_samples == 0; otherwise Monte Carlo estimates from one
-    shared stream over the breach's separators (:func:`mc_scores`).  Scores
-    are NaN, all of them, when the breach leaves the ratio undefined.
+    batch when cfg.n_samples == 0, which clips only the breach's non-empty
+    inside polygons when band_areas holds each row's band areas (see
+    :meth:`CandidatePool.band_areas`); otherwise Monte Carlo estimates from
+    one shared stream over the breach's separators (:func:`mc_scores`), and
+    band_areas is not read.  Scores are NaN, all of them, when the breach
+    leaves the ratio undefined.
     """
     planes = np.asarray(planes, dtype=float).reshape(-1, 3)
     if cfg.n_samples:
         return mc_scores(breach.scenario, breach.priors, planes, cfg)[0]
-    return breach.scores(planes)
+    return breach.scores(planes, band_areas)
 
 
 def select_next(
@@ -388,18 +409,25 @@ def select_next(
     """Pool index minimizing transferability from the held breach.
 
     Candidates whose boundary equals a breached one are excluded and the rest
-    are scored by :func:`score_candidates`.  Ties break toward the lowest pool
-    index.  A step whose scores are undefined (NaN) has nothing to pick by:
-    it raises :class:`UndefinedEstimateError` naming the step, the
-    (len(breach.priors) + 1)-th version, and, when sampled, the sample count.
-    A sequence holds one breach and grows it with :meth:`Breach.extend`.
+    are scored by :func:`score_candidates`; an exact step reads their band
+    areas from :meth:`CandidatePool.band_areas` under the breach's guard, so
+    it clips only the breach's non-empty inside polygons.  Ties break toward
+    the lowest pool index.  A step whose scores are undefined (NaN) has
+    nothing to pick by: it raises :class:`UndefinedEstimateError` naming the
+    step, the (len(breach.priors) + 1)-th version, and, when sampled, the
+    sample count.  A sequence holds one breach of its breached versions and
+    grows it with :meth:`Breach.extend`; a breach with no priors raises
+    :class:`DomainError`.
     """
+    if not breach.priors:
+        raise DomainError("greedy selection requires a breach of at least one breached version")
     planes = pool.planes
     taken = planes_of(breach.priors)
     remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
     if not remaining.size:
         raise PoolExhaustedError("every pool candidate has been consumed")
-    values = score_candidates(breach, planes[remaining], cfg)
+    held = None if cfg.n_samples else pool.band_areas(breach.scenario, breach.guard)[remaining]
+    values = score_candidates(breach, planes[remaining], cfg, held)
     best = int(np.argmin(values))  # the first NaN, if any
     score = TransferabilityScore(float(values[best]))
     if not score.defined:

@@ -235,6 +235,13 @@ def test_clip_batch_shared_half_plane_and_areas():
         assert area == pytest.approx(polygon_area(clip_convex(poly, half)), rel=1e-12)
 
 
+def test_clip_batch_of_no_rows_and_of_empty_rows():
+    for polys in ([], [ConvexPolygon.empty()] * 3):
+        cut = clip_convex_batch(PolygonBatch.of(polys), 1.0, -2.0, 0.25)
+        assert cut.n.tolist() == [0] * len(polys)
+        assert polygon_areas(cut).tolist() == [0.0] * len(polys)
+
+
 def test_polygon_batch_of_and_take_match_rows_built_one_by_one():
     polys = [UNIT_SQUARE, ConvexPolygon.empty(), SLIVER_TAIL, rectangle(-3.0, 2.0, -1.0, 4.0)]
     for got, want in zip(PolygonBatch.of(polys), _batch(polys)):

@@ -601,3 +601,93 @@ def test_pool_holds_its_planes_outside_eq_and_repr(scenario, monkeypatch):
     seed_pair = [pool.boundaries[0], pool.boundaries[1]]
     select_next(pool, Breach.of(scenario, seed_pair), AttackSampleConfig("ensemble", 0, 0))
     assert built == [2]
+    # the band areas that step held stay out of ==, hash and repr too
+    assert again == pool and hash(again) == hash(pool) and repr(again) == repr(pool)
+    assert "band" not in repr(pool)
+
+
+def _counting_band_areas(monkeypatch):
+    """Guards of every plus_band_areas call the pool makes, in order."""
+    guards = []
+    real = versioning.plus_band_areas
+    monkeypatch.setattr(versioning, "plus_band_areas",
+                        lambda scenario, guard, planes: guards.append(guard) or
+                        real(scenario, guard, planes))
+    return guards
+
+
+def test_pool_band_areas_held_per_guard(scenario, monkeypatch):
+    # the stock pool: the third pick deepens the breach's guard
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    computed = _counting_band_areas(monkeypatch)
+    breach = Breach.of(scenario, [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions])
+    guards = []
+    for _ in range(6):
+        guards.append(breach.guard)
+        index, _ = select_next(pool, breach, EXACT)
+        np.testing.assert_array_equal(
+            pool.band_areas(scenario, breach.guard),
+            regions.plus_band_areas(scenario, breach.guard, pool.planes))
+        breach = breach.extend(pool.boundaries[index])
+    assert guards[1] == guards[0] < guards[2] == guards[5]
+    assert computed == [guards[0], guards[2]]
+    held = pool.band_areas(scenario, guards[2])
+    assert held.shape == (50, 2) and not held.flags.writeable
+    assert pool.band_areas(scenario, guards[2]) is held and computed == [guards[0], guards[2]]
+    # sampled steps read no band areas
+    select_next(pool, breach, AttackSampleConfig("ensemble", 2_000, 1))
+    assert len(computed) == 2
+
+
+def test_pool_construction_clips_nothing(scenario, monkeypatch):
+    computed = _counting_band_areas(monkeypatch)
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    CandidatePool(pool.hidden_points, pool.boundaries)
+    assert computed == []
+
+
+def test_warm_exact_step_clips_only_live_inside_polygons(scenario, monkeypatch):
+    pool = generate_candidate_pool(scenario, 1000, 31.0, seed=3)
+    breach = Breach.of(scenario, [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions])
+    for _ in range(3):
+        index, _ = select_next(pool, breach, EXACT)
+        breach = breach.extend(pool.boundaries[index])
+    select_next(pool, breach, EXACT)  # holds the band areas under this guard
+    live = sum(not inside.is_empty for inside in breach.inside)
+    assert live == 1  # the sliver band's inside polygon is empty
+    rows = []
+
+    def counting(*args):
+        rows.append(len(args[0].n))
+        return clip_convex_batch(*args)
+
+    monkeypatch.setattr(regions, "clip_convex_batch", counting)
+    select_next(pool, breach, EXACT)
+    remaining = sum(bd not in breach.priors for bd in pool.boundaries)
+    assert len(rows) == math.ceil(remaining / regions.SCORE_BLOCK)
+    assert sum(rows) == remaining * live
+
+
+def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(scenario):
+    # 1000-candidate pools at eps_d = 31, drawn from the 32-bit seed
+    # np.random.SeedSequence(s) derives for s = 0, 1 and 2
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    for seed in range(3):
+        (pool_seed,) = np.random.SeedSequence(seed).generate_state(1, dtype=np.uint32)
+        pool = generate_candidate_pool(scenario, 1000, 31.0, int(pool_seed))
+        breach = Breach.of(scenario, seed_pair)
+        for _ in range(8):
+            index, score = select_next(pool, breach, EXACT)
+            fresh = select_next(CandidatePool(pool.hidden_points, pool.boundaries), breach, EXACT)
+            assert (index, repr(score.value)) == (fresh[0], repr(fresh[1].value))
+            target = build_attackable_region(scenario, pool.boundaries[index])
+            assert repr(score.value) == repr(reference_score(breach, target))
+            breach = breach.extend(pool.boundaries[index])
+
+
+def test_select_next_needs_breached_versions(scenario):
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    within = Breach.within(build_attackable_region(scenario, pool.boundaries[0]))
+    for cfg in (EXACT, AttackSampleConfig("ensemble", 2_000, 1)):
+        with pytest.raises(DomainError):
+            select_next(pool, within, cfg)
