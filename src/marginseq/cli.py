@@ -53,8 +53,10 @@ MAX_PLAN_VERSIONS = 1000
 MAX_POOL_SIZE = 100_000
 
 # cmd_pool holds one breach per sequence and extends it by one version a row, so a
-# greedy step's time goes to scoring the pool; only its check for taken candidates grows
-# with the versions breached.  On a 2-core host, with 3,000 candidates, 100 versions
+# greedy step's time goes to scoring the pool.  Three costs grow with the versions
+# breached: the check for taken candidates, a sampled step's test of each drawn point
+# against every undominated breached version, and Breach.extend, which rebuilds its
+# dominance record from them.  On a 2-core host, with 3,000 candidates, 100 versions
 # take 1.5-2.1 s end to end.
 MAX_SEQUENCE_LENGTH = 100
 
@@ -63,6 +65,16 @@ MAX_SEQUENCE_LENGTH = 100
 # 300,000 takes 1.5-2.1 s end to end as 3,000 candidates over 98 steps and 3.2-4.0 s as
 # 100,000 over 3 steps; 100,000 candidates over 18 steps, 1.8 million, take 7.3-8.3 s.
 MAX_CANDIDATES_SCORED = 300_000
+
+# A sampled step of cmd_pool draws at most samples points, tests each against every
+# undominated breached version and each one it keeps against every candidate.  The pool
+# covers the sequence, so a step makes about samples * pool size tests, and this bounds
+# samples * pool size * (length - 2), the greedy steps' share; the random steps make no
+# more.  No other limit bounds the samples.  On a 2-core host a run of 10^9 takes
+# 1.7-1.9 s as the stock 50 candidates over 8 versions (3.3 million samples), 3.0-3.9 s
+# as 100 over 100 and 4.0-5.0 s as 20 over 20; the stock run at 2*10^7 samples, 6*10^9,
+# takes 9.7 s.
+MAX_SAMPLED_WORK = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -271,11 +283,16 @@ def cmd_pool(settings: Settings, args, out) -> int:
     if scored > MAX_CANDIDATES_SCORED:
         raise DomainError(f"{length - 2} greedy steps over {settings.pool_size} candidates would "
                           f"score {scored}, above the limit of {MAX_CANDIDATES_SCORED}")
+    tested = settings.attack_samples * scored
+    if tested > MAX_SAMPLED_WORK:
+        raise DomainError(f"{length - 2} greedy steps of {settings.attack_samples} samples over "
+                          f"{settings.pool_size} candidates would make {tested} point tests, "
+                          f"above the limit of {MAX_SAMPLED_WORK}")
+    cfg = AttackSampleConfig(MODE_ENSEMBLE, settings.attack_samples, settings.attack_seed)
     pool = generate_candidate_pool(scenario, settings.pool_size, settings.pool_eps_d,
                                    settings.pool_seed)
     seed_plan = plan_sequence(scenario, 2, settings.plan_k, settings.plan_b_max)
     seed_pair = [bd for bd, _ in seed_plan.versions]
-    cfg = AttackSampleConfig(MODE_ENSEMBLE, settings.attack_samples, settings.attack_seed)
 
     rows = []
     breach = Breach.of(scenario, seed_pair)

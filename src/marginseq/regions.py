@@ -16,7 +16,7 @@ exists as an independent, sampling-based cross-check of those exact numbers.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .separators import DecisionBoundary, ScenarioConfig
 # anywhere and the merged counts are identical to a single sequential pass.
 MC_BLOCK = 1 << 17
 
-# Target rows per batched clip in Breach.scores, paired_scores and plus_band_areas:
+# Target rows per batched clip of _clipped_areas, the one every exact score shares:
 # bounds the (rows x vertices) temporaries whatever the pool size or plan length.
 SCORE_BLOCK = 256
 
@@ -140,20 +140,15 @@ def deepest_guard(scenario: ScenarioConfig, boundaries) -> float:
     return float(guard_extent(scenario, *planes_of(boundaries).T).max())
 
 
-def _dominated(widest: dict, boundary: DecisionBoundary) -> bool:
-    """Whether widest, the largest c per "+" normal (a, b), holds boundary's "+" side."""
+def _admit(widest: dict, boundary: DecisionBoundary) -> bool:
+    """Whether boundary is undominated by the record widest, and if so add it to widest.
+
+    widest holds the largest c per "+" normal (a, b); see :func:`undominated`."""
     line = boundary.plus
-    return widest.get((line.a, line.b), -math.inf) >= line.c
-
-
-def _undominated(boundaries) -> tuple[list[DecisionBoundary], dict]:
-    """:func:`undominated` and the largest c per "+" normal (a, b) it saw."""
-    kept, widest = [], {}
-    for bd in boundaries:
-        if not _dominated(widest, bd):
-            kept.append(bd)
-            widest[bd.plus.a, bd.plus.b] = bd.plus.c
-    return kept, widest
+    if widest.get((line.a, line.b), -math.inf) >= line.c:
+        return False
+    widest[line.a, line.b] = line.c
+    return True
 
 
 def undominated(boundaries) -> list[DecisionBoundary]:
@@ -190,7 +185,8 @@ def undominated(boundaries) -> list[DecisionBoundary]:
     it, which no stock plan does (and pool sequences share no normal); the
     tests pin every skip, bit for bit, against the clip by every separator.
     """
-    return _undominated(boundaries)[0]
+    widest = {}
+    return [bd for bd in boundaries if _admit(widest, bd)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -206,25 +202,47 @@ def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolyg
     return left, sliver
 
 
+def _clipped_areas(polys: PolygonBatch, cells: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Area of polygon cells[i, j] of polys on the "+" side of row i of planes, per cell.
+
+    planes holds one "+" half-plane (a, b, c) per row.  One
+    :func:`clip_convex_batch` call per block of SCORE_BLOCK rows clips the
+    block's non-empty polygons; an empty polygon's area is 0.0 unclipped.
+
+    Proof that no value depends on which polygons are clipped together.
+    :func:`clip_convex_batch` computes a row from that row's polygon and
+    half-plane alone: its tolerance takes max|x| and max|y| over the row's
+    valid vertices, and every padded column is masked out.
+    :func:`polygon_areas` wraps each row at its own count and adds +0.0 for
+    each padded column to a running sum that starts at +0.0, which leaves
+    the sum as it is.  So a cell's area is the same whatever the other cells
+    and the padding width, and an empty polygon's clip has no vertex and
+    area 0.0, the value it is given.  Band areas :func:`plus_band_areas`
+    gives are therefore the areas the scorer would clip for the same band
+    and half-plane, bit for bit.
+    """
+    areas = np.zeros(cells.shape)
+    for start in range(0, len(cells), SCORE_BLOCK):
+        block = cells[start:start + SCORE_BLOCK]
+        row, col = np.nonzero(polys.n[block] > 0)
+        a, b, c = planes[start + row].T
+        clipped = clip_convex_batch(polys.take(block[row, col]), a, b, c)
+        areas[start + row, col] = polygon_areas(clipped)
+    return areas
+
+
 def plus_band_areas(scenario: ScenarioConfig, guard: float, planes) -> np.ndarray:
     """Area of each :func:`band_rectangles` band on the "+" side of each row of planes.
 
     planes holds one "+" half-plane (a, b, c) per row, and row i of the
-    result its band areas in band order, from one batched clip per block of
-    SCORE_BLOCK rows.  They are the band areas :meth:`Breach.scores` would
-    clip for a breach under this guard, bit for bit (see :func:`_score_rows`).
+    result its band areas in band order.  They are the band areas
+    :meth:`Breach.scores` would clip for a breach under this guard, bit for
+    bit, as both come from :func:`_clipped_areas`.
     """
     bands = band_rectangles(scenario, guard)
-    polys = PolygonBatch.of(bands)
     planes = np.asarray(planes, dtype=float).reshape(-1, 3)
-    areas = np.zeros((len(planes), len(bands)))
-    for start in range(0, len(planes), SCORE_BLOCK):
-        block = planes[start:start + SCORE_BLOCK]
-        a, b, c = np.repeat(block, len(bands), axis=0).T
-        rows = np.tile(np.arange(len(bands)), len(block))
-        clipped = clip_convex_batch(polys.take(rows), a, b, c)
-        areas[start:start + len(block)] = polygon_areas(clipped).reshape(-1, len(bands))
-    return areas
+    cells = np.broadcast_to(np.arange(len(bands)), (len(planes), len(bands)))
+    return _clipped_areas(PolygonBatch.of(bands), cells, planes)
 
 
 def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary) -> AttackableRegion:
@@ -271,8 +289,7 @@ class Breach:
     breached: one of the band, whose area :func:`plus_band_areas` can hold
     per guard, and one of its inside polygon, none once that is empty.
     :meth:`chain` adds an undominated version with one clip per band and a
-    dominated one with none.  ``widest`` records the largest c per "+"
-    normal (a, b).
+    dominated one with none.  No breach stores which of its priors are dominated.
     """
 
     scenario: ScenarioConfig
@@ -281,8 +298,6 @@ class Breach:
     pieces: tuple[ConvexPolygon, ...]
     inside: tuple[ConvexPolygon, ...]
     area: float
-    # derived from priors, so it takes no part in ==; never mutated once built
-    widest: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, scenario: ScenarioConfig, priors: list[DecisionBoundary]) -> "Breach":
@@ -290,15 +305,15 @@ class Breach:
             raise DomainError("transferability requires at least one breached version")
         guard = deepest_guard(scenario, priors)
         bands = band_rectangles(scenario, guard)
-        clipping, widest = _undominated(priors)
-        inside = tuple(halfplane_intersection([bd.minus for bd in clipping], b) for b in bands)
-        return cls._exposing(scenario, tuple(priors), guard, bands, inside, widest)
+        clipping = [bd.minus for bd in undominated(priors)]
+        inside = tuple(halfplane_intersection(clipping, b) for b in bands)
+        return cls._exposing(scenario, tuple(priors), guard, bands, inside)
 
     @classmethod
-    def _exposing(cls, scenario, priors, guard, bands, inside, widest) -> "Breach":
+    def _exposing(cls, scenario, priors, guard, bands, inside) -> "Breach":
         """The breach whose area is each band less its inside, summed in band order."""
         area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(bands, inside))
-        return cls(scenario, priors, guard, bands, inside, area, widest)
+        return cls(scenario, priors, guard, bands, inside, area)
 
     @classmethod
     def within(cls, region: AttackableRegion) -> "Breach":
@@ -312,26 +327,28 @@ class Breach:
         Each equals :meth:`of` its breached separators, bit for bit.  One
         :func:`guard_extent` call covers the whole sequence.  A separator
         whose guard is deeper than every breached one rebuilds the breach by
-        :meth:`of`; else one that ``widest`` shows dominated (see
+        :meth:`of`; else one that an earlier separator dominates (see
         :func:`undominated`) is carried over with no clip, and any other
-        costs one clip per band.
+        costs one clip per band.  The dominance record is built from
+        ``priors`` once per call and updated as each separator is added.
         """
         if not self.priors:
             raise DomainError("a breach of one region's own pieces cannot grow")
+        widest = {}
+        for bd in self.priors:
+            _admit(widest, bd)
         out = [self]
         for boundary, guard in zip(sequence, guard_extent(self.scenario, *planes_of(sequence).T)):
             last = out[-1]
             priors = (*last.priors, boundary)
+            admitted = _admit(widest, boundary)
             if guard > last.guard:
                 out.append(Breach.of(self.scenario, priors))
-            elif _dominated(last.widest, boundary):
+            elif not admitted:
                 out.append(replace(last, priors=priors))
             else:
                 inside = tuple(clip_convex(i, boundary.minus) for i in last.inside)
-                line = boundary.plus
-                widest = {**last.widest, (line.a, line.b): line.c}
-                out.append(Breach._exposing(self.scenario, priors, last.guard, last.pieces,
-                                            inside, widest))
+                out.append(Breach._exposing(self.scenario, priors, last.guard, last.pieces, inside))
         return out
 
     def extend(self, boundary: DecisionBoundary) -> "Breach":
@@ -370,27 +387,15 @@ def _score_rows(breaches, owner: np.ndarray, planes, band_areas=None) -> np.ndar
     """Row i of planes scored against breaches[owner[i]].
 
     Each row scores area(band n plus) - area(inside n plus) per band,
-    summed in band order, over its breach's area.  One batched clip per
-    block of SCORE_BLOCK rows cuts each row's non-empty polygons of its
-    breach, taken as rows of one :class:`PolygonBatch` of all the breaches'
-    polygons: the bands and inside polygons, or only the inside polygons
-    when band_areas holds each row's band areas.  An empty polygon's area is
-    0.0 and is not clipped.  A row is NaN when its breach's area is zero, as
-    the ratio is then undefined.  An invalid target raises
-    :class:`GeometryError`.
-
-    Proof that no value depends on which polygons are clipped together.
-    :func:`clip_convex_batch` computes a row from that row's polygon and
-    half-plane alone: its tolerance takes max|x| and max|y| over the row's
-    valid vertices, and every padded column is masked out.
-    :func:`polygon_areas` wraps each row at its own count and adds +0.0 for
-    each padded column to a running sum that starts at +0.0, which leaves
-    the sum as it is.  So a row's area is the same whatever the other rows
-    and the padding width, and an empty polygon's clip has no vertex and
-    area 0.0, the value it is given.  Band areas held from a clip of the
-    same band and half-plane are therefore the areas this clip would give,
-    and each row's sum of band - inside runs over the same values in the
-    same order.
+    summed in band order, over its breach's area.  :func:`_clipped_areas`
+    clips each row's polygons of its breach, taken as rows of one
+    :class:`PolygonBatch` of all the breaches' polygons: the bands and
+    inside polygons, or only the inside polygons when band_areas holds each
+    row's band areas.  Its proof shows that no value depends on which rows
+    are clipped together, so each row's sum of band - inside runs over the
+    same values in the same order either way.  A row is NaN when its
+    breach's area is zero, as the ratio is then undefined.  An invalid
+    target raises :class:`GeometryError`.
     """
     scenarios = {b.scenario for b in breaches}
     if len(scenarios) > 1:
@@ -402,20 +407,12 @@ def _score_rows(breaches, owner: np.ndarray, planes, band_areas=None) -> np.ndar
     bands = len(breaches[0].pieces)
     width = 2 * bands  # a breach's bands, then their inside polygons
     polys = PolygonBatch.of([p for b in breaches for p in (*b.pieces, *b.inside)])
-    areas = np.zeros((len(planes), width))
-    first = 0  # a breach's first polygon that is clipped
-    if band_areas is not None:
-        areas[:, :bands] = band_areas
-        first = bands
-    for start in range(0, len(planes), SCORE_BLOCK):
-        cells = owner[start:start + SCORE_BLOCK, None] * width + np.arange(first, width)
-        row, col = np.nonzero(polys.n[cells] > 0)
-        a, b, c = planes[start + row].T
-        clipped = clip_convex_batch(polys.take(cells[row, col]), a, b, c)
-        areas[start + row, first + col] = polygon_areas(clipped)
+    first = 0 if band_areas is None else bands  # a breach's first polygon that is clipped
+    clipped = _clipped_areas(polys, owner[:, None] * width + np.arange(first, width), planes)
+    plus = clipped if band_areas is None else np.asarray(band_areas, dtype=float)
     numer = np.zeros(len(planes))
-    for band in range(bands):
-        numer += areas[:, band] - areas[:, bands + band]
+    for band in range(bands):  # the inside polygons' areas are clipped's last columns
+        numer += plus[:, band] - clipped[:, band - bands]
     area = np.array([b.area for b in breaches])[owner]
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(area == 0.0, np.nan, numer / area)

@@ -18,6 +18,7 @@ from marginseq.cli import (
     MAX_CANDIDATES_SCORED,
     MAX_PLAN_VERSIONS,
     MAX_POOL_SIZE,
+    MAX_SAMPLED_WORK,
     MAX_SEQUENCE_LENGTH,
     load_settings,
     main,
@@ -422,6 +423,42 @@ def test_pool_candidates_scored_limit(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool", "--sequence-length", "20")
     assert (code, out) == (2, "")
     assert f"limit of {MAX_CANDIDATES_SCORED}" in err
+
+
+def _sampled_run(tmp_path, given, samples, length):
+    """argv of a stock pool run of length versions, samples given by flag or by file key."""
+    cfg = tmp_path / "sampled.ini"
+    text = f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[plan]\nn_versions = {length}\n"
+    if given == "file":
+        cfg.write_text(text + f"\n[attack]\nsamples = {samples}\n")
+        return ["--scenario", str(cfg), "pool"]
+    cfg.write_text(text)
+    return ["--scenario", str(cfg), "pool", "--samples", str(samples)]
+
+
+@pytest.mark.parametrize("given", ["flag", "file"])
+@pytest.mark.parametrize("samples, length, why", [
+    (MAX_SAMPLED_WORK // 300 + 1, 8, f"limit of {MAX_SAMPLED_WORK}"),
+    (100_000_000_000, 3, f"limit of {MAX_SAMPLED_WORK}"),
+    (-1, 8, "n_samples must be >= 0"),
+])
+def test_pool_sampled_work_limit(tmp_path, capsys, monkeypatch, given, samples, length, why):
+    # refused before the pool, and so any sample, is drawn
+    monkeypatch.setattr(cli, "generate_candidate_pool", _undrawn)
+    code, out, err = run_cli(capsys, *_sampled_run(tmp_path, given, samples, length))
+    assert (code, out) == (2, "")
+    assert why in err
+
+
+@pytest.mark.parametrize("given", ["flag", "file"])
+def test_pool_sampled_work_at_the_limit_runs(tmp_path, capsys, monkeypatch, given):
+    # 6 greedy steps of 1,000 samples over 50 candidates make 300,000 point tests
+    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", 300_000)
+    code, out, _ = run_cli(capsys, *_sampled_run(tmp_path, given, 1000, 8))
+    assert code == 0 and len(parse_csv(out)) == 12
+    code, out, err = run_cli(capsys, *_sampled_run(tmp_path, given, 1001, 8))
+    assert (code, out) == (2, "")
+    assert "would make 300300 point tests, above the limit of 300000" in err
 
 
 def test_pool_empty_by_geometry_exits(tmp_path, capsys):

@@ -669,20 +669,31 @@ def test_warm_exact_step_clips_only_live_inside_polygons(scenario, monkeypatch):
 
 
 def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(scenario):
-    # 1000-candidate pools at eps_d = 31, drawn from the 32-bit seed
-    # np.random.SeedSequence(s) derives for s = 0, 1 and 2
+    # the stock pool, then 1000-candidate pools at eps_d = 31, drawn from the
+    # 32-bit seed np.random.SeedSequence(s) derives for s = 0, 1 and 2
     seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    pools = [generate_candidate_pool(scenario, 50, seed=42)]
     for seed in range(3):
         (pool_seed,) = np.random.SeedSequence(seed).generate_state(1, dtype=np.uint32)
-        pool = generate_candidate_pool(scenario, 1000, 31.0, int(pool_seed))
+        pools.append(generate_candidate_pool(scenario, 1000, 31.0, int(pool_seed)))
+    guards = []
+    for pool in pools:
         breach = Breach.of(scenario, seed_pair)
+        guards.append(set())
         for _ in range(8):
+            guards[-1].add(breach.guard)
+            # held band areas score every candidate as the scorer's own band clips do
+            held = regions.plus_band_areas(scenario, breach.guard, pool.planes)
+            assert (repr(breach.scores(pool.planes, held).tolist())
+                    == repr(breach.scores(pool.planes).tolist()))
             index, score = select_next(pool, breach, EXACT)
             fresh = select_next(CandidatePool(pool.hidden_points, pool.boundaries), breach, EXACT)
             assert (index, repr(score.value)) == (fresh[0], repr(fresh[1].value))
             target = build_attackable_region(scenario, pool.boundaries[index])
             assert repr(score.value) == repr(reference_score(breach, target))
             breach = breach.extend(pool.boundaries[index])
+    # the stock pool and seed 2's pool score later steps under a guard a pick deepened
+    assert [len(g) for g in guards] == [2, 1, 1, 2]
 
 
 def test_select_next_needs_breached_versions(scenario):
