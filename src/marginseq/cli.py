@@ -22,8 +22,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError, MarginSeqError, ScenarioFileError
-from .regions import (MODE_ENSEMBLE, AttackSampleConfig, Breach, build_attackable_region,
-                      planes_of, region_area)
+from .regions import MODE_ENSEMBLE, AttackSampleConfig, Breach, planes_of
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
@@ -53,11 +52,10 @@ MAX_PLAN_VERSIONS = 1000
 MAX_POOL_SIZE = 100_000
 
 # cmd_pool holds one breach per sequence and extends it by one version a row, so a
-# greedy step's time goes to scoring the pool.  Three costs grow with the versions
-# breached: the check for taken candidates, a sampled step's test of each drawn point
-# against every undominated breached version, and Breach.extend, which rebuilds its
-# dominance record from them.  On a 2-core host, with 3,000 candidates, 100 versions
-# take 1.5-2.1 s end to end.
+# greedy step's time goes to scoring the pool.  Two costs grow with the versions
+# breached: the check for taken candidates, and Breach.extend, which rebuilds its
+# dominance record from them; MAX_SAMPLED_WORK counts a sampled step's tests against
+# them.  On a 2-core host, with 3,000 candidates, 100 versions take 1.5-2.1 s end to end.
 MAX_SEQUENCE_LENGTH = 100
 
 # The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
@@ -66,15 +64,15 @@ MAX_SEQUENCE_LENGTH = 100
 # 100,000 over 3 steps; 100,000 candidates over 18 steps, 1.8 million, take 7.3-8.3 s.
 MAX_CANDIDATES_SCORED = 300_000
 
-# A sampled step of cmd_pool draws at most samples points, tests each against every
-# undominated breached version and each one it keeps against every candidate.  The pool
-# covers the sequence, so a step makes about samples * pool size tests, and this bounds
-# samples * pool size * (length - 2), the greedy steps' share; the random steps make no
-# more.  No other limit bounds the samples.  On a 2-core host a run of 10^9 takes
-# 1.7-1.9 s as the stock 50 candidates over 8 versions (3.3 million samples), 3.0-3.9 s
-# as 100 over 100 and 4.0-5.0 s as 20 over 20; the stock run at 2*10^7 samples, 6*10^9,
-# takes 9.7 s.
-MAX_SAMPLED_WORK = 1_000_000_000
+# A sampled step of cmd_pool tests each point it draws against every undominated
+# breached version, at most length, and each it keeps against every candidate, one in a
+# random step.  Over the length - 2 greedy and random steps that is at most
+# samples * (length - 2) * (pool size + 2 * length) tests, which this bounds; nothing
+# else bounds samples.  The stock 50 candidates over 8 versions run at up to 3,333,333.
+# On a 2-core host runs at the limit take 3.2-4.3 s as 3,000 candidates over 100
+# versions, 2.6-3.4 s as 12 over 12 and 2.0 s stock; no other shape of README's grid
+# took longer.
+MAX_SAMPLED_WORK = 1_320_000_000
 
 
 @dataclass(frozen=True)
@@ -224,9 +222,9 @@ def cmd_plan(settings: Settings, args, out) -> int:
     if n > MAX_PLAN_VERSIONS:
         raise DomainError(f"plan of {n} versions exceeds the limit of {MAX_PLAN_VERSIONS}")
     plan = plan_sequence(scenario, n, settings.plan_k, settings.plan_b_max)
-    regions = [build_attackable_region(scenario, bd) for bd, _ in plan.versions]
+    within = [Breach.within(scenario, bd) for bd, _ in plan.versions]
     if args.svg:
-        write_svg(args.svg, scenario, [bd for bd, _ in plan.versions], regions)
+        write_svg(args.svg, scenario, [bd for bd, _ in plan.versions], within)
     writer = ReportWriter(
         scenario,
         ["row", "index", "kind", "k", "b", "hidden_v", "hidden_w", "ar_area",
@@ -238,7 +236,7 @@ def cmd_plan(settings: Settings, args, out) -> int:
     for i, (boundary, hidden) in enumerate(plan.versions, start=1):
         kind, k, b, _ = _boundary_fields(boundary)
         writer.row("version", i, kind, k, b, hidden.v, hidden.w,
-                   region_area(regions[i - 1]), compound_at.get(i), None, None, None)
+                   within[i - 1].area, compound_at.get(i), None, None, None)
     writer.row("summary", None, None, None, None, None, None, None, None,
                plan.n_tiers, plan.step if plan.n_tiers else None, plan.alpha)
     return 0
@@ -252,8 +250,8 @@ def cmd_table(settings: Settings, args, out) -> int:
     for n in (2, 4, 6, 8, 10):
         plan = plan_sequence(scenario, n, k, b_max)
         versions = [bd for bd, _ in plan.versions]
-        ar1 = region_area(build_attackable_region(scenario, versions[0]))
-        ar3 = region_area(build_attackable_region(scenario, versions[2])) if n >= 3 else None
+        ar1 = Breach.within(scenario, versions[0]).area
+        ar3 = Breach.within(scenario, versions[2]).area if n >= 3 else None
         nominal = REFERENCE_ALPHAS.get(n) if is_reference else None
         rows.append((n, plan.step if plan.n_tiers else None, ar1, ar3, plan.alpha, nominal))
     writer = ReportWriter(
@@ -283,19 +281,19 @@ def cmd_pool(settings: Settings, args, out) -> int:
     if scored > MAX_CANDIDATES_SCORED:
         raise DomainError(f"{length - 2} greedy steps over {settings.pool_size} candidates would "
                           f"score {scored}, above the limit of {MAX_CANDIDATES_SCORED}")
-    tested = settings.attack_samples * scored
+    tested = settings.attack_samples * (length - 2) * (settings.pool_size + 2 * length)
     if tested > MAX_SAMPLED_WORK:
-        raise DomainError(f"{length - 2} greedy steps of {settings.attack_samples} samples over "
+        raise DomainError(f"{settings.attack_samples} samples over {length} versions and "
                           f"{settings.pool_size} candidates would make {tested} point tests, "
                           f"above the limit of {MAX_SAMPLED_WORK}")
     cfg = AttackSampleConfig(MODE_ENSEMBLE, settings.attack_samples, settings.attack_seed)
     pool = generate_candidate_pool(scenario, settings.pool_size, settings.pool_eps_d,
                                    settings.pool_seed)
     seed_plan = plan_sequence(scenario, 2, settings.plan_k, settings.plan_b_max)
-    seed_pair = [bd for bd, _ in seed_plan.versions]
+    seed = Breach.of(scenario, [bd for bd, _ in seed_plan.versions])
 
     rows = []
-    breach = Breach.of(scenario, seed_pair)
+    breach = seed
     for step in range(3, length + 1):
         index, score = select_next(pool, breach, cfg)
         boundary = pool.boundaries[index]
@@ -306,7 +304,7 @@ def cmd_pool(settings: Settings, args, out) -> int:
         breach = breach.extend(boundary)
 
     baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed)
-    breach = Breach.of(scenario, seed_pair)
+    breach = seed
     for step, (hidden, boundary) in enumerate(baseline, start=3):
         (value,) = score_candidates(breach, planes_of([boundary]), cfg)
         kind, k, b, x0 = _boundary_fields(boundary)
@@ -335,8 +333,8 @@ def cmd_verify(settings: Settings, args, out) -> int:
     return 0 if failed == 0 else 4
 
 
-def write_svg(path: str, scenario: ScenarioConfig, boundaries, regions) -> None:
-    """Self-contained figure of the strip, clusters, boundaries, and regions."""
+def write_svg(path: str, scenario: ScenarioConfig, boundaries, within) -> None:
+    """Self-contained figure of the strip, clusters, boundaries, and regions (within's pieces)."""
     c, y_lim = scenario.c, scenario.y_lim
     x_ext = c + 2.0
     y_ext = y_lim + 2.0
@@ -362,7 +360,7 @@ def write_svg(path: str, scenario: ScenarioConfig, boundaries, regions) -> None:
             f'<circle cx="{sx(cx):.2f}" cy="{sy(0):.2f}" r="{r_px:.2f}" '
             f'fill="#cfe3ff" stroke="#3366aa"/>'
         )
-    for region in regions:
+    for region in within:
         for piece in region.pieces:
             if piece.is_empty:
                 continue
@@ -401,7 +399,8 @@ def _parse_point(text: str) -> tuple[float, float]:
         sv, sw = text.split(",")
         return float(sv), float(sw)
     except ValueError:
-        raise DomainError(f"--h expects 'V,W', got {text!r}")
+        # argparse shows an ArgumentTypeError's message; it hides a ValueError's
+        raise argparse.ArgumentTypeError(f"--h expects 'V,W', got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

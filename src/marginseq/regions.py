@@ -316,10 +316,13 @@ class Breach:
         return cls(scenario, priors, guard, bands, inside, area)
 
     @classmethod
-    def within(cls, region: AttackableRegion) -> "Breach":
-        """One region's own pieces with nothing inside; no priors, no guard, and it cannot grow."""
+    def within(cls, scenario: ScenarioConfig, boundary: DecisionBoundary) -> "Breach":
+        """boundary's attackable region, nothing inside: it scores directional transferability.
+
+        It has the region's pieces and area, no priors, no guard (NaN), and it cannot grow."""
+        region = build_attackable_region(scenario, boundary)
         empty = (ConvexPolygon.empty(),) * len(region.pieces)
-        return cls(region.scenario, (), math.nan, region.pieces, empty, region_area(region))
+        return cls(scenario, (), math.nan, region.pieces, empty, region_area(region))
 
     def chain(self, sequence) -> list["Breach"]:
         """This breach, then it extended by each separator of sequence in turn.
@@ -433,8 +436,8 @@ def directional_transferability(
     ar1: AttackableRegion, ar2: AttackableRegion
 ) -> TransferabilityScore:
     """Overlap of ar2 with ar1, relative to ar1: S(ar1 n ar2) / S(ar1)."""
-    _separators([ar1, ar2])
-    return Breach.within(ar1).score(ar2.source_boundary)
+    scenario, (source, target) = _separators([ar1, ar2])
+    return Breach.within(scenario, source).score(target)
 
 
 def compound_transferability(

@@ -15,14 +15,12 @@ from .errors import DomainError
 from .regions import (
     AttackSampleConfig,
     Breach,
-    build_attackable_region,
     check_zero_transfer,
     closed_form_ar_area,
     mc_transferability,
     paired_scores,
     philox,
     planes_of,
-    region_area,
 )
 from .separators import (
     DecisionBoundary,
@@ -133,7 +131,7 @@ def check_area_closed_form(scenario: ScenarioConfig) -> CheckResult:
             if expected <= 0.0:
                 continue  # the formula is stated for positive areas; this one underflowed
             boundary = DecisionBoundary.sloped(k, -b, scenario)
-            area = region_area(build_attackable_region(scenario, boundary))
+            area = Breach.within(scenario, boundary).area
             worst = max(worst, abs(area - expected) / expected)
             count += 1
     return CheckResult(
@@ -163,10 +161,9 @@ def _zero_transfer_pair(scenario: ScenarioConfig, rng: "np.random.Generator"):
         bd2 = DecisionBoundary.sloped(-k, y_i + k * x_i, scenario)
         if not (separates_training_disks(scenario, bd1) and separates_training_disks(scenario, bd2)):
             continue
-        ar1 = build_attackable_region(scenario, bd1)
-        ar2 = build_attackable_region(scenario, bd2)
-        if region_area(ar1) > 0.0 and region_area(ar2) > 0.0:
-            return bd1, bd2, ar1, ar2
+        within = [Breach.within(scenario, bd1), Breach.within(scenario, bd2)]
+        if within[0].area > 0.0 and within[1].area > 0.0:
+            return bd1, bd2, within
     raise DomainError("could not generate a separating zero-transfer pair for this scenario")
 
 
@@ -175,10 +172,10 @@ def check_zero_transfer_pairs(scenario: ScenarioConfig) -> CheckResult:
     breaches, targets = [], []
     worst_mc = 0.0
     for _ in range(_ZERO_TRANSFER_PAIRS):
-        bd1, bd2, ar1, ar2 = _zero_transfer_pair(scenario, rng)
+        bd1, bd2, within = _zero_transfer_pair(scenario, rng)
         assert check_zero_transfer(bd1, bd2, scenario)
         # both directional ratios, scored below with every other pair's
-        breaches += [Breach.within(ar1), Breach.within(ar2)]
+        breaches += within
         targets += [bd2, bd1]
         cfg = AttackSampleConfig("ensemble", 100_000, 77)
         worst_mc = max(worst_mc, mc_transferability(scenario, [bd1], bd2, cfg).value)
@@ -195,7 +192,7 @@ def check_mc_consistency(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9004, 0)
     breaches, targets, estimates = [], [], []
     for _ in range(_MC_SETS):
-        bd1, bd2, _, _ = _zero_transfer_pair(scenario, rng)
+        bd1, bd2, _ = _zero_transfer_pair(scenario, rng)
         k = bd1.k
         # deepest downward offset that still separates and keeps the region
         # inside the strip
@@ -256,11 +253,7 @@ def check_reference_table(scenario: ScenarioConfig, k: float, b_max: float) -> C
     """Stock-configuration regression against the published alpha tiers."""
     if scenario != REFERENCE_SCENARIO or (k, b_max) != REFERENCE_PLAN:
         return None
-    ar1 = region_area(
-        build_attackable_region(
-            scenario, plan_sequence(scenario, 2, k, b_max).versions[0][0]
-        )
-    )
+    ar1 = Breach.within(scenario, plan_sequence(scenario, 2, k, b_max).versions[0][0]).area
     worst = abs(ar1 - REFERENCE_AR1)
     ok = worst <= 0.01
     for n, ref in REFERENCE_ALPHAS.items():

@@ -174,16 +174,20 @@ def classify(boundary: DecisionBoundary, p: Point2) -> str:
 
 
 def validate_hidden_point(scenario: ScenarioConfig, h: HiddenPoint) -> None:
-    """Check h lies in the determining band and outside both training disks."""
+    """Check h lies in the determining band, which keeps it outside both training disks.
+
+    |v| < c - 1 puts h more than 1 from both centroids (+-c, 0).  For c > 2 so
+    do floats: v - c is exact for v >= c/2 (Sterbenz), else at most -c/2 < -1,
+    so fl(v - c) < -1, likewise fl(v + c) > 1, and math.hypot, under an ulp
+    off, exceeds 1.  For c <= 2 a point under an ulp outside a disk can compute
+    at distance 1.0: next to the "+" disk :func:`tangents_to_unit_circle`
+    refuses it, and next to the "-" disk it trains a near-zero-margin separator.
+    """
     c, y_lim = scenario.c, scenario.y_lim
     if not abs(h.v) < c - 1.0:
         raise DomainError(f"v={h.v} outside |v| < c-1 = {c - 1.0}")
     if not abs(h.w) <= y_lim:
         raise DomainError(f"w={h.w} outside |w| <= y_lim = {y_lim}")
-    if math.hypot(h.v - c, h.w) <= 1.0:
-        raise DomainError("hidden point inside the '+' training disk has no effect")
-    if math.hypot(h.v + c, h.w) <= 1.0:
-        raise DomainError("hidden point inside the '-' training disk is contradictory")
 
 
 def boundary_from_hidden(

@@ -35,7 +35,6 @@ from .regions import (
     AttackSampleConfig,
     Breach,
     TransferabilityScore,
-    build_attackable_region,
     mc_scores,
     paired_scores,
     philox,
@@ -132,12 +131,12 @@ class CandidatePool:
 
 
 def sample_hidden_point(scenario: ScenarioConfig, rng: "np.random.Generator") -> HiddenPoint:
-    """Uniform hidden point over the determining band minus both training disks."""
+    """Uniform hidden point over the determining band, redrawn if v lands on an end +-(c - 1)."""
     c, y_lim = scenario.c, scenario.y_lim
     while True:
         v = float(rng.uniform(-(c - 1.0), c - 1.0))
         w = float(rng.uniform(-y_lim, y_lim))
-        if math.hypot(v - c, w) > 1.0 and math.hypot(v + c, w) > 1.0:
+        if abs(v) < c - 1.0:
             return HiddenPoint(v, w)
 
 
@@ -159,12 +158,13 @@ def reconstruct_anchor(scenario: ScenarioConfig, k: float, b: float) -> tuple[fl
 def anchor_admissible(scenario: ScenarioConfig, k: float, b: float) -> bool:
     """Whether the reflection anchor lies in the determining band.
 
-    This is the planner's feasibility notion: the band and disk test of
+    This is the planner's feasibility notion: the band test of
     :func:`validate_hidden_point`, i.e. constraints 1 and 2 of
-    :func:`check_boundary_feasibility` plus staying outside both training
-    disks.  It does not promise the anchor reproduces (k, b); see the module
-    docstring.  :func:`reconstruct_anchor`'s own :class:`DomainError` (k == 0,
-    or an anchor that is not finite) reaches the caller.
+    :func:`check_boundary_feasibility`, which keeps the anchor outside both
+    training disks (see there for the floating-point argument).  It does not
+    promise the anchor reproduces (k, b); see the module docstring.
+    :func:`reconstruct_anchor`'s own :class:`DomainError` (k == 0, or an
+    anchor that is not finite) reaches the caller.
     """
     h = HiddenPoint(*reconstruct_anchor(scenario, k, b))
     try:
@@ -289,14 +289,14 @@ def plan_sequence(
 def verify_plan(plan: SequencePlan) -> PlanVerification:
     """Exact audit: prefix bounds, union stability, and the zero-transfer pair.
 
-    The seed pair's directional row and every prefix row are scored in one
-    :func:`paired_scores` call, against prefix breaches grown by one
-    :meth:`Breach.chain`.
+    One :func:`paired_scores` call scores the seed pair's directional row,
+    against :meth:`Breach.within` version 1, and every prefix row, against
+    prefix breaches grown by one :meth:`Breach.chain`.
     """
     scenario = plan.scenario
     versions = [bd for bd, _ in plan.versions]
     prefixes = Breach.of(scenario, versions[:2]).chain(versions[2:-1]) if len(versions) > 2 else []
-    pair = [Breach.within(build_attackable_region(scenario, versions[0]))] if len(versions) > 1 else []
+    pair = [Breach.within(scenario, versions[0])] if len(versions) > 1 else []
     values = paired_scores(pair + prefixes, planes_of(versions[1:])).tolist()
     at_pair = values.pop(0) if pair else 0.0
 

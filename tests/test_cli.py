@@ -411,6 +411,21 @@ def test_pool_sequence_length_limit(tmp_path, capsys, length):
     assert f"limit of {MAX_SEQUENCE_LENGTH}" in err
 
 
+def test_pool_sequence_length_below_the_seed_pair(capsys):
+    code, out, err = run_cli(capsys, "pool", "--sequence-length", "1")
+    assert (code, out) == (2, "")
+    assert "at least the two seed versions" in err
+
+
+@pytest.mark.parametrize("text", ["1", "1,2,3", "a,b"])
+def test_boundary_malformed_point_names_the_form(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "--h", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--h expects 'V,W', got {text!r}" in err
+
+
 def _undrawn(*args):
     raise AssertionError("the pool was drawn")
 
@@ -438,7 +453,7 @@ def _sampled_run(tmp_path, given, samples, length):
 
 @pytest.mark.parametrize("given", ["flag", "file"])
 @pytest.mark.parametrize("samples, length, why", [
-    (MAX_SAMPLED_WORK // 300 + 1, 8, f"limit of {MAX_SAMPLED_WORK}"),
+    (MAX_SAMPLED_WORK // 396 + 1, 8, f"limit of {MAX_SAMPLED_WORK}"),
     (100_000_000_000, 3, f"limit of {MAX_SAMPLED_WORK}"),
     (-1, 8, "n_samples must be >= 0"),
 ])
@@ -452,13 +467,14 @@ def test_pool_sampled_work_limit(tmp_path, capsys, monkeypatch, given, samples, 
 
 @pytest.mark.parametrize("given", ["flag", "file"])
 def test_pool_sampled_work_at_the_limit_runs(tmp_path, capsys, monkeypatch, given):
-    # 6 greedy steps of 1,000 samples over 50 candidates make 300,000 point tests
-    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", 300_000)
+    # 6 greedy and 6 random steps of 1,000 samples over 50 candidates and up to 8
+    # versions make 1,000 * 6 * (50 + 2 * 8) = 396,000 point tests
+    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", 396_000)
     code, out, _ = run_cli(capsys, *_sampled_run(tmp_path, given, 1000, 8))
     assert code == 0 and len(parse_csv(out)) == 12
     code, out, err = run_cli(capsys, *_sampled_run(tmp_path, given, 1001, 8))
     assert (code, out) == (2, "")
-    assert "would make 300300 point tests, above the limit of 300000" in err
+    assert "would make 396396 point tests, above the limit of 396000" in err
 
 
 def test_pool_empty_by_geometry_exits(tmp_path, capsys):
@@ -570,6 +586,18 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
     nofile = tmp_path / "nope.ini"
     code, _, err = run_cli(capsys, "--scenario", str(nofile), "table")
     assert code == 3
+
+    for name, text, why in (
+        ("section", "[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[plans]\nk = 7\n",
+         "unknown section [plans]"),
+        ("noscenario", "[plan]\nk = 7\n", "must contain a [scenario] section"),
+        ("badvalue", "[scenario]\nc = 1\ndelta = 0.1\ny_lim = 30\n", "invalid [scenario] values"),
+    ):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "--scenario", str(path), "table")
+        assert (code, out) == (3, ""), name
+        assert why in err, name
 
 
 def test_verify_default_scenario(capsys):

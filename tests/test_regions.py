@@ -108,6 +108,7 @@ def _entry_points(scenario, line):
     return {
         "region": lambda: build_attackable_region(scenario, line),
         "breach-prior": lambda: Breach.of(scenario, [line]),
+        "breach-within": lambda: Breach.within(scenario, line),
         "breach-target": lambda: Breach.of(scenario, seed).scores(planes_of([line])),
         "breach-chain": lambda: Breach.of(scenario, seed).chain([line]),
         "paired-target": lambda: paired_scores([Breach.of(scenario, seed)], planes_of([line])),
@@ -131,8 +132,8 @@ _INVALID_LINES = {
 }
 
 
-@pytest.mark.parametrize("entry", ["region", "breach-prior", "breach-target", "breach-chain",
-                                   "paired-target", "exact-prior", "exact-scores",
+@pytest.mark.parametrize("entry", ["region", "breach-prior", "breach-within", "breach-target",
+                                   "breach-chain", "paired-target", "exact-prior", "exact-scores",
                                    "sampled-scores", "mc-prior", "mc-target"])
 @pytest.mark.parametrize("name", sorted(_INVALID_LINES))
 def test_invalid_separator_raises_at_every_entry_point(scenario, name, entry):
@@ -634,7 +635,7 @@ def _assert_scores_match(breach, regions):
 @pytest.mark.parametrize("breach", [
     lambda s: Breach.of(s, list(canonical_pair(s))),
     lambda s: Breach.of(s, _six_priors(s)),
-    lambda s: Breach.within(build_attackable_region(s, offset_boundary(s, 7.0, 0.7))),
+    lambda s: Breach.within(s, offset_boundary(s, 7.0, 0.7)),
 ], ids=["seed-pair", "six-priors", "one-region"])
 def test_breach_scores_match_scalar_over_stock_pool(scenario, breach):
     breach = breach(scenario)
@@ -651,7 +652,8 @@ def test_breach_scores_near_origin_sliver(scenario):
     target = build_attackable_region(
         scenario, DecisionBoundary.sloped(-6306.151366477757, 1.000444171950221e-11, scenario)
     )
-    for breach in (Breach.of(scenario, [prior.source_boundary]), Breach.within(prior)):
+    source = prior.source_boundary
+    for breach in (Breach.of(scenario, [source]), Breach.within(scenario, source)):
         _assert_scores_match(breach, [target, prior])
 
 
@@ -697,12 +699,26 @@ def test_breach_extend_rebuilds_under_a_deeper_guard(scenario):
         assert grown.pieces != breach.pieces
 
 
+@pytest.mark.parametrize("bd", [
+    lambda s: offset_boundary(s, 7.0, 0.7),
+    lambda s: DecisionBoundary.vertical(-49.5, s),
+    lambda s: DecisionBoundary.sloped(1000.0, -1000.0, s),
+], ids=["sloped", "vertical", "zero-area"])
+def test_breach_within_holds_the_region_of_its_separator(scenario, bd):
+    bd = bd(scenario)
+    region = build_attackable_region(scenario, bd)
+    within = Breach.within(scenario, bd)
+    assert repr((within.pieces, within.area)) == repr((region.pieces, region_area(region)))
+    assert within.priors == () and all(i.is_empty for i in within.inside)
+    assert math.isnan(within.guard)
+
+
 def test_breach_extend_domain_errors(scenario):
-    ar = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 0.7))
+    bd = offset_boundary(scenario, 7.0, 0.7)
     with pytest.raises(DomainError):
-        Breach.within(ar).extend(ar.source_boundary)
+        Breach.within(scenario, bd).extend(bd)
     with pytest.raises(DomainError):
-        Breach.within(ar).chain([])
+        Breach.within(scenario, bd).chain([])
 
 
 def _deeper_mid_chain(scenario):
@@ -744,7 +760,7 @@ def _paired_rows(scenario):
     seed, sequence = _deeper_mid_chain(scenario)
     pool = generate_candidate_pool(scenario, 60, 2.0, seed=5).boundaries
     chained = Breach.of(scenario, seed).chain(sequence)
-    within = [Breach.within(build_attackable_region(scenario, bd)) for bd in pool[:8]]
+    within = [Breach.within(scenario, bd) for bd in pool[:8]]
     empty = Breach.of(scenario, [DecisionBoundary.sloped(1000.0, -1000.0, scenario)])
     kinds = [*chained, *within, empty]
     rng = philox(1919)

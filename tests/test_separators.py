@@ -220,6 +220,39 @@ def test_oracle_vertical_continuity(scenario):
         assert numeric.x0 == pytest.approx((-100.0 + v + 1.0) / 2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [2.0 + 2.0**-51, 3.0, 100.0, 2.0**53 + 2.0, 1e200])
+def test_band_points_lie_outside_both_disks_in_floats(c):
+    # the band test alone keeps a hidden point out of both training disks when c > 2
+    ends = (math.nextafter(c - 1.0, 0.0), c / 2.0, math.nextafter(c / 2.0, 0.0), 0.0)
+    for v in (*ends, *(-e for e in ends)):
+        for w in (0.0, 5e-324, 1e-20):
+            assert abs(v) < c - 1.0
+            assert math.hypot(v - c, w) > 1.0 and math.hypot(v + c, w) > 1.0, (v, w)
+
+
+def test_band_end_next_to_the_plus_disk_refused_when_c_is_small():
+    # fl(v - c) rounds to -1 here, and the tangent construction refuses the point
+    s = ScenarioConfig(1.75, 0.1, 3.0)
+    with pytest.raises(DomainError):
+        boundary_from_hidden(s, HiddenPoint(math.nextafter(0.75, 0.0), 0.0))
+
+
+class _Scripted:
+    """Stands in for a generator whose uniform draws are given in order."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def uniform(self, low, high):
+        return next(self._values)
+
+
+def test_sample_hidden_point_redraws_the_band_ends(scenario):
+    end = scenario.c - 1.0
+    rng = _Scripted(-end, 0.5, end, -0.5, 3.0, 4.0)
+    assert sample_hidden_point(scenario, rng) == HiddenPoint(3.0, 4.0)
+
+
 def test_boundary_validation(scenario):
     with pytest.raises(DomainError):
         DecisionBoundary.sloped(0.0, 1.0, scenario)

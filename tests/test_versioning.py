@@ -698,7 +698,7 @@ def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(
 
 def test_select_next_needs_breached_versions(scenario):
     pool = generate_candidate_pool(scenario, 50, seed=42)
-    within = Breach.within(build_attackable_region(scenario, pool.boundaries[0]))
+    within = Breach.within(scenario, pool.boundaries[0])
     for cfg in (EXACT, AttackSampleConfig("ensemble", 2_000, 1)):
         with pytest.raises(DomainError):
             select_next(pool, within, cfg)
