@@ -31,7 +31,6 @@ from .geometry import (
     tangents_to_unit_circle,
 )
 from .regions import (
-    AttackableRegion,
     AttackSampleConfig,
     MonteCarloEstimate,
     TransferabilityScore,
@@ -39,9 +38,7 @@ from .regions import (
     check_zero_transfer,
     closed_form_ar_area,
     compound_transferability,
-    directional_transferability,
     mc_transferability,
-    region_area,
     union_area,
 )
 from .separators import (

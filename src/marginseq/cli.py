@@ -114,9 +114,12 @@ def _value(parser: configparser.ConfigParser, section: str, key: str, kind):
     raw = parser.get(section, key)
     try:
         value = kind(raw)
+        finite = math.isfinite(value)
     except ValueError:
         raise ScenarioFileError(f"[{section}] {key}={raw!r} is not a valid number")
-    if not math.isfinite(value):
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
         raise ScenarioFileError(f"[{section}] {key}={raw!r} must be finite")
     return value
 
@@ -130,6 +133,8 @@ def load_settings(path: str | None) -> Settings:
             parser.read_file(fh)
     except OSError as exc:
         raise ScenarioFileError(f"cannot read scenario file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioFileError(f"scenario file {path} is not UTF-8: {exc}")
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
         if line is None and getattr(exc, "errors", None):
@@ -224,7 +229,7 @@ def cmd_plan(settings: Settings, args, out) -> int:
     plan = plan_sequence(scenario, n, settings.plan_k, settings.plan_b_max)
     within = [Breach.within(scenario, bd) for bd, _ in plan.versions]
     if args.svg:
-        write_svg(args.svg, scenario, [bd for bd, _ in plan.versions], within)
+        write_svg(args.svg, scenario, within)
     writer = ReportWriter(
         scenario,
         ["row", "index", "kind", "k", "b", "hidden_v", "hidden_w", "ar_area",
@@ -333,8 +338,8 @@ def cmd_verify(settings: Settings, args, out) -> int:
     return 0 if failed == 0 else 4
 
 
-def write_svg(path: str, scenario: ScenarioConfig, boundaries, within) -> None:
-    """Self-contained figure of the strip, clusters, boundaries, and regions (within's pieces)."""
+def write_svg(path: str, scenario: ScenarioConfig, within) -> None:
+    """Self-contained figure: the strip, clusters, and each within breach's region and separator."""
     c, y_lim = scenario.c, scenario.y_lim
     x_ext = c + 2.0
     y_ext = y_lim + 2.0
@@ -366,7 +371,7 @@ def write_svg(path: str, scenario: ScenarioConfig, boundaries, within) -> None:
                 continue
             pts = " ".join(f"{sx(p.x):.2f},{sy(p.y):.2f}" for p in piece.vertices)
             parts.append(f'<polygon points="{pts}" fill="#dd6666" fill-opacity="0.25"/>')
-    for boundary in boundaries:
+    for boundary in (region.priors[0] for region in within):
         # where the line a*x + b*y = c meets the strip's edges inside the
         # figure; a != 0 for every separator, b == 0 only for a vertical one
         line = boundary.plus

@@ -47,15 +47,6 @@ _MIN_ACCEPTANCE = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
-class AttackableRegion:
-    """Misclassified "-" territory of one boundary, one convex piece per band."""
-
-    scenario: ScenarioConfig
-    source_boundary: DecisionBoundary
-    pieces: tuple[ConvexPolygon, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class TransferabilityScore:
     """One transferability ratio; NaN marks a ratio that is undefined."""
 
@@ -245,20 +236,6 @@ def plus_band_areas(scenario: ScenarioConfig, guard: float, planes) -> np.ndarra
     return _clipped_areas(PolygonBatch.of(bands), cells, planes)
 
 
-def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary) -> AttackableRegion:
-    """Exact attackable region of one boundary as convex pieces, one per band.
-
-    An invalid separator raises :class:`GeometryError` (see :func:`guard_extent`).
-    """
-    bands = band_rectangles(scenario, deepest_guard(scenario, [boundary]))
-    pieces = tuple(halfplane_intersection([boundary.plus], band) for band in bands)
-    return AttackableRegion(scenario, boundary, pieces)
-
-
-def region_area(region: AttackableRegion) -> float:
-    return sum(polygon_area(p) for p in region.pieces)
-
-
 def closed_form_ar_area(scenario: ScenarioConfig, k: float, b: float) -> float:
     """Area of the attackable region of y = k*x - b as triangle plus trapezoid.
 
@@ -278,13 +255,16 @@ def closed_form_ar_area(scenario: ScenarioConfig, k: float, b: float) -> float:
 class Breach:
     """Territory the breached versions expose to an attacker, one piece per band.
 
-    The ensemble attacker holds every breached version.  :meth:`of` takes
-    their separators and cuts the bands under the deepest breached guard,
+    This is the one form of attackable territory: ``priors`` are the breached
+    versions' separators, one for a directional score and all of them for
+    the ensemble attacker's compound score.  :meth:`within` holds one
+    version's own attackable region; it has a NaN guard and cannot grow.
+    :meth:`of` cuts the bands under the deepest breached guard,
     which no breached region reaches: the pieces are the bands, ``inside``
     each band cut by every breached "-" side and ``area`` the union, band
     less inside.  Only the :func:`undominated` separators are clipped by, as
-    a dominated one's clip leaves inside as it is, and every breach with
-    priors keeps ``band_rectangles(scenario, guard)`` as its pieces.  A
+    a dominated one's clip leaves inside as it is, and every breach :meth:`of`
+    builds keeps ``band_rectangles(scenario, guard)`` as its pieces.  A
     target scores at most two clips per band however many versions are
     breached: one of the band, whose area :func:`plus_band_areas` can hold
     per guard, and one of its inside polygon, none once that is empty.
@@ -319,10 +299,16 @@ class Breach:
     def within(cls, scenario: ScenarioConfig, boundary: DecisionBoundary) -> "Breach":
         """boundary's attackable region, nothing inside: it scores directional transferability.
 
-        It has the region's pieces and area, no priors, no guard (NaN), and it cannot grow."""
-        region = build_attackable_region(scenario, boundary)
-        empty = (ConvexPolygon.empty(),) * len(region.pieces)
-        return cls(scenario, (), math.nan, region.pieces, empty, region_area(region))
+        The pieces are each band, cut under boundary's own guard, on its "+"
+        side, and the area is theirs.  Its one prior is boundary; it has no
+        guard (NaN), and it cannot grow.  An invalid separator raises
+        :class:`GeometryError` (see :func:`guard_extent`).
+        """
+        bands = band_rectangles(scenario, deepest_guard(scenario, [boundary]))
+        pieces = tuple(halfplane_intersection([boundary.plus], band) for band in bands)
+        empty = (ConvexPolygon.empty(),) * len(pieces)
+        area = sum(polygon_area(p) for p in pieces)
+        return cls(scenario, (boundary,), math.nan, pieces, empty, area)
 
     def chain(self, sequence) -> list["Breach"]:
         """This breach, then it extended by each separator of sequence in turn.
@@ -335,7 +321,7 @@ class Breach:
         costs one clip per band.  The dominance record is built from
         ``priors`` once per call and updated as each separator is added.
         """
-        if not self.priors:
+        if math.isnan(self.guard):
             raise DomainError("a breach of one region's own pieces cannot grow")
         widest = {}
         for bd in self.priors:
@@ -425,31 +411,28 @@ def _score_rows(breaches, owner: np.ndarray, planes, band_areas=None) -> np.ndar
     return np.clip(values, 0.0, 1.0)
 
 
-def _separators(regions: list[AttackableRegion]) -> tuple[ScenarioConfig, list[DecisionBoundary]]:
+def build_attackable_region(scenario: ScenarioConfig, boundary: DecisionBoundary) -> Breach:
+    """:meth:`Breach.within` boundary: the one-version breach the region-taking functions take."""
+    return Breach.within(scenario, boundary)
+
+
+def _separators(regions: list[Breach]) -> tuple[ScenarioConfig, list[DecisionBoundary]]:
     """The one scenario every region was built under, and each region's separator."""
     if len({r.scenario for r in regions}) > 1:
         raise DomainError("regions built under different scenarios")
-    return regions[0].scenario, [r.source_boundary for r in regions]
+    if any(len(r.priors) != 1 for r in regions):
+        raise DomainError("a region is the breach of one version")
+    return regions[0].scenario, [r.priors[0] for r in regions]
 
 
-def directional_transferability(
-    ar1: AttackableRegion, ar2: AttackableRegion
-) -> TransferabilityScore:
-    """Overlap of ar2 with ar1, relative to ar1: S(ar1 n ar2) / S(ar1)."""
-    scenario, (source, target) = _separators([ar1, ar2])
-    return Breach.within(scenario, source).score(target)
-
-
-def compound_transferability(
-    priors: list[AttackableRegion], target: AttackableRegion
-) -> TransferabilityScore:
-    """S(target n union of priors) / S(union of priors), exactly."""
+def compound_transferability(priors: list[Breach], target: Breach) -> TransferabilityScore:
+    """S(target n union of priors) / S(union of priors), exactly, of one-version regions."""
     scenario, separators = _separators([*priors, target])
     return Breach.of(scenario, separators[:-1]).score(separators[-1])
 
 
-def union_area(priors: list[AttackableRegion]) -> float:
-    """Exact area of the union of attackable regions."""
+def union_area(priors: list[Breach]) -> float:
+    """Exact area of the union of one-version regions."""
     return Breach.of(*_separators(priors)).area if priors else 0.0
 
 

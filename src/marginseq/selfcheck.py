@@ -151,7 +151,8 @@ def separates_training_disks(scenario: ScenarioConfig, boundary: DecisionBoundar
     )
 
 
-def _zero_transfer_pair(scenario: ScenarioConfig, rng: "np.random.Generator"):
+def _zero_transfer_pair(scenario: ScenarioConfig, rng: "np.random.Generator") -> list[Breach]:
+    """:meth:`Breach.within` each of two separating, opposite-slope versions, both with area."""
     d, y = scenario.delta, scenario.y_lim
     for _ in range(100_000):
         k = float(rng.uniform(0.5, 10.0))
@@ -163,7 +164,7 @@ def _zero_transfer_pair(scenario: ScenarioConfig, rng: "np.random.Generator"):
             continue
         within = [Breach.within(scenario, bd1), Breach.within(scenario, bd2)]
         if within[0].area > 0.0 and within[1].area > 0.0:
-            return bd1, bd2, within
+            return within
     raise DomainError("could not generate a separating zero-transfer pair for this scenario")
 
 
@@ -172,7 +173,8 @@ def check_zero_transfer_pairs(scenario: ScenarioConfig) -> CheckResult:
     breaches, targets = [], []
     worst_mc = 0.0
     for _ in range(_ZERO_TRANSFER_PAIRS):
-        bd1, bd2, within = _zero_transfer_pair(scenario, rng)
+        within = _zero_transfer_pair(scenario, rng)
+        bd1, bd2 = (breach.priors[0] for breach in within)
         assert check_zero_transfer(bd1, bd2, scenario)
         # both directional ratios, scored below with every other pair's
         breaches += within
@@ -192,7 +194,7 @@ def check_mc_consistency(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9004, 0)
     breaches, targets, estimates = [], [], []
     for _ in range(_MC_SETS):
-        bd1, bd2, _ = _zero_transfer_pair(scenario, rng)
+        bd1, bd2 = (breach.priors[0] for breach in _zero_transfer_pair(scenario, rng))
         k = bd1.k
         # deepest downward offset that still separates and keeps the region
         # inside the strip

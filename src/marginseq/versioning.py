@@ -416,10 +416,10 @@ def select_next(
     nothing to pick by: it raises :class:`UndefinedEstimateError` naming the
     step, the (len(breach.priors) + 1)-th version, and, when sampled, the
     sample count.  A sequence holds one breach of its breached versions and
-    grows it with :meth:`Breach.extend`; a breach with no priors raises
-    :class:`DomainError`.
+    grows it with :meth:`Breach.extend`; a :meth:`Breach.within` breach, which
+    cannot grow, raises :class:`DomainError`.
     """
-    if not breach.priors:
+    if math.isnan(breach.guard):
         raise DomainError("greedy selection requires a breach of at least one breached version")
     planes = pool.planes
     taken = planes_of(breach.priors)

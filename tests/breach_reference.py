@@ -1,42 +1,51 @@
 """The exact scorer written out with the scalar clip, one target at a time,
-the breach built from the breached versions' attackable regions, and the plan
-audit that scores one prefix at a time."""
+the breach built from the breached versions' separators one at a time, and
+the plan audit that scores one prefix at a time."""
 
 import math
 from types import SimpleNamespace
 
-from marginseq.geometry import halfplane_intersection, polygon_area
-from marginseq.regions import (Breach, band_rectangles, build_attackable_region,
-                               directional_transferability, guard_extent)
+from marginseq.geometry import ConvexPolygon, halfplane_intersection, polygon_area
+from marginseq.regions import Breach, band_rectangles, guard_extent
 from marginseq.versioning import PlanVerification
 
 
-def reference_breach(regions):
-    """pieces, inside and area of the union of regions, built one region at a time.
-
-    The bands are cut under the deepest of the regions' own guards, each
-    taken from a scalar :func:`guard_extent` call, and inside is each band
-    cut by every region's "-" side.
-    """
-    scenario = regions[0].scenario
-    assert all(r.scenario == scenario for r in regions)
+def _bands(scenario, separators):
+    """The bands cut under the deepest of the separators' own guards, each
+    taken from a scalar :func:`guard_extent` call."""
     guards = [float(guard_extent(scenario, line.a, line.b, line.c))
-              for line in (r.source_boundary.plus for r in regions)]
-    bands = band_rectangles(scenario, max(guards))
-    outside = [r.source_boundary.minus for r in regions]
+              for line in (bd.plus for bd in separators)]
+    return band_rectangles(scenario, max(guards))
+
+
+def reference_breach(scenario, separators):
+    """pieces, inside and area of the union of the separators' regions.
+
+    inside is each band cut by every separator's "-" side.
+    """
+    bands = _bands(scenario, separators)
+    outside = [bd.minus for bd in separators]
     inside = tuple(halfplane_intersection(outside, b) for b in bands)
     area = sum(polygon_area(b) - polygon_area(i) for b, i in zip(bands, inside))
     return SimpleNamespace(pieces=bands, inside=inside, area=area)
 
 
+def reference_within(scenario, source):
+    """pieces, inside and area of source's own region: each band cut by its
+    "+" side, nothing inside."""
+    pieces = tuple(halfplane_intersection([source.plus], b) for b in _bands(scenario, [source]))
+    inside = (ConvexPolygon.empty(),) * len(pieces)
+    return SimpleNamespace(pieces=pieces, inside=inside, area=sum(polygon_area(p) for p in pieces))
+
+
 def reference_score(breach, target):
-    """What ``breach.scores`` gives target's row, NaN when the breach has no area.
+    """What ``breach.scores`` gives target separator's row, NaN when the breach has no area.
 
     Per band, area(piece n plus) - area(inside n plus), summed in band order.
     """
     if breach.area == 0.0:
         return math.nan
-    plus = [target.source_boundary.plus]
+    plus = [target.plus]
     numer = 0.0
     for piece, inside in zip(breach.pieces, breach.inside):
         numer += (polygon_area(halfplane_intersection(plus, piece))
@@ -47,8 +56,10 @@ def reference_score(breach, target):
 def reference_verify_plan(plan):
     """What ``verify_plan`` gives, one one-row score per prefix over an extended breach."""
     versions = [bd for bd, _ in plan.versions]
-    seed_pair = [build_attackable_region(plan.scenario, bd) for bd in versions[:2]]
-    at_pair = directional_transferability(*seed_pair).value if len(seed_pair) == 2 else 0.0
+    if len(versions) > 1:
+        at_pair = reference_score(reference_within(plan.scenario, versions[0]), versions[1])
+    else:
+        at_pair = 0.0
 
     compound, unions = [], []
     for i in range(3, len(versions) + 1):

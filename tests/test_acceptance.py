@@ -21,17 +21,16 @@ from marginseq import (
     check_boundary_feasibility,
     check_zero_transfer,
     compound_transferability,
-    directional_transferability,
     mc_transferability,
     oracle_boundary,
     plan_sequence,
     random_baseline_sequence,
-    region_area,
     generate_candidate_pool,
     greedy_select_next,
     verify_plan,
 )
 from marginseq.cli import DEFAULT_SETTINGS, cmd_table
+from marginseq.regions import Breach
 from marginseq.selfcheck import separates_training_disks
 from seeded_rng import philox
 
@@ -66,9 +65,9 @@ def separating_pair(rng):
         bd2 = DecisionBoundary.sloped(-k, y_i + k * x_i, SCENARIO)
         if not (separates_training_disks(SCENARIO, bd1) and separates_training_disks(SCENARIO, bd2)):
             continue
-        ar1 = build_attackable_region(SCENARIO, bd1)
-        ar2 = build_attackable_region(SCENARIO, bd2)
-        if region_area(ar1) >= 0.5 and region_area(ar2) >= 0.5:
+        ar1 = Breach.within(SCENARIO, bd1)
+        ar2 = Breach.within(SCENARIO, bd2)
+        if ar1.area >= 0.5 and ar2.area >= 0.5:
             return bd1, bd2, ar1, ar2
 
 
@@ -116,13 +115,13 @@ def test_criterion_2_zero_transfer_soundness():
             # boundary case: the stock pair crosses exactly at x_I = delta
             plan = plan_sequence(SCENARIO, 2, PLAN_K, PLAN_B_MAX)
             bd1, bd2 = (bd for bd, _ in plan.versions)
-            ar1 = build_attackable_region(SCENARIO, bd1)
-            ar2 = build_attackable_region(SCENARIO, bd2)
+            ar1 = Breach.within(SCENARIO, bd1)
+            ar2 = Breach.within(SCENARIO, bd2)
         else:
             bd1, bd2, ar1, ar2 = separating_pair(rng)
         assert check_zero_transfer(bd1, bd2, SCENARIO)
-        assert directional_transferability(ar1, ar2).value == 0.0
-        assert directional_transferability(ar2, ar1).value == 0.0
+        assert ar1.score(bd2).value == 0.0
+        assert ar2.score(bd1).value == 0.0
         source, target = (bd1, bd2) if i % 2 == 0 else (bd2, bd1)
         assert mc_transferability(SCENARIO, [source], target, cfg).value == 0.0
     elapsed = time.perf_counter() - start

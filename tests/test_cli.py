@@ -565,15 +565,17 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
     assert code == 3
     assert "zz" in err
 
+    beyond_float = "1" + "0" * 400  # an integer int() reads but no float holds
     for section, key, raw in (("plan", "k", "nan"), ("plan", "b_max", "inf"),
-                              ("pool", "eps_d", "nan"), ("attack", "samples", "inf")):
+                              ("pool", "eps_d", "nan"), ("attack", "samples", "inf"),
+                              ("pool", "size", beyond_float), ("plan", "n_versions", beyond_float)):
         nonfinite = tmp_path / f"{key}.ini"
         nonfinite.write_text(
             f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[{section}]\n{key} = {raw}\n"
         )
         code, _, err = run_cli(capsys, "--scenario", str(nonfinite), "pool")
         assert code == 3, (section, key)
-        assert key in err
+        assert f"[{section}] {key}=" in err
 
     # a "%" is read as text, not as configparser interpolation syntax
     for raw in ("7%", "%(foo)s"):
@@ -582,6 +584,12 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, "--scenario", str(percent), "plan")
         assert (code, out) == (3, ""), raw
         assert f"{raw!r} is not a valid number" in err
+
+    notutf8 = tmp_path / "notutf8.ini"
+    notutf8.write_bytes(b"[scenario]\nc = 100\xff\ndelta = 0.1\ny_lim = 30\n")
+    code, out, err = run_cli(capsys, "--scenario", str(notutf8), "table")
+    assert (code, out) == (3, "")
+    assert "not UTF-8" in err
 
     nofile = tmp_path / "nope.ini"
     code, _, err = run_cli(capsys, "--scenario", str(nofile), "table")

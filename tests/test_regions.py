@@ -16,13 +16,11 @@ from marginseq import (
     check_zero_transfer,
     closed_form_ar_area,
     compound_transferability,
-    directional_transferability,
     generate_candidate_pool,
     mc_transferability,
     plan_sequence,
     polygon_area,
     rectangle,
-    region_area,
     score_candidates,
     union_area,
 )
@@ -38,7 +36,7 @@ from marginseq.regions import (
     paired_scores,
     planes_of,
 )
-from breach_reference import reference_breach, reference_score
+from breach_reference import reference_breach, reference_score, reference_within
 from guard_reference import reference_valid
 from mc_reference import full_box_counts, per_target_counts
 from seeded_rng import philox
@@ -62,12 +60,12 @@ def canonical_pair(scenario):
 
 
 def test_canonical_region_pieces(scenario):
-    ar = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 0.7))
+    ar = Breach.within(scenario, offset_boundary(scenario, 7.0, 0.7))
     left, sliver = ar.pieces
     assert polygon_area(left) == pytest.approx(817.96 / 14.0, rel=1e-12)
     assert polygon_area(sliver) == pytest.approx(2.965, rel=1e-12)
-    assert region_area(ar) == pytest.approx(AR1_AREA, rel=1e-12)
-    assert round(region_area(ar), 2) == 61.39
+    assert ar.area == pytest.approx(AR1_AREA, rel=1e-12)
+    assert round(ar.area, 2) == 61.39
     for piece in ar.pieces:
         for p in piece.vertices:
             assert p.x <= scenario.delta
@@ -76,27 +74,27 @@ def test_canonical_region_pieces(scenario):
 
 def test_mirror_region_same_area(scenario):
     bd1, bd2 = canonical_pair(scenario)
-    assert region_area(build_attackable_region(scenario, bd1)) == pytest.approx(
-        region_area(build_attackable_region(scenario, bd2)), rel=1e-12
+    assert Breach.within(scenario, bd1).area == pytest.approx(
+        Breach.within(scenario, bd2).area, rel=1e-12
     )
 
 
 def test_shifted_region_area(scenario):
-    ar = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 12.7))
-    assert region_area(ar) == pytest.approx(AR3_AREA, rel=1e-12)
-    assert round(region_area(ar), 3) == 21.448
+    ar = Breach.within(scenario, offset_boundary(scenario, 7.0, 12.7))
+    assert ar.area == pytest.approx(AR3_AREA, rel=1e-12)
+    assert round(ar.area, 3) == 21.448
 
 
 def test_vertical_region_area(scenario):
-    ar = build_attackable_region(scenario, DecisionBoundary.vertical(-49.5, scenario))
+    ar = Breach.within(scenario, DecisionBoundary.vertical(-49.5, scenario))
     expected = (49.5 - 0.1) * 60.0 + 0.1 * 60.0
-    assert region_area(ar) == pytest.approx(expected, rel=1e-12)
+    assert ar.area == pytest.approx(expected, rel=1e-12)
 
 
 def test_region_guard_violation(scenario):
     runaway = DecisionBoundary.vertical(150.0, scenario)  # "+" side covers both bands
     with pytest.raises(GeometryError):
-        build_attackable_region(scenario, runaway)
+        Breach.within(scenario, runaway)
 
 
 def _entry_points(scenario, line):
@@ -197,8 +195,8 @@ def test_closed_form_examples(scenario):
     # triangle term vanishes continuously at b = y_lim - k*delta
     b_top = 30.0 - 0.7
     assert closed_form_ar_area(scenario, 7.0, b_top) == pytest.approx(0.105, rel=1e-12)
-    ar = build_attackable_region(scenario, offset_boundary(scenario, 7.0, b_top))
-    assert region_area(ar) == pytest.approx(0.105, rel=1e-12)
+    ar = Breach.within(scenario, offset_boundary(scenario, 7.0, b_top))
+    assert ar.area == pytest.approx(0.105, rel=1e-12)
 
 
 def test_closed_form_domain_errors(scenario):
@@ -219,42 +217,38 @@ def test_closed_form_matches_polygon_fuzz(scenario):
             continue
         b = float(rng.uniform(1e-6, top))
         expected = closed_form_ar_area(scenario, k, b)
-        area = region_area(build_attackable_region(scenario, offset_boundary(scenario, k, b)))
+        area = Breach.within(scenario, offset_boundary(scenario, k, b)).area
         assert abs(area - expected) <= 1e-9 * expected
 
 
 def test_directional_examples(scenario):
     bd1, bd2 = canonical_pair(scenario)
-    ar1 = build_attackable_region(scenario, bd1)
-    ar2 = build_attackable_region(scenario, bd2)
-    ar3 = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 12.7))
-    assert directional_transferability(ar1, ar2).value == 0.0
-    assert directional_transferability(ar2, ar1).value == 0.0
-    nested = directional_transferability(ar1, ar3)
+    bd3 = offset_boundary(scenario, 7.0, 12.7)
+    assert Breach.within(scenario, bd1).score(bd2).value == 0.0
+    assert Breach.within(scenario, bd2).score(bd1).value == 0.0
+    nested = Breach.within(scenario, bd1).score(bd3)
     assert nested.value == pytest.approx(AR3_AREA / AR1_AREA, rel=1e-12)
     assert round(nested.value, 4) == 0.3494
-    assert directional_transferability(ar1, ar1).value == 1.0
+    assert Breach.within(scenario, bd1).score(bd1).value == 1.0
 
 
 def test_directional_undefined_for_empty_source(scenario):
-    empty = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 31.0))
-    assert region_area(empty) == 0.0
-    other = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 0.7))
-    assert not directional_transferability(empty, other).defined
+    empty = Breach.within(scenario, offset_boundary(scenario, 7.0, 31.0))
+    assert empty.area == 0.0
+    assert not empty.score(offset_boundary(scenario, 7.0, 0.7)).defined
 
 
 def test_compound_examples(scenario):
     bd1, bd2 = canonical_pair(scenario)
     regions = [build_attackable_region(scenario, bd) for bd in (bd1, bd2)]
-    target = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 12.7))
+    bd3 = offset_boundary(scenario, 7.0, 12.7)
+    target = build_attackable_region(scenario, bd3)
     score = compound_transferability(regions, target)
     assert score.value == pytest.approx(ALPHA_4, rel=1e-12)
     assert round(score.value, 2) == 0.17
     # single prior reduces to the directional ratio
     single = compound_transferability(regions[:1], target)
-    assert single.value == pytest.approx(
-        directional_transferability(regions[0], target).value, rel=1e-12
-    )
+    assert single.value == pytest.approx(Breach.within(scenario, bd1).score(bd3).value, rel=1e-12)
     # disjoint target
     assert compound_transferability([regions[0]], regions[1]).value == 0.0
 
@@ -292,12 +286,12 @@ def test_zero_transfer_soundness_fuzz(scenario):
         bd1 = DecisionBoundary.sloped(k1, y_i - k1 * x_i, scenario)
         bd2 = DecisionBoundary.sloped(k2, y_i - k2 * x_i, scenario)
         assert check_zero_transfer(bd1, bd2, scenario)
-        ar1 = build_attackable_region(scenario, bd1)
-        ar2 = build_attackable_region(scenario, bd2)
-        if region_area(ar1) == 0.0 or region_area(ar2) == 0.0:
+        ar1 = Breach.within(scenario, bd1)
+        ar2 = Breach.within(scenario, bd2)
+        if ar1.area == 0.0 or ar2.area == 0.0:
             continue
-        assert directional_transferability(ar1, ar2).value == 0.0
-        assert directional_transferability(ar2, ar1).value == 0.0
+        assert ar1.score(bd2).value == 0.0
+        assert ar2.score(bd1).value == 0.0
         checked += 1
 
 
@@ -512,7 +506,7 @@ def test_every_region_vertex_lies_at_or_right_of_the_cut(scenario):
     versions = [bd for bd, _ in plan_sequence(scenario, 40, 7.0, 12.0).versions]
     pool = generate_candidate_pool(scenario, 200, seed=5)
     for bd in [*versions, *pool.boundaries]:
-        region = build_attackable_region(scenario, bd)
+        region = Breach.within(scenario, bd)
         guard = _guard(scenario, bd)
         cut = mc_left_cut(scenario, [bd], guard)
         assert cut > -guard
@@ -569,13 +563,22 @@ def test_scenario_mismatch_rejected(scenario):
     ar_a = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 0.7))
     ar_b = build_attackable_region(other, offset_boundary(other, 7.0, 0.7))
     with pytest.raises(DomainError):
-        directional_transferability(ar_a, ar_b)
-    with pytest.raises(DomainError):
         compound_transferability([ar_a], ar_b)
     with pytest.raises(DomainError):
         compound_transferability([ar_b, ar_a], ar_a)
     with pytest.raises(DomainError):
         union_area([ar_a, ar_b])
+
+
+def test_region_taking_functions_refuse_a_breach_of_several_versions(scenario):
+    pair = Breach.of(scenario, list(canonical_pair(scenario)))
+    target = build_attackable_region(scenario, offset_boundary(scenario, 7.0, 12.7))
+    with pytest.raises(DomainError):
+        compound_transferability([pair], target)
+    with pytest.raises(DomainError):
+        compound_transferability([target], pair)
+    with pytest.raises(DomainError):
+        union_area([pair])
 
 
 def test_compound_matches_inclusion_exclusion_over_stock_pool(scenario):
@@ -584,12 +587,12 @@ def test_compound_matches_inclusion_exclusion_over_stock_pool(scenario):
     priors = [build_attackable_region(scenario, bd) for bd in canonical_pair(scenario)]
     prior_area = union_area(priors)
     pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
-    prior_guard = max(_guard(scenario, r.source_boundary) for r in priors)
+    prior_guard = max(_guard(scenario, bd) for bd in canonical_pair(scenario))
     deeper = 0
     for boundary in pool.boundaries:
         target = build_attackable_region(scenario, boundary)
         deeper += _guard(scenario, boundary) > prior_guard
-        overlap = region_area(target) + prior_area - union_area(priors + [target])
+        overlap = target.area + prior_area - union_area(priors + [target])
         score = compound_transferability(priors, target)
         assert score.value == pytest.approx(overlap / prior_area, abs=1e-12)
     assert deeper > 0
@@ -621,10 +624,10 @@ def _six_priors(scenario):
     return [*canonical_pair(scenario), *generate_candidate_pool(scenario, 4, 2.0, 7).boundaries]
 
 
-def _assert_scores_match(breach, regions):
-    got = breach.scores(_planes(r.source_boundary for r in regions))
-    for value, region in zip(got, regions):
-        want = reference_score(breach, region)
+def _assert_scores_match(breach, targets):
+    got = breach.scores(_planes(targets))
+    for value, target in zip(got, targets):
+        want = reference_score(breach, target)
         assert not math.isnan(want)
         assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
         if want in (0.0, 1.0):
@@ -640,49 +643,38 @@ def _assert_scores_match(breach, regions):
 def test_breach_scores_match_scalar_over_stock_pool(scenario, breach):
     breach = breach(scenario)
     pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
-    got = _assert_scores_match(breach, [build_attackable_region(scenario, bd)
-                                        for bd in pool.boundaries])
+    got = _assert_scores_match(breach, pool.boundaries)
     assert got.min() < got.max()
 
 
 def test_breach_scores_near_origin_sliver(scenario):
-    prior = build_attackable_region(
-        scenario, DecisionBoundary.sloped(-317.45126011347384, 2.8421709430404007e-13, scenario)
-    )
-    target = build_attackable_region(
-        scenario, DecisionBoundary.sloped(-6306.151366477757, 1.000444171950221e-11, scenario)
-    )
-    source = prior.source_boundary
+    source = DecisionBoundary.sloped(-317.45126011347384, 2.8421709430404007e-13, scenario)
+    target = DecisionBoundary.sloped(-6306.151366477757, 1.000444171950221e-11, scenario)
     for breach in (Breach.of(scenario, [source]), Breach.within(scenario, source)):
-        _assert_scores_match(breach, [target, prior])
+        _assert_scores_match(breach, [target, source])
 
 
 def _assert_same_breach(got, want):
     assert repr((got.pieces, got.inside, got.area)) == repr((want.pieces, want.inside, want.area))
 
 
-def _regions(scenario, boundaries):
-    return [build_attackable_region(scenario, bd) for bd in boundaries]
-
-
 @pytest.mark.parametrize("name", [*sorted(_CUT_PRIORS), "six-priors"])
 def test_breach_of_separators_matches_the_region_built_reference(scenario, name):
     priors = _six_priors(scenario) if name == "six-priors" else _CUT_PRIORS[name](scenario)
-    _assert_same_breach(Breach.of(scenario, priors), reference_breach(_regions(scenario, priors)))
+    _assert_same_breach(Breach.of(scenario, priors), reference_breach(scenario, priors))
 
 
 @pytest.mark.parametrize("n", [3, 10, 40])
 def test_breach_extend_matches_of_over_plan_prefixes(scenario, n):
     versions = [bd for bd, _ in plan_sequence(scenario, n, 7.0, 12.0).versions]
-    regions = _regions(scenario, versions)
     breach = Breach.of(scenario, versions[:1])
-    _assert_same_breach(breach, reference_breach(regions[:1]))
+    _assert_same_breach(breach, reference_breach(scenario, versions[:1]))
     for i in range(1, n):
         # stock plans keep the first guard
         assert _guard(scenario, versions[i]) <= _guard(scenario, versions[0])
         breach = breach.extend(versions[i])
         _assert_same_breach(breach, Breach.of(scenario, versions[: i + 1]))
-        _assert_same_breach(breach, reference_breach(regions[: i + 1]))
+        _assert_same_breach(breach, reference_breach(scenario, versions[: i + 1]))
 
 
 def test_breach_extend_rebuilds_under_a_deeper_guard(scenario):
@@ -695,7 +687,7 @@ def test_breach_extend_rebuilds_under_a_deeper_guard(scenario):
     for bd in deeper:
         grown = breach.extend(bd)
         _assert_same_breach(grown, Breach.of(scenario, priors + [bd]))
-        _assert_same_breach(grown, reference_breach(_regions(scenario, priors + [bd])))
+        _assert_same_breach(grown, reference_breach(scenario, priors + [bd]))
         assert grown.pieces != breach.pieces
 
 
@@ -706,10 +698,9 @@ def test_breach_extend_rebuilds_under_a_deeper_guard(scenario):
 ], ids=["sloped", "vertical", "zero-area"])
 def test_breach_within_holds_the_region_of_its_separator(scenario, bd):
     bd = bd(scenario)
-    region = build_attackable_region(scenario, bd)
     within = Breach.within(scenario, bd)
-    assert repr((within.pieces, within.area)) == repr((region.pieces, region_area(region)))
-    assert within.priors == () and all(i.is_empty for i in within.inside)
+    _assert_same_breach(within, reference_within(scenario, bd))
+    assert within.priors == (bd,) and all(i.is_empty for i in within.inside)
     assert math.isnan(within.guard)
 
 
@@ -843,9 +834,8 @@ _DOMINANCE = ["duplicate", "ulp-inward", "ulp-outward", "dominated-first",
 def _assert_chain_matches_reference(scenario, separators, prefixes):
     """Breach.of and every prefix of Breach.chain against the breach clipped by every separator."""
     chain = Breach.of(scenario, separators[:1]).chain(separators[1:])
-    built = _regions(scenario, separators)
     for i in prefixes:
-        want = reference_breach(built[:i])
+        want = reference_breach(scenario, separators[:i])
         _assert_same_breach(chain[i - 1], want)
         _assert_same_breach(Breach.of(scenario, separators[:i]), want)
         assert chain[i - 1].priors == tuple(separators[:i])

@@ -386,7 +386,7 @@ def test_greedy_exact_steps_match_scalar_scores(scenario):
     for _ in range(8):
         index, score = greedy_select_next(scenario, pool, breached, EXACT)
         breach = Breach.of(scenario, breached)
-        scalar = reference_score(breach, build_attackable_region(scenario, pool.boundaries[index]))
+        scalar = reference_score(breach, pool.boundaries[index])
         assert repr(score.value) == repr(scalar)
         picks.append(index)
         breached.append(pool.boundaries[index])
@@ -689,8 +689,7 @@ def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(
             index, score = select_next(pool, breach, EXACT)
             fresh = select_next(CandidatePool(pool.hidden_points, pool.boundaries), breach, EXACT)
             assert (index, repr(score.value)) == (fresh[0], repr(fresh[1].value))
-            target = build_attackable_region(scenario, pool.boundaries[index])
-            assert repr(score.value) == repr(reference_score(breach, target))
+            assert repr(score.value) == repr(reference_score(breach, pool.boundaries[index]))
             breach = breach.extend(pool.boundaries[index])
     # the stock pool and seed 2's pool score later steps under a guard a pick deepened
     assert [len(g) for g in guards] == [2, 1, 1, 2]
@@ -702,3 +701,12 @@ def test_select_next_needs_breached_versions(scenario):
     for cfg in (EXACT, AttackSampleConfig("ensemble", 2_000, 1)):
         with pytest.raises(DomainError):
             select_next(pool, within, cfg)
+
+
+def test_sampled_scores_of_a_within_breach_are_directional_estimates(scenario):
+    source, *targets = [bd for bd, _ in plan_sequence(scenario, 6, 7.0, 12.0).versions]
+    cfg = AttackSampleConfig("ensemble", 20_000, 5)
+    got = score_candidates(Breach.within(scenario, source), regions.planes_of(targets), cfg)
+    want = [mc_transferability(scenario, [source], bd, cfg).value for bd in targets]
+    assert repr(got.tolist()) == repr(want)
+    assert 0.0 < min(v for v in want if v > 0.0) < max(want) < 1.0
