@@ -40,22 +40,23 @@ from .versioning import (
 SCHEMA_VERSION = "1"
 
 # cmd_plan reads every prefix score from verify_plan, which grows its prefix breaches
-# in one chain and scores them in one batched clip per 256 prefixes.  On a 2-core host
-# running about 1.9 times slower than when quiet, `plan --n 1000 --svg` takes about
+# in one chain and scores them in one clipped_areas call per 4096 prefixes.  On a 2-core
+# host running about 1.9 times slower than when quiet, `plan --n 1000 --svg` takes about
 # 0.65 s end to end and `--n 200` about 0.38 s.  This is the only bound on --n.
 MAX_PLAN_VERSIONS = 1000
 
 # generate_candidate_pool draws its first batch at full size.  On a 2-core host 100,000
-# candidates build in about 1.4 s.  One exact greedy step over them takes 0.6-0.7 s when
-# it clips the candidates' band areas under a new guard and about 0.4 s when the pool
+# candidates build in about 1.4 s.  One exact greedy step over them takes 0.1-0.2 s when
+# it clips the candidates' band areas under a new guard and 0.05-0.1 s when the pool
 # holds them.
 MAX_POOL_SIZE = 100_000
 
 # cmd_pool holds one breach per sequence and extends it by one version a row, so a
-# greedy step's time goes to scoring the pool.  Two costs grow with the versions
-# breached: the check for taken candidates, and Breach.extend, which rebuilds its
-# dominance record from them; MAX_SAMPLED_WORK counts a sampled step's tests against
-# them.  On a 2-core host, with 3,000 candidates, 100 versions take 1.5-2.1 s end to end.
+# greedy step's time goes to scoring the pool.  One cost grows with the versions
+# breached: Breach.extend, which rebuilds its dominance record from them (the pool looks
+# taken candidates up by binary search); MAX_SAMPLED_WORK counts a sampled step's tests
+# against them.  On a 2-core host, with 3,000 candidates, 100 versions take 0.6-0.7 s
+# end to end.
 MAX_SEQUENCE_LENGTH = 100
 
 # The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
@@ -139,7 +140,7 @@ def load_settings(path: str | None) -> Settings:
         line = getattr(exc, "lineno", None)
         if line is None and getattr(exc, "errors", None):
             line = exc.errors[0][0]
-        raise ScenarioFileError(f"scenario file parse error: {exc}", line)
+        raise ScenarioFileError(str(exc), line)  # main prefixes "parse error (line N)"
 
     for section in parser.sections():
         if section not in _SECTIONS:

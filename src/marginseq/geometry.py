@@ -195,81 +195,67 @@ def _edge_crossing(s: Point2, e: Point2, fs: float, fe: float) -> Point2:
     return Point2(s.x + t * (e.x - s.x), s.y + t * (e.y - s.y))
 
 
-class PolygonBatch(NamedTuple):
-    """Convex polygons as rows of vertex arrays; row i holds n[i] vertices, then padding."""
+def vertex_stack(rows: Sequence[Sequence[ConvexPolygon]]) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of vertex v of polygon rows[k][p] at [v, p, k], the form :func:`clipped_areas` takes.
 
-    x: np.ndarray
-    y: np.ndarray
-    n: np.ndarray
-
-    @classmethod
-    def of(cls, polys: Sequence[ConvexPolygon]) -> "PolygonBatch":
-        """The polygons, one per row, in order."""
-        counts = np.array([len(p.vertices) for p in polys], dtype=np.intp)
-        xy = np.zeros((len(polys), counts.max(initial=0), 2))
-        # every vertex's two coordinates in one flat run, filling the rows' leading slots
-        flat = chain.from_iterable(chain.from_iterable(p.vertices for p in polys))
-        xy[np.arange(xy.shape[1]) < counts[:, None]] = np.fromiter(flat, float).reshape(-1, 2)
-        return cls(xy[:, :, 0], xy[:, :, 1], counts)
-
-    def take(self, rows) -> "PolygonBatch":
-        """The given rows, in the given order; a row may be taken more than once."""
-        return PolygonBatch(self.x[rows], self.y[rows], self.n[rows])
-
-
-def _successors(polys: PolygonBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each vertex's successor, wrapping at its row's count."""
-    cols = np.arange(polys.x.shape[1]) + 1
-    return np.arange(len(polys.n))[:, None], np.where(cols < polys.n[:, None], cols, 0)
-
-
-def _interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Columns u[:, 0], v[:, 0], u[:, 1], v[:, 1], ..."""
-    out = np.empty((len(u), u.shape[1], 2), u.dtype)
-    out[:, :, 0], out[:, :, 1] = u, v
-    return out.reshape(len(u), 2 * u.shape[1])
-
-
-def clip_convex_batch(polys: PolygonBatch, a, b, c) -> PolygonBatch:
-    """:func:`clip_convex` of row i by the half-plane a[i]*x + b[i]*y <= c[i].
-
-    The coefficients are arrays over the rows or scalars shared by all of
-    them.  Each row gets the scalar clip's vertex values, tolerance and
-    strict crossing rule, and an output of fewer than three vertices is
-    empty; near-duplicate or collinear vertices are kept rather than merged.
+    Every row lists as many polygons.  Each polygon is padded to the most
+    vertices any has by repeating its last vertex, and an empty polygon is
+    all zeros; neither changes its :func:`clipped_areas`.
     """
-    a, b, c = (np.reshape(t, (-1, 1)) for t in (a, b, c))
-    x, y, n = polys
-    valid = np.arange(x.shape[1]) < n[:, None]
-    values = a * x + b * y - c
-    max_x = np.where(valid, np.abs(x), 0.0).max(axis=1, initial=0.0)[:, None]
-    max_y = np.where(valid, np.abs(y), 0.0).max(axis=1, initial=0.0)[:, None]
-    scale = np.maximum(np.maximum(1.0, np.abs(c)), np.maximum(np.abs(a) * max_x, np.abs(b) * max_y))
+    width = max((len(p.vertices) for row in rows for p in row), default=0)
+    padded = (p.vertices + p.vertices[-1:] * (width - len(p.vertices)) if p.vertices
+              else ((0.0, 0.0),) * width for row in rows for p in row)
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(padded)), float)
+    xy = flat.reshape(len(rows), len(rows[0]) if rows else 0, width, 2).transpose(2, 1, 0, 3)
+    return np.ascontiguousarray(xy[..., 0]), np.ascontiguousarray(xy[..., 1])
+
+
+def clipped_areas(x: np.ndarray, y: np.ndarray, a, b, c) -> np.ndarray:
+    """:func:`polygon_area` of :func:`clip_convex` of each polygon by a*x + b*y <= c, bit for bit.
+
+    x[v] and y[v] hold vertex v of every polygon, counter-clockwise, as
+    :func:`vertex_stack` lays them out; they broadcast against the
+    coefficients, so one polygon can meet many half-planes or each its own.
+    No clipped polygon is built.  The scalar clip's vertex values, tolerance,
+    keep rule, strict crossing rule and crossing formula give the points it
+    would emit, and the shoelace is summed as they are emitted: vertex v,
+    then the crossing on the edge leaving it.  Each point adds
+    prev_x*y - x*prev_y, the first from prev = (0, 0), which adds a zero,
+    and the last point closes the sum back to the first.  These are the
+    terms :func:`polygon_area` adds over the clip, in its order and from the
+    same +0.0.  A vertex repeated as padding adds cross(p, p) = 0, and the
+    edge leaving the last copy has the values of the polygon's closing edge.
+    A clip of fewer than three points sums to exactly zero, as t + (-t) = 0,
+    which is the area of the empty polygon clip_convex returns for it.
+    """
+    x_ext, y_ext = np.concatenate([x, x[:1]]), np.concatenate([y, y[:1]])
+    values = a * x_ext + b * y_ext - c  # each vertex, then the first again
+    scale = np.maximum(
+        np.maximum(1.0, np.abs(c)),
+        np.maximum(np.abs(a) * np.abs(x).max(axis=0, initial=0.0),
+                   np.abs(b) * np.abs(y).max(axis=0, initial=0.0)),
+    )
     eps = MERGE_TOL * scale
-    row, nxt = _successors(polys)
-    fe = values[row, nxt]
-    keep = valid & (values <= eps)
-    cross = valid & (((values < -eps) & (fe > eps)) | ((values > eps) & (fe < -eps)))
-    t = np.divide(values, values - fe, out=np.zeros_like(values), where=cross)
-    # each vertex, then the crossing on the edge leaving it, as the scalar loop emits them
-    emit = _interleave(keep, cross)
-    rows, slots = np.nonzero(emit)
-    cols = np.cumsum(emit, axis=1)[rows, slots] - 1
-    count = emit.sum(axis=1)
-    res_x = np.zeros((len(n), count.max(initial=0)))
-    res_y = np.zeros_like(res_x)
-    res_x[rows, cols] = _interleave(x, x + t * (x[row, nxt] - x))[rows, slots]
-    res_y[rows, cols] = _interleave(y, y + t * (y[row, nxt] - y))[rows, slots]
-    return PolygonBatch(res_x, res_y, np.where(count < 3, 0, count))
-
-
-def polygon_areas(polys: PolygonBatch) -> np.ndarray:
-    """:func:`polygon_area` of every row, summed in the scalar shoelace's order."""
-    x, y, n = polys
-    row, nxt = _successors(polys)
-    terms = np.where(np.arange(x.shape[1]) < n[:, None], x * y[row, nxt] - x[row, nxt] * y, 0.0)
-    # column by column from zero, as the scalar loop adds them
-    return np.abs(sum(terms.T, np.zeros(len(n))) / 2.0)
+    fs, fe = values[:-1], values[1:]
+    above, below = values > eps, values < -eps
+    keep = fs <= eps
+    cross = (below[:-1] & above[1:]) | (above[:-1] & below[1:])
+    t = np.divide(fs, fs - fe, out=np.zeros_like(fs), where=cross)
+    cross_x = x + t * (x_ext[1:] - x)
+    cross_y = y + t * (y_ext[1:] - y)
+    slots = [s for v in range(len(x)) for s in ((x[v], y[v], keep[v]),
+                                                (cross_x[v], cross_y[v], cross[v]))]
+    shape = np.broadcast_shapes(x.shape[1:], np.shape(a))
+    first_x, first_y, prev_x, prev_y, total = (np.zeros(shape) for _ in range(5))
+    for px, py, emitted in reversed(slots):
+        np.copyto(first_x, px, where=emitted)
+        np.copyto(first_y, py, where=emitted)
+    for px, py, emitted in slots:
+        np.add(total, prev_x * py - px * prev_y, out=total, where=emitted)
+        np.copyto(prev_x, px, where=emitted)
+        np.copyto(prev_y, py, where=emitted)
+    total += prev_x * first_y - first_x * prev_y
+    return np.abs(total / 2.0)
 
 
 def halfplane_intersection(halves: Sequence[HalfPlane], bound: ConvexPolygon) -> ConvexPolygon:

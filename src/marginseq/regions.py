@@ -23,13 +23,12 @@ import numpy as np
 from .errors import DomainError, GeometryError, UndefinedEstimateError
 from .geometry import (
     ConvexPolygon,
-    PolygonBatch,
     clip_convex,
-    clip_convex_batch,
+    clipped_areas,
     halfplane_intersection,
     polygon_area,
-    polygon_areas,
     rectangle,
+    vertex_stack,
 )
 from .separators import DecisionBoundary, ScenarioConfig
 
@@ -37,9 +36,11 @@ from .separators import DecisionBoundary, ScenarioConfig
 # anywhere and the merged counts are identical to a single sequential pass.
 MC_BLOCK = 1 << 17
 
-# Target rows per batched clip of _clipped_areas, the one every exact score shares:
-# bounds the (rows x vertices) temporaries whatever the pool size or plan length.
-SCORE_BLOCK = 256
+# Target rows per clipped_areas call of _clipped_areas, the one every exact score shares:
+# bounds its (vertices x polygons x rows) temporaries whatever the pool size or plan
+# length.  Over 100,000 candidates an exact step took the least time at 4096 (2-core
+# host), with a tracemalloc peak 0.1 MiB above 1024's; at 16384 the peak rose 7 MiB.
+SCORE_BLOCK = 4096
 
 MODE_ENSEMBLE = "ensemble"
 
@@ -193,32 +194,39 @@ def band_rectangles(scenario: ScenarioConfig, guard: float) -> tuple[ConvexPolyg
     return left, sliver
 
 
-def _clipped_areas(polys: PolygonBatch, cells: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """Area of polygon cells[i, j] of polys on the "+" side of row i of planes, per cell.
+def _clipped_areas(rows, planes: np.ndarray) -> np.ndarray:
+    """Area of polygon rows[i][j] on the "+" side of row i of planes, per cell.
 
-    planes holds one "+" half-plane (a, b, c) per row.  One
-    :func:`clip_convex_batch` call per block of SCORE_BLOCK rows clips the
-    block's non-empty polygons; an empty polygon's area is 0.0 unclipped.
+    planes holds one "+" half-plane (a, b, c) per row, and rows one row of
+    polygons per plane or a single row that every plane shares, which
+    :func:`clipped_areas` then takes once, broadcast.  One call per block of
+    SCORE_BLOCK planes covers every polygon that is non-empty in some row;
+    a polygon empty in every row has area 0.0 unclipped.
 
-    Proof that no value depends on which polygons are clipped together.
-    :func:`clip_convex_batch` computes a row from that row's polygon and
-    half-plane alone: its tolerance takes max|x| and max|y| over the row's
-    valid vertices, and every padded column is masked out.
-    :func:`polygon_areas` wraps each row at its own count and adds +0.0 for
-    each padded column to a running sum that starts at +0.0, which leaves
-    the sum as it is.  So a cell's area is the same whatever the other cells
-    and the padding width, and an empty polygon's clip has no vertex and
-    area 0.0, the value it is given.  Band areas :func:`plus_band_areas`
-    gives are therefore the areas the scorer would clip for the same band
-    and half-plane, bit for bit.
+    Proof that no value depends on which cells are computed together.
+    :func:`clipped_areas` computes a cell from that polygon's vertices and
+    that plane alone: every step is elementwise across polygons and planes,
+    and the one reduction, the tolerance's max|x| and max|y|, runs over the
+    polygon's own vertices.  :func:`vertex_stack` pads a polygon to the
+    stack's width by repeating its last vertex, which changes neither that
+    max nor the sum (see :func:`clipped_areas`), and writes an empty polygon
+    as zeros, whose area is exactly 0.0, the value it is given unclipped.
+    Broadcasting a shared row performs the same operations on the same
+    values as repeating it.  So a cell's area is the same whatever the block,
+    the other polygons and the width, and band areas :func:`plus_band_areas`
+    gives are the areas the scorer would compute for the same band and
+    half-plane, bit for bit.
     """
-    areas = np.zeros(cells.shape)
-    for start in range(0, len(cells), SCORE_BLOCK):
-        block = cells[start:start + SCORE_BLOCK]
-        row, col = np.nonzero(polys.n[block] > 0)
-        a, b, c = planes[start + row].T
-        clipped = clip_convex_batch(polys.take(block[row, col]), a, b, c)
-        areas[start + row, col] = polygon_areas(clipped)
+    areas = np.zeros((len(planes), len(rows[0])))
+    live = [j for j in range(len(rows[0])) if any(not row[j].is_empty for row in rows)]
+    if not live:
+        return areas
+    x, y = vertex_stack([[row[j] for j in live] for row in rows])
+    for start in range(0, len(planes), SCORE_BLOCK):
+        block = slice(start, start + SCORE_BLOCK)
+        own = block if len(rows) > 1 else slice(None)  # a shared row is broadcast whole
+        a, b, c = planes[block].T
+        areas[block, live] = clipped_areas(x[..., own], y[..., own], a, b, c).T
     return areas
 
 
@@ -226,14 +234,13 @@ def plus_band_areas(scenario: ScenarioConfig, guard: float, planes) -> np.ndarra
     """Area of each :func:`band_rectangles` band on the "+" side of each row of planes.
 
     planes holds one "+" half-plane (a, b, c) per row, and row i of the
-    result its band areas in band order.  They are the band areas
-    :meth:`Breach.scores` would clip for a breach under this guard, bit for
-    bit, as both come from :func:`_clipped_areas`.
+    result its band areas in band order; the bands are taken once and
+    broadcast over the rows.  They are the band areas :meth:`Breach.scores`
+    would compute for a breach under this guard, bit for bit, as both come
+    from :func:`_clipped_areas`.
     """
-    bands = band_rectangles(scenario, guard)
     planes = np.asarray(planes, dtype=float).reshape(-1, 3)
-    cells = np.broadcast_to(np.arange(len(bands)), (len(planes), len(bands)))
-    return _clipped_areas(PolygonBatch.of(bands), cells, planes)
+    return _clipped_areas([band_rectangles(scenario, guard)], planes)
 
 
 def closed_form_ar_area(scenario: ScenarioConfig, k: float, b: float) -> float:
@@ -265,9 +272,10 @@ class Breach:
     less inside.  Only the :func:`undominated` separators are clipped by, as
     a dominated one's clip leaves inside as it is, and every breach :meth:`of`
     builds keeps ``band_rectangles(scenario, guard)`` as its pieces.  A
-    target scores at most two clips per band however many versions are
-    breached: one of the band, whose area :func:`plus_band_areas` can hold
-    per guard, and one of its inside polygon, none once that is empty.
+    target's score takes at most two clipped areas per band however many
+    versions are breached, each from :func:`clipped_areas`, which builds no
+    clipped polygon: the band's, which :func:`plus_band_areas` can hold per
+    guard, and its inside polygon's, none once that is empty.
     :meth:`chain` adds an undominated version with one clip per band and a
     dominated one with none.  No breach stores which of its priors are dominated.
     """
@@ -358,7 +366,7 @@ class Breach:
         :func:`plus_band_areas` of this breach's guard gives it; only the
         inside polygons are then clipped.
         """
-        return _score_rows([self], np.zeros(len(planes), dtype=np.intp), planes, band_areas)
+        return _score_rows([self], planes, band_areas)
 
 
 def paired_scores(breaches, planes) -> np.ndarray:
@@ -369,22 +377,22 @@ def paired_scores(breaches, planes) -> np.ndarray:
     """
     if len(breaches) != len(planes):
         raise DomainError(f"{len(planes)} target rows for {len(breaches)} breaches")
-    return _score_rows(breaches, np.arange(len(breaches)), planes)
+    return _score_rows(breaches, planes)
 
 
-def _score_rows(breaches, owner: np.ndarray, planes, band_areas=None) -> np.ndarray:
-    """Row i of planes scored against breaches[owner[i]].
+def _score_rows(breaches, planes, band_areas=None) -> np.ndarray:
+    """Row i of planes scored against breaches[i], or against the one breach given.
 
     Each row scores area(band n plus) - area(inside n plus) per band,
     summed in band order, over its breach's area.  :func:`_clipped_areas`
-    clips each row's polygons of its breach, taken as rows of one
-    :class:`PolygonBatch` of all the breaches' polygons: the bands and
-    inside polygons, or only the inside polygons when band_areas holds each
-    row's band areas.  Its proof shows that no value depends on which rows
-    are clipped together, so each row's sum of band - inside runs over the
-    same values in the same order either way.  A row is NaN when its
-    breach's area is zero, as the ratio is then undefined.  An invalid
-    target raises :class:`GeometryError`.
+    gives each row's areas of its breach's polygons: the bands and inside
+    polygons, or only the inside polygons when band_areas holds each row's
+    band areas.  One breach's polygons are taken once and broadcast over
+    the rows, several breaches' one row each.  Its proof shows that no
+    value depends on which cells are computed together, so each row's sum
+    of band - inside runs over the same values in the same order either
+    way.  A row is NaN when its breach's area is zero, as the ratio is then
+    undefined.  An invalid target raises :class:`GeometryError`.
     """
     scenarios = {b.scenario for b in breaches}
     if len(scenarios) > 1:
@@ -394,15 +402,13 @@ def _score_rows(breaches, owner: np.ndarray, planes, band_areas=None) -> np.ndar
         return np.zeros(0)
     guard_extent(scenarios.pop(), *planes.T)
     bands = len(breaches[0].pieces)
-    width = 2 * bands  # a breach's bands, then their inside polygons
-    polys = PolygonBatch.of([p for b in breaches for p in (*b.pieces, *b.inside)])
-    first = 0 if band_areas is None else bands  # a breach's first polygon that is clipped
-    clipped = _clipped_areas(polys, owner[:, None] * width + np.arange(first, width), planes)
+    polys = [(*b.pieces, *b.inside) if band_areas is None else b.inside for b in breaches]
+    clipped = _clipped_areas(polys, planes)
     plus = clipped if band_areas is None else np.asarray(band_areas, dtype=float)
     numer = np.zeros(len(planes))
     for band in range(bands):  # the inside polygons' areas are clipped's last columns
         numer += plus[:, band] - clipped[:, band - bands]
-    area = np.array([b.area for b in breaches])[owner]
+    area = np.array([b.area for b in breaches])
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(area == 0.0, np.nan, numer / area)
     bad = (values < -1e-9) | (values > 1.0 + 1e-9)

@@ -107,6 +107,8 @@ class CandidatePool:
     planes: np.ndarray = field(init=False, compare=False, repr=False)
     # the last band_areas call's (scenario, guard) and its result, held the same way
     _held_bands: tuple = field(default=(None, None), init=False, compare=False, repr=False)
+    # the rows in order of c and their c values, sorted on first use of rows_of and held too
+    _by_c: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.hidden_points) != len(self.boundaries):
@@ -128,6 +130,25 @@ class CandidatePool:
             areas.setflags(write=False)
             object.__setattr__(self, "_held_bands", ((scenario, guard), areas))
         return areas
+
+    def rows_of(self, boundaries) -> np.ndarray:
+        """Rows whose separator has the "+" half-plane of one of boundaries, in no set order.
+
+        Every row whose (a, b, c) equals one of theirs as floats is found,
+        duplicates included, and -0.0 equals 0.0.  Each boundary is looked
+        up by binary search among the rows sorted by c, which are sorted on
+        first use and held, so a lookup does not scan the pool.
+        """
+        if self._by_c is None:
+            order = np.argsort(self.planes[:, 2])
+            object.__setattr__(self, "_by_c", (order, self.planes[order, 2]))
+        order, c = self._by_c
+        rows = [np.zeros(0, dtype=np.intp)]
+        for bd in boundaries:
+            line = bd.plus
+            near = order[np.searchsorted(c, line.c, "left"):np.searchsorted(c, line.c, "right")]
+            rows.append(near[(self.planes[near] == (line.a, line.b, line.c)).all(axis=1)])
+        return np.concatenate(rows)
 
 
 def sample_hidden_point(scenario: ScenarioConfig, rng: "np.random.Generator") -> HiddenPoint:
@@ -408,8 +429,9 @@ def select_next(
 ) -> tuple[int, TransferabilityScore]:
     """Pool index minimizing transferability from the held breach.
 
-    Candidates whose boundary equals a breached one are excluded and the rest
-    are scored by :func:`score_candidates`; an exact step reads their band
+    Candidates whose boundary equals a breached one, found by
+    :meth:`CandidatePool.rows_of`, are excluded and the rest are scored by
+    :func:`score_candidates`; an exact step reads their band
     areas from :meth:`CandidatePool.band_areas` under the breach's guard, so
     it clips only the breach's non-empty inside polygons.  Ties break toward
     the lowest pool index.  A step whose scores are undefined (NaN) has
@@ -422,8 +444,7 @@ def select_next(
     if math.isnan(breach.guard):
         raise DomainError("greedy selection requires a breach of at least one breached version")
     planes = pool.planes
-    taken = planes_of(breach.priors)
-    remaining = np.flatnonzero(~(planes[:, None, :] == taken).all(axis=2).any(axis=1))
+    remaining = np.delete(np.arange(len(planes)), pool.rows_of(breach.priors))
     if not remaining.size:
         raise PoolExhaustedError("every pool candidate has been consumed")
     held = None if cfg.n_samples else pool.band_areas(breach.scenario, breach.guard)[remaining]

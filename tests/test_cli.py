@@ -542,7 +542,10 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
     broken.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\nthis line has no key\n")
     code, _, err = run_cli(capsys, "--scenario", str(broken), "table")
     assert code == 3
-    assert "line" in err
+    lines = err.splitlines()
+    assert lines[0].startswith("marginseq: parse error (line 5): Source contains parsing errors")
+    assert [line for line in lines if "marginseq:" in line] == lines[:1]
+    assert err.count("parse error") == 1
 
     with pytest.raises(ScenarioFileError):
         load_settings(str(broken))

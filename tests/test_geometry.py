@@ -18,7 +18,7 @@ from marginseq import (
     rectangle,
     tangents_to_unit_circle,
 )
-from marginseq.geometry import PolygonBatch, clip_convex_batch, polygon_areas
+from marginseq.geometry import clipped_areas, vertex_stack
 from seeded_rng import philox
 
 UNIT_SQUARE = ConvexPolygon.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -164,16 +164,6 @@ def test_clip_vertex_on_line_stands_in_for_crossing():
         assert half.value(p) <= 1e-9
 
 
-def _batch(polys):
-    """Padded rows holding the given polygons, one per row."""
-    x = np.zeros((len(polys), max(len(p.vertices) for p in polys)))
-    y = np.zeros_like(x)
-    for i, poly in enumerate(polys):
-        for j, p in enumerate(poly.vertices):
-            x[i, j], y[i, j] = p
-    return PolygonBatch(x, y, np.array([len(p.vertices) for p in polys]))
-
-
 SLIVER_TAIL = ConvexPolygon.from_points([
     (0.004757259738401464, -30.0), (0.1, -30.0), (0.1, 30.0), (0.0, 30.0),
     (0.0, 1.000444171950221e-11),
@@ -184,6 +174,8 @@ BATCH_CASES = {
     "full-cut": (UNIT_SQUARE, HalfPlane(1.0, 0.0, 2.0)),
     "own-edge": (UNIT_SQUARE, HalfPlane(1.0, 0.0, 1.0)),
     "edge-within-tolerance": (UNIT_SQUARE, HalfPlane(1.0, 0.0, 1.0 - 1e-14)),
+    # beyond this square's tolerance, though within that of a polygon 200 wide
+    "edge-beyond-tolerance": (UNIT_SQUARE, HalfPlane(1.0, 0.0, 1.0 - 1e-10)),
     "through-vertices": (UNIT_SQUARE, HalfPlane(1.0, 1.0, 1.0)),
     "through-one-vertex": (UNIT_SQUARE, HalfPlane(2.0, 1.0, 2.0)),
     "vertex-within-tolerance": (SLIVER_TAIL, HalfPlane(317.45126011347384, 1.0,
@@ -207,49 +199,69 @@ def _random_cases(n):
     return cases
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 def test_clip_batch_matches_scalar_clip():
     cases = list(BATCH_CASES.values()) + _random_cases(300)
     polys, halves = zip(*cases)
-    cut = clip_convex_batch(_batch(polys), *(np.array([getattr(h, f) for h in halves])
-                                            for f in "abc"))
-    got = polygon_areas(cut)
-    for area, poly, half in zip(got, polys, halves):
-        want = polygon_area(clip_convex(poly, half))
-        assert area == pytest.approx(want, rel=1e-12, abs=1e-12 * polygon_area(poly))
-    for i, (poly, half) in enumerate(BATCH_CASES.values()):
-        verts = list(zip(cut.x[i, :cut.n[i]], cut.y[i, :cut.n[i]]))
-        assert verts == list(clip_convex(poly, half).vertices)
+    x, y = vertex_stack([[p] for p in polys])
+    got = clipped_areas(x, y, *(np.array([getattr(h, f) for h in halves]) for f in "abc"))[0]
+    want = [polygon_area(clip_convex(p, h)) for p, h in cases]
+    assert _bits(got[:len(BATCH_CASES)]) == _bits(want[:len(BATCH_CASES)])
+    for area, expected, poly in zip(got, want, polys):
+        assert area == pytest.approx(expected, rel=1e-12, abs=1e-12 * polygon_area(poly))
     exact = dict(zip(BATCH_CASES, got))
     assert exact["empty-cut"] == 0.0 and exact["empty-polygon"] == 0.0
     assert exact["full-cut"] == exact["own-edge"] == exact["edge-within-tolerance"] == 1.0
     assert exact["through-vertices"] == 0.5
+    assert exact["edge-beyond-tolerance"] < 1.0
 
 
 def test_clip_batch_shared_half_plane_and_areas():
     polys = [UNIT_SQUARE, SLIVER_TAIL, ConvexPolygon.empty(), rectangle(-3.0, 2.0, -1.0, 4.0)]
-    batch = _batch(polys)
-    assert list(polygon_areas(batch)) == [polygon_area(p) for p in polys]
+    # one half-plane given as scalars for every polygon; one that holds them all keeps their areas
+    x, y = vertex_stack([[p] for p in polys])
     half = HalfPlane(1.0, -2.0, 0.25)
-    got = polygon_areas(clip_convex_batch(batch, half.a, half.b, half.c))
-    for area, poly in zip(got, polys):
-        assert area == pytest.approx(polygon_area(clip_convex(poly, half)), rel=1e-12)
+    got = clipped_areas(x, y, half.a, half.b, half.c)[0]
+    assert _bits(got) == _bits([polygon_area(clip_convex(p, half)) for p in polys])
+    assert _bits(clipped_areas(x, y, 0.0, 1.0, 1e3)[0]) == _bits([polygon_area(p) for p in polys])
+    # one row of polygons shared by every half-plane
+    halves = [half, HalfPlane(-3.0, 0.5, 1.0), HalfPlane(0.0, 1.0, 0.0)]
+    x, y = vertex_stack([polys])
+    assert x.shape == y.shape == (5, 4, 1)
+    got = clipped_areas(x, y, *(np.array([getattr(h, f) for h in halves]) for f in "abc"))
+    assert got.shape == (4, 3)
+    for i, poly in enumerate(polys):
+        assert _bits(got[i]) == _bits([polygon_area(clip_convex(poly, h)) for h in halves])
+
+
+def test_shared_and_per_row_polygons_give_the_same_bits():
+    polys = [poly for poly, _ in BATCH_CASES.values()]
+    _, halves = zip(*_random_cases(200))
+    a, b, c = (np.array([getattr(h, f) for h in halves]) for f in "abc")
+    x, y = vertex_stack([polys])
+    shared = clipped_areas(x, y, a, b, c)
+    x, y = vertex_stack([polys] * len(halves))
+    assert _bits(clipped_areas(x, y, a, b, c)) == _bits(shared)
+
+
+def test_vertex_stack_pads_with_the_last_vertex():
+    polys = [UNIT_SQUARE, ConvexPolygon.empty(), SLIVER_TAIL]
+    x, y = vertex_stack([polys, polys[::-1]])
+    assert x.shape == y.shape == (5, 3, 2)
+    assert list(zip(x[:, 0, 0], y[:, 0, 0])) == [*UNIT_SQUARE.vertices, UNIT_SQUARE.vertices[-1]]
+    assert list(zip(x[:, 2, 1], y[:, 2, 1])) == list(zip(x[:, 0, 0], y[:, 0, 0]))
+    assert not x[:, 1].any() and not y[:, 1].any()
+    assert list(zip(x[:, 2, 0], y[:, 2, 0])) == list(SLIVER_TAIL.vertices)
+    assert [a.shape for a in vertex_stack([])] == [(0, 0, 0), (0, 0, 0)]
 
 
 def test_clip_batch_of_no_rows_and_of_empty_rows():
     for polys in ([], [ConvexPolygon.empty()] * 3):
-        cut = clip_convex_batch(PolygonBatch.of(polys), 1.0, -2.0, 0.25)
-        assert cut.n.tolist() == [0] * len(polys)
-        assert polygon_areas(cut).tolist() == [0.0] * len(polys)
-
-
-def test_polygon_batch_of_and_take_match_rows_built_one_by_one():
-    polys = [UNIT_SQUARE, ConvexPolygon.empty(), SLIVER_TAIL, rectangle(-3.0, 2.0, -1.0, 4.0)]
-    for got, want in zip(PolygonBatch.of(polys), _batch(polys)):
-        np.testing.assert_array_equal(got, want)
-    rows = [2, 0, 2, 1, 3]
-    for got, want in zip(PolygonBatch.of(polys).take(rows), _batch([polys[i] for i in rows])):
-        np.testing.assert_array_equal(got, want)
-    assert [a.shape for a in PolygonBatch.of([])] == [(0, 0), (0, 0), (0,)]
+        x, y = vertex_stack([[p] for p in polys])
+        assert clipped_areas(x, y, 1.0, -2.0, 0.25).ravel().tolist() == [0.0] * len(polys)
 
 
 def test_tangents_from_origin():

@@ -769,6 +769,22 @@ def test_paired_scores_equal_per_row_scores(scenario):
     assert got[~np.isnan(got)].min() < got[~np.isnan(got)].max()
 
 
+@pytest.mark.parametrize("block", [1, 7, SCORE_BLOCK])
+def test_shared_and_per_row_polygons_score_the_same_bits_in_any_block(scenario, monkeypatch,
+                                                                      block):
+    # one breach's polygons broadcast over the rows, or repeated as one row each
+    seed, sequence = _deeper_mid_chain(scenario)
+    breaches = Breach.of(scenario, seed).chain(sequence)
+    planes = planes_of(generate_candidate_pool(scenario, 60, 2.0, seed=5).boundaries)
+    want = [repr(breach.scores(planes).tolist()) for breach in breaches]
+    monkeypatch.setattr(regions, "SCORE_BLOCK", block)
+    for breach, expected in zip(breaches, want):
+        held = regions.plus_band_areas(scenario, breach.guard, planes)
+        assert repr(breach.scores(planes).tolist()) == expected
+        assert repr(breach.scores(planes, held).tolist()) == expected
+        assert repr(paired_scores([breach] * len(planes), planes).tolist()) == expected
+
+
 def test_paired_scores_domain_errors(scenario):
     seed = list(canonical_pair(scenario))
     breach = Breach.of(scenario, seed)

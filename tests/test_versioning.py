@@ -31,7 +31,7 @@ from marginseq import (
     verify_plan,
 )
 from marginseq import regions, versioning
-from marginseq.geometry import clip_convex_batch
+from marginseq.geometry import clipped_areas
 from marginseq.regions import Breach, guard_extent
 from marginseq.versioning import BMAX_TOL, admissible_share, select_next
 from breach_reference import reference_score, reference_verify_plan
@@ -240,13 +240,16 @@ def test_verify_plan_scores_in_one_clip_per_block(scenario, monkeypatch, n):
     plan = plan_sequence(scenario, n, 7.0, 12.0)
     calls = []
 
-    def counting(*args):
-        calls.append(len(args[0].n))
-        return clip_convex_batch(*args)
+    def counting(x, y, a, b, c):
+        calls.append((x.shape[1:], len(a)))
+        return clipped_areas(x, y, a, b, c)
 
-    monkeypatch.setattr(regions, "clip_convex_batch", counting)
+    monkeypatch.setattr(regions, "clipped_areas", counting)
     verify_plan(plan)
     assert len(calls) == math.ceil((n - 1) / regions.SCORE_BLOCK)
+    # each prefix row takes its own breach's bands and inside polygons
+    assert all(shape == (4, rows) for shape, rows in calls)
+    assert sum(rows for _, rows in calls) == n - 1
 
 
 def test_pool_generation(scenario):
@@ -594,16 +597,41 @@ def test_pool_holds_its_planes_outside_eq_and_repr(scenario, monkeypatch):
     again = CandidatePool(pool.hidden_points, pool.boundaries)
     assert again == pool and hash(again) == hash(pool) and repr(again) == repr(pool)
     assert "planes" not in repr(pool)
-    # a step reads the pool's rows and builds only the breached versions' own
+    # a step reads the pool's rows, and looks the breached versions up in its index
     built = []
     real = versioning.planes_of
     monkeypatch.setattr(versioning, "planes_of", lambda bds: built.append(len(bds)) or real(bds))
     seed_pair = [pool.boundaries[0], pool.boundaries[1]]
     select_next(pool, Breach.of(scenario, seed_pair), AttackSampleConfig("ensemble", 0, 0))
-    assert built == [2]
-    # the band areas that step held stay out of ==, hash and repr too
+    assert built == []
+    # the band areas and the index that step held stay out of ==, hash and repr too
     assert again == pool and hash(again) == hash(pool) and repr(again) == repr(pool)
-    assert "band" not in repr(pool)
+    assert "band" not in repr(pool) and "by_c" not in repr(pool)
+
+
+def test_pool_finds_every_taken_candidate_by_float_equality(scenario):
+    # x >= -50 four times, once with b = -0.0 and once a hair to the right, then x >= -50 again
+    lines = [HalfPlane(-1.0, 0.0, 50.0), HalfPlane(-1.0, -0.0, 50.0), HalfPlane(-1.0, 0.0, 50.0),
+             HalfPlane(-1.0, 0.0, 50.0 + 2**-46), HalfPlane(-2.0, 0.0, 100.0)]
+    boundaries = tuple(DecisionBoundary.through(line, scenario) for line in lines)
+    pool = CandidatePool((HiddenPoint(0.0, 0.0),) * len(lines), boundaries)
+    for bd in boundaries[:3]:
+        assert sorted(pool.rows_of([bd])) == [0, 1, 2]
+    assert pool.rows_of([boundaries[3]]).tolist() == [3]
+    assert pool.rows_of([boundaries[4]]).tolist() == [4]
+    assert pool.rows_of([]).tolist() == []
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    assert pool.rows_of(seed_pair).tolist() == []
+    breach = Breach.of(scenario, seed_pair + [boundaries[1], boundaries[3]])
+    assert select_next(pool, breach, EXACT)[0] == 4
+    with pytest.raises(PoolExhaustedError):
+        select_next(pool, breach.extend(boundaries[4]), EXACT)
+    # the index agrees with comparing every row with every breached version
+    stock = generate_candidate_pool(scenario, 50, seed=42)
+    taken = [*stock.boundaries[3:9], *stock.boundaries[3:5], *seed_pair]
+    planes = regions.planes_of(taken)
+    want = np.flatnonzero((stock.planes[:, None, :] == planes).all(axis=2).any(axis=1))
+    assert set(stock.rows_of(taken)) == set(want) == set(range(3, 9))
 
 
 def _counting_band_areas(monkeypatch):
@@ -655,17 +683,19 @@ def test_warm_exact_step_clips_only_live_inside_polygons(scenario, monkeypatch):
     select_next(pool, breach, EXACT)  # holds the band areas under this guard
     live = sum(not inside.is_empty for inside in breach.inside)
     assert live == 1  # the sliver band's inside polygon is empty
-    rows = []
+    calls = []
 
-    def counting(*args):
-        rows.append(len(args[0].n))
-        return clip_convex_batch(*args)
+    def counting(x, y, a, b, c):
+        calls.append((x.shape[1:], len(a)))
+        return clipped_areas(x, y, a, b, c)
 
-    monkeypatch.setattr(regions, "clip_convex_batch", counting)
+    monkeypatch.setattr(regions, "clipped_areas", counting)
     select_next(pool, breach, EXACT)
     remaining = sum(bd not in breach.priors for bd in pool.boundaries)
-    assert len(rows) == math.ceil(remaining / regions.SCORE_BLOCK)
-    assert sum(rows) == remaining * live
+    assert len(calls) == math.ceil(remaining / regions.SCORE_BLOCK)
+    # the live inside polygon, taken once and broadcast over each block's rows
+    assert all(shape == (live, 1) for shape, _ in calls)
+    assert sum(rows for _, rows in calls) == remaining
 
 
 def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(scenario):
