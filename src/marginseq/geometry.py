@@ -163,7 +163,11 @@ def clip_convex(poly: ConvexPolygon, half: HalfPlane) -> ConvexPolygon:
     crossing of its edges: a crossing is emitted only where an edge runs
     from strictly inside to strictly outside or back, since a second point
     up to the tolerance away from the kept vertex can step backwards along
-    the boundary.
+    the boundary.  :meth:`ConvexPolygon.from_points` drops a vertex whose
+    edges meet within about COLLINEAR_REL radians however long they are, so
+    a huge thin sliver, such as a near-horizontal line's region in its own
+    left band, can come back empty, which no library path meets because
+    :func:`regions.guard_extent` refuses such a separator before any clip.
     """
     if poly.is_empty:
         return poly

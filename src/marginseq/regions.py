@@ -276,8 +276,9 @@ class Breach:
     versions are breached, each from :func:`clipped_areas`, which builds no
     clipped polygon: the band's, which :func:`plus_band_areas` can hold per
     guard, and its inside polygon's, none once that is empty.
-    :meth:`chain` adds an undominated version with one clip per band and a
-    dominated one with none.  No breach stores which of its priors are dominated.
+    :meth:`chain` adds an undominated version with one clip per non-empty
+    inside polygon and a dominated one with none.  No breach stores which of
+    its priors are dominated.
     """
 
     scenario: ScenarioConfig
@@ -326,8 +327,9 @@ class Breach:
         whose guard is deeper than every breached one rebuilds the breach by
         :meth:`of`; else one that an earlier separator dominates (see
         :func:`undominated`) is carried over with no clip, and any other
-        costs one clip per band.  The dominance record is built from
-        ``priors`` once per call and updated as each separator is added.
+        costs one clip per inside polygon not yet empty (an empty one stays
+        empty).  The dominance record is built from ``priors`` once per call
+        and updated as each separator is added.
         """
         if math.isnan(self.guard):
             raise DomainError("a breach of one region's own pieces cannot grow")
@@ -344,7 +346,8 @@ class Breach:
             elif not admitted:
                 out.append(replace(last, priors=priors))
             else:
-                inside = tuple(clip_convex(i, boundary.minus) for i in last.inside)
+                inside = tuple(i if i.is_empty else clip_convex(i, boundary.minus)
+                               for i in last.inside)
                 out.append(Breach._exposing(self.scenario, priors, last.guard, last.pieces, inside))
         return out
 

@@ -24,7 +24,7 @@ from marginseq import (
     score_candidates,
     union_area,
 )
-from marginseq import regions
+from marginseq import geometry, regions
 from marginseq.regions import (
     MC_BLOCK,
     SCORE_BLOCK,
@@ -127,6 +127,9 @@ _INVALID_LINES = {
     "near-horizontal": lambda s: DecisionBoundary.through(
         HalfPlane(-3.522238128030671e-13, 1.0, 19.789357068308135), s),
     "overflowing-guard": lambda s: DecisionBoundary.through(HalfPlane(-1e-310, 1.0, 5.0), s),
+    # clip_convex drops every vertex of its left band's clip under its own guard (an
+    # area of about 1e16), as the clipped edges meet at about 3e-14 rad
+    "sliver": lambda s: DecisionBoundary.through(HalfPlane(-3.39e-14, 1.0, 48.75), s),
 }
 
 
@@ -140,6 +143,30 @@ def test_invalid_separator_raises_at_every_entry_point(scenario, name, entry):
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="left guard"):
             call()
+
+
+def test_breach_refuses_a_sliver_separator_before_any_clip(scenario, monkeypatch):
+    # what keeps every library path off clip_convex's empty sliver
+    line = _INVALID_LINES["sliver"](scenario)
+    seed = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    breach = Breach.of(scenario, seed)
+    clips = []
+    for module in (geometry, regions):
+        monkeypatch.setattr(module, "clip_convex",
+                            lambda p, h, real=module.clip_convex: clips.append(h) or real(p, h))
+    monkeypatch.setattr(regions, "clipped_areas", lambda *args: clips.append(args))
+    calls = {
+        "within": lambda: Breach.within(scenario, line),
+        "of": lambda: Breach.of(scenario, [*seed, line]),
+        "extend": lambda: breach.extend(line),
+        "scores": lambda: breach.scores(planes_of([line])),
+    }
+    for name, call in calls.items():
+        with pytest.raises(GeometryError, match="left guard"):
+            call()
+        assert clips == [], name
+    Breach.within(scenario, seed[0])  # a valid separator's clips are counted
+    assert clips
 
 
 def _swept_lines(scenario, n):
@@ -899,8 +926,9 @@ def test_chain_clips_only_by_undominated_separators(scenario, monkeypatch):
     monkeypatch.setattr(regions, "clip_convex", lambda p, h: clips.append(h) or real(p, h))
     seed.chain(versions[2:])
     assert clips == []
-    seed.chain(shallow)
-    assert len(clips) == 2 * len(shallow)
+    grown = seed.chain(shallow)
+    # one clip per inside polygon not yet empty: the sliver band's empties at the first
+    assert len(clips) == sum(not i.is_empty for b in grown[:-1] for i in b.inside) == 6
 
 
 def test_band_rectangles_are_built_once_per_guard(scenario):

@@ -13,6 +13,7 @@ from marginseq import (
     HalfPlane,
     HiddenPoint,
     PoolExhaustedError,
+    ScenarioConfig,
     TransferabilityScore,
     UndefinedEstimateError,
     anchor_admissible,
@@ -30,7 +31,7 @@ from marginseq import (
     score_candidates,
     verify_plan,
 )
-from marginseq import regions, versioning
+from marginseq import geometry, regions, versioning
 from marginseq.geometry import clipped_areas
 from marginseq.regions import Breach, guard_extent
 from marginseq.versioning import BMAX_TOL, admissible_share, select_next
@@ -443,6 +444,86 @@ def _exposes_nothing(scenario):
     return DecisionBoundary.sloped(1000.0, -1000.0, scenario)
 
 
+def _counting_breach_of(monkeypatch):
+    """A list that Breach.of appends its priors' count to on every call."""
+    built = []
+    real = Breach.of.__func__
+    monkeypatch.setattr(Breach, "of", classmethod(
+        lambda cls, scenario, priors: built.append(len(priors)) or real(cls, scenario, priors)))
+    return built
+
+
+def _list_step(scenario, pool, breached, cfg, built):
+    """greedy_select_next's pick, checked against select_next over a fresh Breach.of,
+    and the number of Breach.of calls the list-form step made."""
+    want = select_next(pool, Breach.of(scenario, breached), cfg)
+    before = len(built)
+    got = greedy_select_next(scenario, pool, breached, cfg)
+    assert (got[0], repr(got[1].value)) == (want[0], repr(want[1].value))
+    return got[0], len(built) - before
+
+
+@pytest.mark.parametrize("cfg", [EXACT, AttackSampleConfig("ensemble", 20_000, 42)])
+def test_list_form_grows_the_held_breach(scenario, monkeypatch, cfg):
+    pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
+    built = _counting_breach_of(monkeypatch)
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    deepened = []
+    for _ in range(2):  # the benchmark's rounds: each restarts from the seed pair
+        breached = list(seed_pair)
+        builds = []
+        for _ in range(5):  # grown by one per step
+            guard = regions.deepest_guard(scenario, breached)
+            index, n = _list_step(scenario, pool, breached, cfg, built)
+            builds.append(n)
+            breached.append(pool.boundaries[index])
+            deepened.append(regions.deepest_guard(scenario, breached) > guard)
+        # the restart rebuilds; a grown step rebuilds only when its pick deepens the guard
+        assert builds == [1, *deepened[-5:-1]]
+    assert any(deepened)
+    # grown by several at once, the last pick and three no deeper than it: only
+    # that pick can rebuild
+    shallow = [bd for bd in pool.boundaries if bd not in breached
+               and regions.deepest_guard(scenario, [bd]) <= regions.deepest_guard(scenario, breached)]
+    breached += shallow[:3]
+    assert _list_step(scenario, pool, breached, cfg, built)[1] == deepened[-1]
+    # an unrelated list, then equal copies of the boundaries, which are not the held ones
+    assert _list_step(scenario, pool, list(pool.boundaries[5:8]), cfg, built)[1] == 1
+    copies = [DecisionBoundary(bd.plus) for bd in pool.boundaries[5:8]]
+    assert _list_step(scenario, pool, copies, cfg, built)[1] == 1
+    assert _list_step(scenario, pool, copies + [seed_pair[0]], cfg, built)[1] == 0
+
+
+def test_list_form_holds_a_breach_per_scenario(scenario, monkeypatch):
+    pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
+    built = _counting_breach_of(monkeypatch)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    wider = ScenarioConfig(scenario.c, scenario.delta, 2.0 * scenario.y_lim)
+    assert _list_step(scenario, pool, breached, EXACT, built)[1] == 1
+    assert _list_step(wider, pool, breached, EXACT, built)[1] == 1
+    assert _list_step(scenario, pool, breached, EXACT, built)[1] == 1
+    # an equal scenario is the same scenario
+    same = ScenarioConfig(scenario.c, scenario.delta, scenario.y_lim)
+    assert _list_step(same, pool, breached + [pool.boundaries[0]], EXACT, built)[1] == 0
+
+
+def test_list_form_after_a_raised_step(scenario, monkeypatch):
+    pool = _line_pool(scenario, [5.0, 9.0])
+    built = _counting_breach_of(monkeypatch)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    for _ in range(2):
+        breached.append(pool.boundaries[_list_step(scenario, pool, breached, EXACT, built)[0]])
+    with pytest.raises(PoolExhaustedError):
+        greedy_select_next(scenario, pool, breached, EXACT)
+    assert _list_step(scenario, pool, breached[:3], EXACT, built)[1] == 1
+    with pytest.raises(UndefinedEstimateError):
+        greedy_select_next(scenario, pool, [_exposes_nothing(scenario)], EXACT)
+    assert _list_step(scenario, pool, breached[:2], EXACT, built)[1] == 1
+    with pytest.raises(UndefinedEstimateError):
+        greedy_select_next(scenario, pool, breached[:2], AttackSampleConfig("ensemble", 1, 42))
+    assert _list_step(scenario, pool, breached[:3], EXACT, built)[1] == 0
+
+
 def test_greedy_guard_violation(scenario):
     runaway = DecisionBoundary.vertical(150.0, scenario)  # "+" side covers both bands
     pool = _line_pool(scenario, [5.0])
@@ -604,9 +685,10 @@ def test_pool_holds_its_planes_outside_eq_and_repr(scenario, monkeypatch):
     seed_pair = [pool.boundaries[0], pool.boundaries[1]]
     select_next(pool, Breach.of(scenario, seed_pair), AttackSampleConfig("ensemble", 0, 0))
     assert built == []
-    # the band areas and the index that step held stay out of ==, hash and repr too
+    greedy_select_next(scenario, pool, seed_pair, AttackSampleConfig("ensemble", 0, 0))
+    # the band areas, the index and the breach those steps held stay out of ==, hash and repr too
     assert again == pool and hash(again) == hash(pool) and repr(again) == repr(pool)
-    assert "band" not in repr(pool) and "by_c" not in repr(pool)
+    assert "band" not in repr(pool) and "by_c" not in repr(pool) and "breach" not in repr(pool)
 
 
 def test_pool_finds_every_taken_candidate_by_float_equality(scenario):
@@ -696,6 +778,33 @@ def test_warm_exact_step_clips_only_live_inside_polygons(scenario, monkeypatch):
     # the live inside polygon, taken once and broadcast over each block's rows
     assert all(shape == (live, 1) for shape, _ in calls)
     assert sum(rows for _, rows in calls) == remaining
+
+
+def test_warm_list_form_step_clips_each_live_inside_polygon_once(scenario, monkeypatch):
+    pool = generate_candidate_pool(scenario, 1000, 31.0, seed=3)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    clipped = []
+    # halfplane_intersection looks clip_convex up in geometry, Breach.chain in regions
+    for module in (geometry, regions):
+        monkeypatch.setattr(module, "clip_convex",
+                            lambda p, h, real=module.clip_convex: clipped.append(p) or real(p, h))
+    index, _ = greedy_select_next(scenario, pool, breached, EXACT)
+    held = Breach.of(scenario, breached)
+    calls = []
+    for _ in range(7):
+        breached.append(pool.boundaries[index])
+        before = len(clipped)
+        index, _ = greedy_select_next(scenario, pool, breached, EXACT)
+        step = clipped[before:]
+        grown = held.extend(breached[-1])
+        if grown.guard == held.guard:  # a pick that deepens the guard rebuilds by Breach.of
+            # at most one clip per inside polygon the held breach has not emptied
+            assert len(step) <= sum(not i.is_empty for i in held.inside)
+            assert not any(p.is_empty for p in step)
+            calls.append(len(step))
+        held = grown
+    # after the first pick only the left band's inside polygon is left to clip
+    assert calls == [1] * 6
 
 
 def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(scenario):
