@@ -46,23 +46,26 @@ SCHEMA_VERSION = "1"
 MAX_PLAN_VERSIONS = 1000
 
 # generate_candidate_pool draws its first batch at full size.  On a 2-core host 100,000
-# candidates build in about 1.4 s.  One exact greedy step over them takes 0.1-0.2 s when
-# it clips the candidates' band areas under a new guard and 0.05-0.1 s when the pool
-# holds them.
+# candidates build in about 1.4 s.  The first exact greedy step over them scores every
+# candidate: 0.1-0.2 s when it clips their band areas under a new guard, 0.05-0.1 s when
+# the pool holds them.  A later step of the same sequence scores only the candidates
+# whose bounds let them still win, about 1 ms at the stock eps_d.
 MAX_POOL_SIZE = 100_000
 
-# cmd_pool holds one breach per sequence and extends it by one version a row, so a
-# greedy step's time goes to scoring the pool.  One cost grows with the versions
-# breached: Breach.extend, which rebuilds its dominance record from them (the pool looks
-# taken candidates up by binary search); MAX_SAMPLED_WORK counts a sampled step's tests
-# against them.  On a 2-core host, with 3,000 candidates, 100 versions take 0.6-0.7 s
-# end to end.
+# cmd_pool holds one breach per sequence and extends it by one version a row, and the
+# pool's selection state drops each pick and bounds every later score, so most of a
+# greedy step's time goes to growing the breach, not to scoring the pool.  One cost
+# grows with the versions breached: Breach.extend, which rebuilds its dominance record
+# from them; MAX_SAMPLED_WORK counts a sampled step's tests against them.  On a 2-core
+# host, with 3,000 candidates, 100 versions take 0.40-0.60 s end to end, of which
+# drawing the pool takes about 0.13 s and starting the interpreter about 0.15 s.
 MAX_SEQUENCE_LENGTH = 100
 
 # The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
 # which the two limits above bound only by their product.  On a 2-core host a run of
-# 300,000 takes 1.5-2.1 s end to end as 3,000 candidates over 98 steps and 3.2-4.0 s as
-# 100,000 over 3 steps; 100,000 candidates over 18 steps, 1.8 million, take 7.3-8.3 s.
+# 300,000 takes 0.40-0.60 s end to end as 3,000 candidates over 98 steps and 1.3-1.8 s
+# as 100,000 over 3 steps, most of it drawing the pool; 100,000 candidates over 18
+# steps, 1.8 million, take 1.5-1.9 s.
 MAX_CANDIDATES_SCORED = 300_000
 
 # A sampled step of cmd_pool tests each point it draws against every undominated

@@ -371,6 +371,17 @@ class Breach:
         """
         return _score_rows([self], planes, band_areas)
 
+    def exposed(self, planes: np.ndarray, band_areas) -> np.ndarray:
+        """Area of this breach on each target's "+" side: the numerator of :meth:`scores`.
+
+        Targets are one "+" half-plane (a, b, c) per row, with their band
+        areas as for :meth:`scores`, and bit for bit the numerators it
+        divides, whatever other rows are given (see :func:`_exposed`).  They
+        are not checked: the caller has passed them through
+        :func:`guard_extent`, as :meth:`scores` does.
+        """
+        return _exposed([self], planes, band_areas)
+
 
 def paired_scores(breaches, planes) -> np.ndarray:
     """Row i of planes, one "+" half-plane (a, b, c) per row, scored against breaches[i].
@@ -386,16 +397,8 @@ def paired_scores(breaches, planes) -> np.ndarray:
 def _score_rows(breaches, planes, band_areas=None) -> np.ndarray:
     """Row i of planes scored against breaches[i], or against the one breach given.
 
-    Each row scores area(band n plus) - area(inside n plus) per band,
-    summed in band order, over its breach's area.  :func:`_clipped_areas`
-    gives each row's areas of its breach's polygons: the bands and inside
-    polygons, or only the inside polygons when band_areas holds each row's
-    band areas.  One breach's polygons are taken once and broadcast over
-    the rows, several breaches' one row each.  Its proof shows that no
-    value depends on which cells are computed together, so each row's sum
-    of band - inside runs over the same values in the same order either
-    way.  A row is NaN when its breach's area is zero, as the ratio is then
-    undefined.  An invalid target raises :class:`GeometryError`.
+    Each row scores its :func:`_exposed` area over its breach's area (see
+    :func:`shares`).  An invalid target raises :class:`GeometryError`.
     """
     scenarios = {b.scenario for b in breaches}
     if len(scenarios) > 1:
@@ -404,6 +407,22 @@ def _score_rows(breaches, planes, band_areas=None) -> np.ndarray:
     if not len(planes):
         return np.zeros(0)
     guard_extent(scenarios.pop(), *planes.T)
+    return shares(_exposed(breaches, planes, band_areas), np.array([b.area for b in breaches]))
+
+
+def _exposed(breaches, planes: np.ndarray, band_areas=None) -> np.ndarray:
+    """Area of each row's breach on the row's "+" side, the numerator of its score.
+
+    Each row takes area(band n plus) - area(inside n plus) per band, summed
+    in band order.  :func:`_clipped_areas` gives each row's areas of its
+    breach's polygons: the bands and inside polygons, or only the inside
+    polygons when band_areas holds each row's band areas.  One breach's
+    polygons are taken once and broadcast over the rows, several breaches'
+    one row each.  Its proof shows that no value depends on which cells are
+    computed together, so each row's sum of band - inside runs over the
+    same values in the same order either way, and whichever other rows are
+    given.  The rows are not checked (see :func:`guard_extent`).
+    """
     bands = len(breaches[0].pieces)
     polys = [(*b.pieces, *b.inside) if band_areas is None else b.inside for b in breaches]
     clipped = _clipped_areas(polys, planes)
@@ -411,9 +430,18 @@ def _score_rows(breaches, planes, band_areas=None) -> np.ndarray:
     numer = np.zeros(len(planes))
     for band in range(bands):  # the inside polygons' areas are clipped's last columns
         numer += plus[:, band] - clipped[:, band - bands]
-    area = np.array([b.area for b in breaches])
+    return numer
+
+
+def shares(exposed, area) -> np.ndarray:
+    """exposed / area per row, each row's area its breach's: the transferability ratios.
+
+    A row is NaN when its area is zero, as the ratio is then undefined.  A
+    ratio outside [0, 1] by more than 1e-9 raises :class:`GeometryError`;
+    the rest are clipped to [0, 1].
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(area == 0.0, np.nan, numer / area)
+        values = np.where(area == 0.0, np.nan, exposed / area)
     bad = (values < -1e-9) | (values > 1.0 + 1e-9)
     if bad.any():
         raise GeometryError(f"transferability ratio {float(values[bad][0])} outside [0, 1]")

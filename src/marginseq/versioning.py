@@ -30,16 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GeometryError, PoolExhaustedError, UndefinedEstimateError
-from .geometry import Point2, tangents_to_unit_circle
+from .geometry import MERGE_TOL, Point2, tangents_to_unit_circle
 from .regions import (
     AttackSampleConfig,
     Breach,
     TransferabilityScore,
+    guard_extent,
     mc_scores,
     paired_scores,
     philox,
     planes_of,
     plus_band_areas,
+    shares,
 )
 from .separators import (
     DecisionBoundary,
@@ -97,9 +99,31 @@ class PlanVerification:
         return self.bound_ok and self.union_ok and self.pair_ok
 
 
+@dataclass(slots=True)
+class _Selection:
+    """What a pool holds between the steps of one sequence; see :func:`select_next`.
+
+    Each array has one entry per pool row.  ``bands`` is None until an exact
+    step reads the pool's band areas under the breach's guard.
+    """
+
+    breach: Breach  # the breach last scored from
+    remaining: np.ndarray  # whether each row is still a candidate
+    flat: float  # 1 / the least |(a, b)| of any row, for the margin
+    bands: np.ndarray | None
+    exposed: np.ndarray  # each row's last exact numerator, 0.0 before its first
+    at: np.ndarray  # the union area each numerator was taken at, 0.0 before the first
+
+
 @dataclass(frozen=True, slots=True)
 class CandidatePool:
-    """Hidden points and their separators; ``planes`` holds the separators' (a, b, c) rows."""
+    """Hidden points and their separators; ``planes`` holds the separators' (a, b, c) rows.
+
+    A pool also holds, outside ==, hash and repr, what its steps reuse: its
+    band areas under the last guard, its rows sorted by c, and one selection
+    state, the breach :func:`select_next` last scored from with the rows it
+    left and their bounds.  Building a pool computes none of them.
+    """
 
     hidden_points: tuple[HiddenPoint, ...]
     boundaries: tuple[DecisionBoundary, ...]
@@ -109,8 +133,8 @@ class CandidatePool:
     _held_bands: tuple = field(default=(None, None), init=False, compare=False, repr=False)
     # the rows in order of c and their c values, sorted on first use of rows_of and held too
     _by_c: tuple = field(default=None, init=False, compare=False, repr=False)
-    # the last breach greedy_select_next scored from, held the same way
-    _held_breach: Breach | None = field(default=None, init=False, compare=False, repr=False)
+    # the selection state select_next last advanced, held the same way
+    _selection: _Selection | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.hidden_points) != len(self.boundaries):
@@ -406,24 +430,62 @@ def generate_candidate_pool(
     return CandidatePool(tuple(points), boundaries)
 
 
-def score_candidates(breach: Breach, planes, cfg: AttackSampleConfig,
-                     band_areas=None) -> np.ndarray:
+def score_candidates(breach: Breach, planes, cfg: AttackSampleConfig) -> np.ndarray:
     """Transferability from the held breach of each candidate under cfg.
 
     Candidates are given as one "+" half-plane (a, b, c) per row.  This only
     picks the scorer; both check every target's guard (see
     :func:`guard_extent`).  Exact area ratios from one :meth:`Breach.scores`
-    batch when cfg.n_samples == 0, which clips only the breach's non-empty
-    inside polygons when band_areas holds each row's band areas (see
-    :meth:`CandidatePool.band_areas`); otherwise Monte Carlo estimates from
-    one shared stream over the breach's separators (:func:`mc_scores`), and
-    band_areas is not read.  Scores are NaN, all of them, when the breach
-    leaves the ratio undefined.
+    batch when cfg.n_samples == 0; otherwise Monte Carlo estimates from one
+    shared stream over the breach's separators (:func:`mc_scores`).  Scores
+    are NaN, all of them, when the breach leaves the ratio undefined.
     """
     planes = np.asarray(planes, dtype=float).reshape(-1, 3)
     if cfg.n_samples:
         return mc_scores(breach.scenario, breach.priors, planes, cfg)[0]
-    return breach.scores(planes, band_areas)
+    return breach.scores(planes)
+
+
+def _extends(held: Breach | None, scenario: ScenarioConfig, priors) -> bool:
+    """Whether held is of scenario and its priors are, object for object, a prefix of priors."""
+    return (held is not None and held.scenario == scenario and len(held.priors) <= len(priors)
+            and all(p is q for p, q in zip(held.priors, priors)))
+
+
+def _selection(pool: CandidatePool, breach: Breach) -> _Selection:
+    """The pool's selection state advanced to breach, or rebuilt for it; see :func:`select_next`."""
+    state = pool._selection
+    if _extends(state and state.breach, breach.scenario, breach.priors):
+        state.remaining[pool.rows_of(breach.priors[len(state.breach.priors):])] = False
+        if breach.guard != state.breach.guard:
+            state.bands = None
+            state.exposed[:], state.at[:] = 0.0, 0.0
+        state.breach = breach
+        return state
+    remaining = np.ones(len(pool.planes), dtype=bool)
+    remaining[pool.rows_of(breach.priors)] = False
+    guard_extent(breach.scenario, *pool.planes[remaining].T)
+    flat = 1.0 / np.hypot(pool.planes[:, 0], pool.planes[:, 1]).min(initial=math.inf)
+    zeros = np.zeros(len(pool.planes))
+    state = _Selection(breach, remaining, flat, None, zeros, zeros.copy())
+    object.__setattr__(pool, "_selection", state)
+    return state
+
+
+def _exact_step(pool: CandidatePool, state: _Selection) -> tuple[np.ndarray, np.ndarray]:
+    """The rows an exact step scores, ascending, and their scores; see :func:`select_next`."""
+    breach = state.breach
+    if state.bands is None:
+        state.bands = pool.band_areas(breach.scenario, breach.guard)
+    area = breach.area
+    size = breach.guard + 2.0 * breach.scenario.y_lim  # L in select_next's proof
+    margin = MERGE_TOL * (len(breach.priors) + 1000) * max(size, state.flat) * size
+    upper = np.min(state.exposed + (area - state.at), where=state.remaining, initial=math.inf)
+    rows = np.flatnonzero(state.remaining & (state.exposed - margin <= upper + margin))
+    exposed = breach.exposed(pool.planes[rows], state.bands[rows])
+    values = shares(exposed, area)
+    state.exposed[rows], state.at[rows] = exposed, area
+    return rows, values
 
 
 def select_next(
@@ -432,32 +494,88 @@ def select_next(
     """Pool index minimizing transferability from the held breach.
 
     Candidates whose boundary equals a breached one, found by
-    :meth:`CandidatePool.rows_of`, are excluded and the rest are scored by
-    :func:`score_candidates`; an exact step reads their band
-    areas from :meth:`CandidatePool.band_areas` under the breach's guard, so
-    it clips only the breach's non-empty inside polygons.  Ties break toward
-    the lowest pool index.  A step whose scores are undefined (NaN) has
-    nothing to pick by: it raises :class:`UndefinedEstimateError` naming the
-    step, the (len(breach.priors) + 1)-th version, and, when sampled, the
-    sample count.  A sequence holds one breach of its breached versions and
-    grows it with :meth:`Breach.extend`; a :meth:`Breach.within` breach, which
+    :meth:`CandidatePool.rows_of`, are excluded.  Ties break toward the
+    lowest pool index.  A step whose scores are undefined (NaN) has nothing
+    to pick by: it raises :class:`UndefinedEstimateError` naming the step,
+    the (len(breach.priors) + 1)-th version, and, when sampled, the sample
+    count.  A sequence holds one breach of its breached versions and grows
+    it with :meth:`Breach.extend`; a :meth:`Breach.within` breach, which
     cannot grow, raises :class:`DomainError`.
+
+    The pool holds one selection state: the breach last scored from, the
+    rows it left and, per row, its band areas and its last exact numerator
+    N_old (the :meth:`Breach.exposed` area that :meth:`Breach.scores`
+    divides) with the union area A_old it was taken at.  A breach of the
+    same scenario whose priors the held ones are, object for object, a
+    prefix of, as :meth:`Breach.extend` and :func:`greedy_select_next` give,
+    advances the state: it drops the new priors' rows, and under a deeper
+    guard it resets every N_old and A_old to 0.0 and reads the band areas
+    again from :meth:`CandidatePool.band_areas`.  Any other breach rebuilds
+    the state, and only a rebuild checks the rows' validity
+    (:func:`guard_extent`).  A sampled step scores every row by
+    :func:`score_candidates` and reads no band areas.  An exact step scores,
+    in ascending row order, only the rows whose lower bound N_old - m is at
+    most the least upper bound, min(N_old + (A - A_old) + m), A the
+    breach's area; dividing by A gives the bounds on the ratio.  Here m =
+    MERGE_TOL * (len(priors) + 1000) * K * L, with L = guard + 2 * y_lim and
+    K = max(L, 1 / min |(a, b)|) over the pool's rows.  The first step of a
+    state keeps every row, as 0 <= N <= A.  The [0, 1] range check of
+    :func:`shares` covers every ratio a step computes; a pruned row's ratio
+    is never computed.
+
+    Proof that the pick and its score are those of scoring every row.  Every
+    polygon lies in one band, [-guard, -delta] or [0, delta] by [-y_lim,
+    y_lim], whose width plus height, and so its diameter and its points'
+    norms, are at most L.  (1) Under one guard an extended breach's inside
+    polygons are the held ones clipped further (:meth:`Breach.chain`, which
+    :meth:`Breach.of` equals bit for bit).  A clip keeps vertices and adds
+    crossings on edges, and :meth:`ConvexPolygon.from_points` only drops
+    points, so each lies in the held one but for crossings rounded off its
+    edges; the band areas are the same held values.  So a target's exact
+    area in the union grows by at least 0 and at most area(held inside) -
+    area(new inside), A - A_old, summed over the bands.  The reset values
+    are the empty union's, N_old = A_old = 0, whose inside is the band, and
+    bound N the same way.  (2) :func:`clipped_areas` keeps a vertex within
+    eps = MERGE_TOL * scale of the target's line and cuts at the rest, so a
+    cell's area is the polygon's area on the exact line's side to within
+    the strip of half-width eps / |(a, b)| <= MERGE_TOL * K * (1 + 2e-12)
+    about the line: at most 2 * MERGE_TOL * K * L * (1 + 2e-12), and exact
+    when the line passes farther than eps from the polygon.  An N and its
+    N_old differ in four such cells.  Shoelace sums of at most len(priors)
+    + 6 points of norm L, crossings rounded off their edges over at most
+    len(priors) clips per band, and the few sums and differences add about
+    40 * (len(priors) + 5) * u * L^2, u = 2**-53.  So N lies within E of
+    [N_old, N_old + A - A_old], with E < m / 100, and the rounding of the
+    bounds themselves is far below m.  (3) The row with the least upper
+    bound is kept, since (1) and (2) give A - A_old >= -2E, and its N, so
+    the best kept N*, is at most that bound less m - E.  A pruned row's N
+    is at least its lower bound plus m - E, above the least upper bound, so
+    it exceeds N* by more than m.  A is at most the bands' area, 2 * y_lim
+    * guard <= L^2 <= K * L, so m / A >= 1e-9: a pruned row's ratio exceeds
+    the best's by more than 1e-9, far above the quotient's rounding.  It is
+    positive, and at most 1 + E / A as N <= A + E, so clipping to [0, 1]
+    keeps it strictly above the best, and the range check would pass it.
+    So no pruned row can win or tie.  Each kept row's value is the one full
+    scoring gives it, bit for bit (see :meth:`Breach.exposed`), and the
+    rows are in ascending order, so the first minimum is the same row.
     """
     if math.isnan(breach.guard):
         raise DomainError("greedy selection requires a breach of at least one breached version")
-    planes = pool.planes
-    remaining = np.delete(np.arange(len(planes)), pool.rows_of(breach.priors))
-    if not remaining.size:
+    state = _selection(pool, breach)
+    if not state.remaining.any():
         raise PoolExhaustedError("every pool candidate has been consumed")
-    held = None if cfg.n_samples else pool.band_areas(breach.scenario, breach.guard)[remaining]
-    values = score_candidates(breach, planes[remaining], cfg, held)
+    if cfg.n_samples:
+        rows = np.flatnonzero(state.remaining)
+        values = score_candidates(breach, pool.planes[rows], cfg)
+    else:
+        rows, values = _exact_step(pool, state)
     best = int(np.argmin(values))  # the first NaN, if any
     score = TransferabilityScore(float(values[best]))
     if not score.defined:
         why = (f"no candidate reached the Monte Carlo acceptance floor with n_samples = "
                f"{cfg.n_samples}" if cfg.n_samples else "the breached versions expose no area")
         raise UndefinedEstimateError(f"step {len(breach.priors) + 1}: {why}")
-    return int(remaining[best]), score
+    return int(rows[best]), score
 
 
 def greedy_select_next(
@@ -468,20 +586,17 @@ def greedy_select_next(
 ) -> tuple[int, TransferabilityScore]:
     """:func:`select_next` over ``Breach.of(scenario, breached)``.
 
-    The pool holds the last breach this scored from.  When its scenario
-    equals scenario and its priors are, object for object, a prefix of
-    breached, it is grown by the rest with :meth:`Breach.chain`, which gives
-    what ``of`` would, bit for bit, at one clip per non-empty inside polygon
-    per version.
+    When the breach of the pool's selection state is of scenario and its
+    priors are, object for object, a prefix of breached, it is grown by the
+    rest with :meth:`Breach.chain`, which gives what ``of`` would, bit for
+    bit, at one clip per non-empty inside polygon per version, and the
+    state advances rather than being rebuilt.
     """
-    held = pool._held_breach
-    n = len(held.priors) if held is not None else 0
-    if held is not None and held.scenario == scenario and n <= len(breached) and all(
-            p is q for p, q in zip(held.priors, breached)):
-        breach = held.chain(breached[n:])[-1]
+    held = pool._selection and pool._selection.breach
+    if _extends(held, scenario, breached):
+        breach = held.chain(breached[len(held.priors):])[-1]
     else:
         breach = Breach.of(scenario, breached)
-    object.__setattr__(pool, "_held_breach", breach)
     return select_next(pool, breach, cfg)
 
 

@@ -399,14 +399,17 @@ def test_greedy_exact_steps_match_scalar_scores(scenario):
 
 def _held_and_list_steps(scenario, pool, cfg, steps):
     """Greedy picks and score reprs from one held breach, each checked against
-    greedy_select_next over the breached list."""
+    greedy_select_next over the breached list and against a fresh step that scores
+    every candidate."""
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     breach = Breach.of(scenario, breached)
     picks = []
     for _ in range(steps):
         index, score = select_next(pool, breach, cfg)
         listed, listed_score = greedy_select_next(scenario, pool, breached, cfg)
+        fresh, fresh_score = _fresh_step(scenario, pool, breached, cfg)
         assert (index, repr(score.value)) == (listed, repr(listed_score.value))
+        assert (index, repr(score.value)) == (fresh, repr(fresh_score.value))
         picks.append((index, repr(score.value)))
         breach = breach.extend(pool.boundaries[index])
         breached.append(pool.boundaries[index])
@@ -453,10 +456,17 @@ def _counting_breach_of(monkeypatch):
     return built
 
 
+def _fresh_step(scenario, pool, breached, cfg):
+    """select_next over a fresh Breach.of and a fresh copy of pool, which holds no state:
+    every candidate scored."""
+    return select_next(CandidatePool(pool.hidden_points, pool.boundaries),
+                       Breach.of(scenario, breached), cfg)
+
+
 def _list_step(scenario, pool, breached, cfg, built):
-    """greedy_select_next's pick, checked against select_next over a fresh Breach.of,
-    and the number of Breach.of calls the list-form step made."""
-    want = select_next(pool, Breach.of(scenario, breached), cfg)
+    """greedy_select_next's pick, checked against a fresh step that scores every
+    candidate, and the number of Breach.of calls the list-form step made."""
+    want = _fresh_step(scenario, pool, breached, cfg)
     before = len(built)
     got = greedy_select_next(scenario, pool, breached, cfg)
     assert (got[0], repr(got[1].value)) == (want[0], repr(want[1].value))
@@ -686,9 +696,12 @@ def test_pool_holds_its_planes_outside_eq_and_repr(scenario, monkeypatch):
     select_next(pool, Breach.of(scenario, seed_pair), AttackSampleConfig("ensemble", 0, 0))
     assert built == []
     greedy_select_next(scenario, pool, seed_pair, AttackSampleConfig("ensemble", 0, 0))
-    # the band areas, the index and the breach those steps held stay out of ==, hash and repr too
+    assert pool._selection is not None and again._selection is None
+    # the band areas, the index and the selection state those steps held stay out of ==,
+    # hash and repr too
     assert again == pool and hash(again) == hash(pool) and repr(again) == repr(pool)
-    assert "band" not in repr(pool) and "by_c" not in repr(pool) and "breach" not in repr(pool)
+    for held in ("band", "by_c", "breach", "selection", "exposed"):
+        assert held not in repr(pool)
 
 
 def test_pool_finds_every_taken_candidate_by_float_equality(scenario):
@@ -772,7 +785,10 @@ def test_warm_exact_step_clips_only_live_inside_polygons(scenario, monkeypatch):
         return clipped_areas(x, y, a, b, c)
 
     monkeypatch.setattr(regions, "clipped_areas", counting)
-    select_next(pool, breach, EXACT)
+    # equal copies of the breached versions rebuild the selection state, so every row is
+    # scored, under the guard whose band areas the pool holds
+    copies = [DecisionBoundary(bd.plus) for bd in breach.priors]
+    select_next(pool, Breach.of(scenario, copies), EXACT)
     remaining = sum(bd not in breach.priors for bd in pool.boundaries)
     assert len(calls) == math.ceil(remaining / regions.SCORE_BLOCK)
     # the live inside polygon, taken once and broadcast over each block's rows
@@ -832,6 +848,165 @@ def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(
             breach = breach.extend(pool.boundaries[index])
     # the stock pool and seed 2's pool score later steps under a guard a pick deepened
     assert [len(g) for g in guards] == [2, 1, 1, 2]
+
+
+def _full_scoring(scenario, pool, breached):
+    """(index, score repr) of the least score over every candidate not breached, from a
+    fresh Breach.of and Breach.scores: no selection state, no bounds."""
+    taken = set(pool.rows_of(breached).tolist())
+    rows = [i for i in range(len(pool.boundaries)) if i not in taken]
+    values = Breach.of(scenario, breached).scores(pool.planes[rows])
+    best = int(np.argmin(values))
+    return rows[best], repr(float(values[best]))
+
+
+def _counting_rows(monkeypatch):
+    """The number of rows of every call to the kernel that computes exact numerators."""
+    rows = []
+    real = regions._exposed
+    monkeypatch.setattr(regions, "_exposed", lambda breaches, planes, band_areas=None:
+                        rows.append(len(planes)) or real(breaches, planes, band_areas))
+    return rows
+
+
+@pytest.mark.parametrize("eps_d, deepening_picks", [(2.0, 0), (31.0, 14)])
+def test_pruned_exact_steps_equal_full_scoring(scenario, eps_d, deepening_picks):
+    # 1000-candidate pools from the 32-bit seed np.random.SeedSequence(s) derives for
+    # s = 0-19, 8 list-form steps from the seed pair, and two rounds per pool, as the
+    # benchmark runs them: 320 steps per eps_d, each pick and score repr that of scoring
+    # every candidate
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    deepened = 0
+    for seed in range(20):
+        (pool_seed,) = np.random.SeedSequence(seed).generate_state(1, dtype=np.uint32)
+        pool = generate_candidate_pool(scenario, 1000, eps_d, int(pool_seed))
+        for _ in range(2):
+            breached = list(seed_pair)
+            for _ in range(8):
+                index, score = greedy_select_next(scenario, pool, breached, EXACT)
+                assert (index, repr(score.value)) == _full_scoring(scenario, pool, breached)
+                guard = regions.deepest_guard(scenario, breached)
+                breached.append(pool.boundaries[index])
+                deepened += regions.deepest_guard(scenario, breached) > guard
+    # a pick that deepens the guard resets the bounds of the step after it
+    assert deepened == deepening_picks
+
+
+def test_exact_steps_score_only_rows_that_can_win(scenario, monkeypatch):
+    pool = generate_candidate_pool(scenario, 1000, 2.0, seed=42)
+    scored = _counting_rows(monkeypatch)
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    for _ in range(2):  # a restart rebuilds the state: its first step scores every row
+        breached, steps = list(seed_pair), []
+        for _ in range(8):
+            before = len(scored)
+            index, _ = greedy_select_next(scenario, pool, breached, EXACT)
+            steps.append(sum(scored[before:]))
+            breached.append(pool.boundaries[index])
+        assert steps[0] == 1000 and max(steps[1:]) <= 2
+    # a step repeated on the same breach keeps only rows within the margin of the least
+    greedy_select_next(scenario, pool, breached, EXACT)
+    before = len(scored)
+    greedy_select_next(scenario, pool, breached, EXACT)
+    assert 1 <= sum(scored[before:]) <= 4
+    # on the stock pool the second pick deepens the guard: the step after it scores every
+    # row left, as the reset bounds keep them all
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    breached, steps, guards = list(seed_pair), [], []
+    for _ in range(4):
+        before = len(scored)
+        guards.append(regions.deepest_guard(scenario, breached))
+        index, _ = greedy_select_next(scenario, pool, breached, EXACT)
+        steps.append(sum(scored[before:]))
+        breached.append(pool.boundaries[index])
+    assert guards[0] == guards[1] < guards[2] == guards[3]
+    assert steps == [50, 1, 48, 1]
+
+
+def test_a_deeper_guard_resets_the_bounds(scenario, monkeypatch):
+    pool = generate_candidate_pool(scenario, 1000, 2.0, seed=42)
+    scored = _counting_rows(monkeypatch)
+    breach = Breach.of(scenario, [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions])
+    # a version the first seed version dominates, shifted so far right that it exposes
+    # nothing but reaches deeper than the guard: the union stays, the guard deepens
+    line = breach.priors[0].plus
+    deeper = breach.extend(DecisionBoundary(HalfPlane(line.a, line.b, line.c - 800.0)))
+    assert deeper.area == breach.area and deeper.guard > breach.guard
+    steps = []
+    for step in (breach, breach, deeper, deeper):
+        before = len(scored)
+        index, score = select_next(pool, step, EXACT)
+        steps.append(sum(scored[before:]))
+        assert (index, repr(score.value)) == _full_scoring(scenario, pool, list(step.priors))
+    # held numerators bound only steps under their own guard: the deeper one scores all
+    assert steps == [1000, 1, 1000, 1]
+
+
+def test_pruned_steps_break_exact_ties_toward_the_lowest_index(scenario):
+    # every stock candidate twice, the copies in reverse order, so each candidate's twin
+    # scores the same bits at index 99 - i until a pick takes both
+    stock = generate_candidate_pool(scenario, 50, seed=42)
+    pool = CandidatePool(stock.hidden_points + stock.hidden_points[::-1],
+                         stock.boundaries + stock.boundaries[::-1])
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    picks = []
+    for _ in range(8):
+        for _ in range(2):  # the second step of each pair is scored on tight bounds
+            index, score = greedy_select_next(scenario, pool, breached, EXACT)
+            assert (index, repr(score.value)) == _full_scoring(scenario, pool, breached)
+        picks.append(index)
+        breached.append(pool.boundaries[index])
+    assert all(i < 50 for i in picks) and len(set(picks)) == 8
+
+
+def test_sampled_and_exact_steps_share_one_state(scenario, monkeypatch):
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    computed = _counting_band_areas(monkeypatch)
+    sampled = AttackSampleConfig("ensemble", 20_000, 42)
+    breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    for cfg in (sampled, EXACT, sampled, sampled, EXACT, EXACT):
+        index, score = greedy_select_next(scenario, pool, breached, cfg)
+        if cfg.n_samples:
+            # no bounds: the pick of every remaining row's estimate from a fresh pool
+            want = _fresh_step(scenario, pool, breached, cfg)
+            assert (index, repr(score.value)) == (want[0], repr(want[1].value))
+        else:
+            assert (index, repr(score.value)) == _full_scoring(scenario, pool, breached)
+        breached.append(pool.boundaries[index])
+    # the first sampled step read no band areas; the first exact one read them once, and a
+    # pick that deepened the guard made a later exact step read them again
+    assert len(computed) == len(set(computed)) >= 1
+
+
+def test_pruned_steps_of_a_breach_that_exposes_nothing_stay_undefined(scenario):
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    breach = Breach.of(scenario, [_exposes_nothing(scenario)])
+    for _ in range(2):  # the state's first step, then a step from its held numerators
+        with pytest.raises(UndefinedEstimateError, match="expose no area"):
+            select_next(pool, breach, EXACT)
+    # grown by a second version that exposes nothing, the state advances and stays undefined
+    grown = breach.extend(DecisionBoundary.sloped(1000.0, -2000.0, scenario))
+    assert grown.area == 0.0
+    with pytest.raises(UndefinedEstimateError, match=r"^step 3: .*expose no area"):
+        select_next(pool, grown, EXACT)
+    assert pool._selection.breach is grown
+
+
+@pytest.mark.parametrize("cfg", [EXACT, AttackSampleConfig("ensemble", 2_000, 3)])
+def test_an_invalid_candidate_raises_at_every_first_step_of_a_state(scenario, cfg):
+    runaway = DecisionBoundary.vertical(150.0, scenario)  # "+" side covers both bands
+    stock = generate_candidate_pool(scenario, 50, seed=42)
+    pool = CandidatePool(stock.hidden_points + (HiddenPoint(0.0, 1.0),),
+                         stock.boundaries + (runaway,))
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    for _ in range(2):  # no state is held for it, so the next step checks again
+        with pytest.raises(GeometryError, match="left guard"):
+            greedy_select_next(scenario, pool, seed_pair, cfg)
+        assert pool._selection is None
+    # a state held for the valid pool does not carry over to one that holds the runaway
+    greedy_select_next(scenario, stock, seed_pair, cfg)
+    with pytest.raises(GeometryError, match="left guard"):
+        select_next(pool, stock._selection.breach, cfg)
 
 
 def test_select_next_needs_breached_versions(scenario):
