@@ -9,15 +9,17 @@ pool       greedy pool selection vs the random baseline, seed-reproducible
 verify     deterministic cross-check suite (exit 4 on any failure)
 
 All numeric output is printed with 9 significant digits so runs can be
-diffed textually.  Exit codes: 0 success, 2 domain/feasibility error or a
-pool step with no defined score, 3 scenario-file parse error, 4
-verification failure.
+diffed textually.  Exit codes: 0 success, 1 standard output closed before
+the report was written (as by `| head -1`; nothing is printed on stderr), 2
+domain/feasibility error or a pool step with no defined score, 3
+scenario-file parse error, 4 verification failure.
 """
 
 import argparse
 import configparser
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -48,8 +50,9 @@ MAX_PLAN_VERSIONS = 1000
 # generate_candidate_pool draws its first batch at full size.  On a 2-core host 100,000
 # candidates build in about 1.4 s.  The first exact greedy step over them scores every
 # candidate: 0.1-0.2 s when it clips their band areas under a new guard, 0.05-0.1 s when
-# the pool holds them.  A later step of the same sequence scores only the candidates
-# whose bounds let them still win, about 1 ms at the stock eps_d.
+# the pool's selection state holds them, as after a restart under the same guard.  A
+# later step of the same sequence scores only the candidates whose bounds let them still
+# win, about 1 ms at the stock eps_d.
 MAX_POOL_SIZE = 100_000
 
 # cmd_pool holds one breach per sequence and extends it by one version a row, and the
@@ -139,6 +142,8 @@ def load_settings(path: str | None) -> Settings:
         raise ScenarioFileError(f"cannot read scenario file {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ScenarioFileError(f"scenario file {path} is not UTF-8: {exc}")
+    except configparser.MissingSectionHeaderError as exc:  # its message runs over three lines
+        raise ScenarioFileError(f"{exc.line!r} comes before any section header", exc.lineno)
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
         if line is None and getattr(exc, "errors", None):
@@ -457,7 +462,13 @@ def main(argv=None) -> int:
             "pool": cmd_pool,
             "verify": cmd_verify,
         }[args.command]
-        return handler(settings, args, sys.stdout)
+        code = handler(settings, args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ScenarioFileError as exc:
         where = f" (line {exc.line})" if exc.line is not None else ""
         print(f"marginseq: parse error{where}: {exc}", file=sys.stderr)

@@ -274,8 +274,9 @@ class Breach:
     builds keeps ``band_rectangles(scenario, guard)`` as its pieces.  A
     target's score takes at most two clipped areas per band however many
     versions are breached, each from :func:`clipped_areas`, which builds no
-    clipped polygon: the band's, which :func:`plus_band_areas` can hold per
-    guard, and its inside polygon's, none once that is empty.
+    clipped polygon: the band's, which :func:`plus_band_areas` gives alone
+    for a caller to hold per guard and pass to :meth:`exposed`, and its
+    inside polygon's, none once that is empty.
     :meth:`chain` adds an undominated version with one clip per non-empty
     inside polygon and a dominated one with none.  No breach stores which of
     its priors are dominated.
@@ -359,25 +360,23 @@ class Breach:
         """Share of the breached territory that target classifies "+"."""
         return TransferabilityScore(float(self.scores(planes_of([target]))[0]))
 
-    def scores(self, planes: np.ndarray, band_areas=None) -> np.ndarray:
+    def scores(self, planes: np.ndarray) -> np.ndarray:
         """:meth:`score` of every target, given as one "+" half-plane (a, b, c) per row.
 
         NaN throughout when the breached area is zero, as the ratio is then
         undefined.  An invalid target raises :class:`GeometryError`.  See
-        :func:`paired_scores`, which shares the body.  band_areas, if given,
-        holds each row's area of every band on its "+" side, as
-        :func:`plus_band_areas` of this breach's guard gives it; only the
-        inside polygons are then clipped.
+        :func:`paired_scores`, which shares the body.
         """
-        return _score_rows([self], planes, band_areas)
+        return _score_rows([self], planes)
 
     def exposed(self, planes: np.ndarray, band_areas) -> np.ndarray:
         """Area of this breach on each target's "+" side: the numerator of :meth:`scores`.
 
-        Targets are one "+" half-plane (a, b, c) per row, with their band
-        areas as for :meth:`scores`, and bit for bit the numerators it
-        divides, whatever other rows are given (see :func:`_exposed`).  They
-        are not checked: the caller has passed them through
+        Targets are one "+" half-plane (a, b, c) per row, and band_areas
+        their :func:`plus_band_areas` under this breach's guard, so only the
+        inside polygons are clipped: bit for bit the numerators it divides,
+        whatever other rows are given (see :func:`_exposed`).  Targets are
+        not checked: the caller has passed them through
         :func:`guard_extent`, as :meth:`scores` does.
         """
         return _exposed([self], planes, band_areas)
@@ -394,7 +393,7 @@ def paired_scores(breaches, planes) -> np.ndarray:
     return _score_rows(breaches, planes)
 
 
-def _score_rows(breaches, planes, band_areas=None) -> np.ndarray:
+def _score_rows(breaches, planes) -> np.ndarray:
     """Row i of planes scored against breaches[i], or against the one breach given.
 
     Each row scores its :func:`_exposed` area over its breach's area (see
@@ -407,7 +406,7 @@ def _score_rows(breaches, planes, band_areas=None) -> np.ndarray:
     if not len(planes):
         return np.zeros(0)
     guard_extent(scenarios.pop(), *planes.T)
-    return shares(_exposed(breaches, planes, band_areas), np.array([b.area for b in breaches]))
+    return shares(_exposed(breaches, planes), np.array([b.area for b in breaches]))
 
 
 def _exposed(breaches, planes: np.ndarray, band_areas=None) -> np.ndarray:

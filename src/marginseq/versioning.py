@@ -103,13 +103,12 @@ class PlanVerification:
 class _Selection:
     """What a pool holds between the steps of one sequence; see :func:`select_next`.
 
-    Each array has one entry per pool row.  ``bands`` is None until an exact
-    step reads the pool's band areas under the breach's guard.
+    Each array has one entry per pool row.  ``bands``, read-only, holds the
+    rows' :func:`plus_band_areas` under the breach's guard, or None.
     """
 
     breach: Breach  # the breach last scored from
     remaining: np.ndarray  # whether each row is still a candidate
-    flat: float  # 1 / the least |(a, b)| of any row, for the margin
     bands: np.ndarray | None
     exposed: np.ndarray  # each row's last exact numerator, 0.0 before its first
     at: np.ndarray  # the union area each numerator was taken at, 0.0 before the first
@@ -119,20 +118,19 @@ class _Selection:
 class CandidatePool:
     """Hidden points and their separators; ``planes`` holds the separators' (a, b, c) rows.
 
-    A pool also holds, outside ==, hash and repr, what its steps reuse: its
-    band areas under the last guard, its rows sorted by c, and one selection
-    state, the breach :func:`select_next` last scored from with the rows it
-    left and their bounds.  Building a pool computes none of them.
+    A pool also holds, outside ==, hash and repr, its rows sorted by c and
+    1 / their least |(a, b)|, both computed when it is built, and one
+    selection state, the only field that changes after that (see
+    :func:`select_next`).
     """
 
     hidden_points: tuple[HiddenPoint, ...]
     boundaries: tuple[DecisionBoundary, ...]
     # derived from boundaries; an ndarray would break == and repr
     planes: np.ndarray = field(init=False, compare=False, repr=False)
-    # the last band_areas call's (scenario, guard) and its result, held the same way
-    _held_bands: tuple = field(default=(None, None), init=False, compare=False, repr=False)
-    # the rows in order of c and their c values, sorted on first use of rows_of and held too
-    _by_c: tuple = field(default=None, init=False, compare=False, repr=False)
+    # the rows in order of c with their c values, and 1 / the least |(a, b)|, held the same way
+    _by_c: tuple = field(init=False, compare=False, repr=False)
+    _flat: float = field(init=False, compare=False, repr=False)
     # the selection state select_next last advanced, held the same way
     _selection: _Selection | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -142,32 +140,19 @@ class CandidatePool:
         planes = planes_of(self.boundaries)
         planes.setflags(write=False)
         object.__setattr__(self, "planes", planes)
-
-    def band_areas(self, scenario: ScenarioConfig, guard: float) -> np.ndarray:
-        """:func:`plus_band_areas` of every candidate under guard: one row per candidate.
-
-        Computed on first use and held for the last (scenario, guard) only,
-        which the exact steps of a sequence share until a pick deepens the
-        breach's guard.
-        """
-        key, areas = self._held_bands
-        if key != (scenario, guard):
-            areas = plus_band_areas(scenario, guard, self.planes)
-            areas.setflags(write=False)
-            object.__setattr__(self, "_held_bands", ((scenario, guard), areas))
-        return areas
+        order = np.argsort(planes[:, 2])
+        object.__setattr__(self, "_by_c", (order, planes[order, 2]))
+        flat = 1.0 / np.hypot(planes[:, 0], planes[:, 1]).min(initial=math.inf)
+        object.__setattr__(self, "_flat", flat)
 
     def rows_of(self, boundaries) -> np.ndarray:
         """Rows whose separator has the "+" half-plane of one of boundaries, in no set order.
 
         Every row whose (a, b, c) equals one of theirs as floats is found,
         duplicates included, and -0.0 equals 0.0.  Each boundary is looked
-        up by binary search among the rows sorted by c, which are sorted on
-        first use and held, so a lookup does not scan the pool.
+        up by binary search among the rows sorted by c, so a lookup does not
+        scan the pool.
         """
-        if self._by_c is None:
-            order = np.argsort(self.planes[:, 2])
-            object.__setattr__(self, "_by_c", (order, self.planes[order, 2]))
         order, c = self._by_c
         rows = [np.zeros(0, dtype=np.intp)]
         for bd in boundaries:
@@ -465,9 +450,9 @@ def _selection(pool: CandidatePool, breach: Breach) -> _Selection:
     remaining = np.ones(len(pool.planes), dtype=bool)
     remaining[pool.rows_of(breach.priors)] = False
     guard_extent(breach.scenario, *pool.planes[remaining].T)
-    flat = 1.0 / np.hypot(pool.planes[:, 0], pool.planes[:, 1]).min(initial=math.inf)
+    same = state and (state.breach.scenario, state.breach.guard) == (breach.scenario, breach.guard)
     zeros = np.zeros(len(pool.planes))
-    state = _Selection(breach, remaining, flat, None, zeros, zeros.copy())
+    state = _Selection(breach, remaining, state.bands if same else None, zeros, zeros.copy())
     object.__setattr__(pool, "_selection", state)
     return state
 
@@ -476,10 +461,11 @@ def _exact_step(pool: CandidatePool, state: _Selection) -> tuple[np.ndarray, np.
     """The rows an exact step scores, ascending, and their scores; see :func:`select_next`."""
     breach = state.breach
     if state.bands is None:
-        state.bands = pool.band_areas(breach.scenario, breach.guard)
+        state.bands = plus_band_areas(breach.scenario, breach.guard, pool.planes)
+        state.bands.setflags(write=False)
     area = breach.area
     size = breach.guard + 2.0 * breach.scenario.y_lim  # L in select_next's proof
-    margin = MERGE_TOL * (len(breach.priors) + 1000) * max(size, state.flat) * size
+    margin = MERGE_TOL * (len(breach.priors) + 1000) * max(size, pool._flat) * size
     upper = np.min(state.exposed + (area - state.at), where=state.remaining, initial=math.inf)
     rows = np.flatnonzero(state.remaining & (state.exposed - margin <= upper + margin))
     exposed = breach.exposed(pool.planes[rows], state.bands[rows])
@@ -509,11 +495,12 @@ def select_next(
     same scenario whose priors the held ones are, object for object, a
     prefix of, as :meth:`Breach.extend` and :func:`greedy_select_next` give,
     advances the state: it drops the new priors' rows, and under a deeper
-    guard it resets every N_old and A_old to 0.0 and reads the band areas
-    again from :meth:`CandidatePool.band_areas`.  Any other breach rebuilds
-    the state, and only a rebuild checks the rows' validity
-    (:func:`guard_extent`).  A sampled step scores every row by
-    :func:`score_candidates` and reads no band areas.  An exact step scores,
+    guard it resets every N_old and A_old to 0.0 and drops the band areas.
+    Any other breach rebuilds the state, keeping the band areas under the
+    held scenario and guard, as a restart does; only a rebuild checks the
+    rows' validity (:func:`guard_extent`).  An exact step without band
+    areas reads them by :func:`plus_band_areas`; a sampled step scores every
+    row by :func:`score_candidates` and reads none.  An exact step scores,
     in ascending row order, only the rows whose lower bound N_old - m is at
     most the least upper bound, min(N_old + (A - A_old) + m), A the
     breach's area; dividing by A gives the bounds on the ratio.  Here m =
@@ -603,7 +590,7 @@ def greedy_select_next(
 def random_baseline_sequence(
     scenario: ScenarioConfig, n_versions: int, seed: int = 0
 ) -> tuple[tuple[HiddenPoint, DecisionBoundary], ...]:
-    """n independent uniform hidden points from the band, minus the disks."""
+    """n independent uniform points of the determining band; no eps_d exclusion disks apply."""
     if n_versions < 0:
         raise DomainError("baseline sequence length must be >= 0")
     rng = philox(seed, 1)

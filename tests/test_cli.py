@@ -287,6 +287,34 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def _cli_child(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
+    return subprocess.Popen([sys.executable, "-m", "marginseq.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_a_reader_that_stops_after_one_line_gets_exit_1_and_no_traceback():
+    # as `marginseq plan --n 1000 | head -1`: the report far outgrows the pipe's buffer
+    child = _cli_child(["plan", "--n", "1000"], subprocess.PIPE)
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), err) == (1, b"")
+    assert first.startswith(b"schema,c,delta,y_lim,row,")
+
+
+def test_a_reader_gone_before_the_report_gets_exit_1_and_no_traceback():
+    # verify's report fits stdout's buffer, so it is written by the flush before main returns
+    read, write = os.pipe()
+    os.close(read)
+    child = _cli_child(["verify"], write)
+    os.close(write)
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), err) == (1, b"")
+
+
 def test_plan_svg(tmp_path, capsys):
     path = tmp_path / "plan.svg"
     code, _, _ = run_cli(capsys, "plan", "--n", "8", "--svg", str(path))
@@ -587,6 +615,13 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, "--scenario", str(percent), "plan")
         assert (code, out) == (3, ""), raw
         assert f"{raw!r} is not a valid number" in err
+
+    # configparser's message for a key before any section runs over three lines
+    headless = tmp_path / "headless.ini"
+    headless.write_text("c = 100\n[scenario]\ndelta = 0.1\ny_lim = 30\n")
+    code, out, err = run_cli(capsys, "--scenario", str(headless), "table")
+    assert (code, out) == (3, "")
+    assert err == "marginseq: parse error (line 1): 'c = 100\\n' comes before any section header\n"
 
     notutf8 = tmp_path / "notutf8.ini"
     notutf8.write_bytes(b"[scenario]\nc = 100\xff\ndelta = 0.1\ny_lim = 30\n")

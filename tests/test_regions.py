@@ -35,6 +35,7 @@ from marginseq.regions import (
     mc_left_cut,
     paired_scores,
     planes_of,
+    shares,
 )
 from breach_reference import reference_breach, reference_score, reference_within
 from guard_reference import reference_valid
@@ -808,7 +809,7 @@ def test_shared_and_per_row_polygons_score_the_same_bits_in_any_block(scenario, 
     for breach, expected in zip(breaches, want):
         held = regions.plus_band_areas(scenario, breach.guard, planes)
         assert repr(breach.scores(planes).tolist()) == expected
-        assert repr(breach.scores(planes, held).tolist()) == expected
+        assert repr(shares(breach.exposed(planes, held), breach.area).tolist()) == expected
         assert repr(paired_scores([breach] * len(planes), planes).tolist()) == expected
 
 

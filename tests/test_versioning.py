@@ -688,6 +688,8 @@ def test_pool_holds_its_planes_outside_eq_and_repr(scenario, monkeypatch):
     again = CandidatePool(pool.hidden_points, pool.boundaries)
     assert again == pool and hash(again) == hash(pool) and repr(again) == repr(pool)
     assert "planes" not in repr(pool)
+    # building the pool computes what its steps read; only the selection state changes after
+    fixed = [(name, getattr(pool, name)) for name in ("planes", "_by_c", "_flat")]
     # a step reads the pool's rows, and looks the breached versions up in its index
     built = []
     real = versioning.planes_of
@@ -697,10 +699,11 @@ def test_pool_holds_its_planes_outside_eq_and_repr(scenario, monkeypatch):
     assert built == []
     greedy_select_next(scenario, pool, seed_pair, AttackSampleConfig("ensemble", 0, 0))
     assert pool._selection is not None and again._selection is None
+    assert all(getattr(pool, name) is value for name, value in fixed)
     # the band areas, the index and the selection state those steps held stay out of ==,
     # hash and repr too
     assert again == pool and hash(again) == hash(pool) and repr(again) == repr(pool)
-    for held in ("band", "by_c", "breach", "selection", "exposed"):
+    for held in ("band", "by_c", "flat", "breach", "selection", "exposed"):
         assert held not in repr(pool)
 
 
@@ -740,7 +743,7 @@ def _counting_band_areas(monkeypatch):
 
 
 def test_pool_band_areas_held_per_guard(scenario, monkeypatch):
-    # the stock pool: the third pick deepens the breach's guard
+    # the stock pool: the second pick deepens the breach's guard
     pool = generate_candidate_pool(scenario, 50, seed=42)
     computed = _counting_band_areas(monkeypatch)
     breach = Breach.of(scenario, [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions])
@@ -748,18 +751,46 @@ def test_pool_band_areas_held_per_guard(scenario, monkeypatch):
     for _ in range(6):
         guards.append(breach.guard)
         index, _ = select_next(pool, breach, EXACT)
-        np.testing.assert_array_equal(
-            pool.band_areas(scenario, breach.guard),
-            regions.plus_band_areas(scenario, breach.guard, pool.planes))
+        held = pool._selection.bands
+        np.testing.assert_array_equal(held, regions.plus_band_areas(scenario, breach.guard,
+                                                                    pool.planes))
+        assert held.shape == (50, 2) and not held.flags.writeable
         breach = breach.extend(pool.boundaries[index])
     assert guards[1] == guards[0] < guards[2] == guards[5]
     assert computed == [guards[0], guards[2]]
-    held = pool.band_areas(scenario, guards[2])
-    assert held.shape == (50, 2) and not held.flags.writeable
-    assert pool.band_areas(scenario, guards[2]) is held and computed == [guards[0], guards[2]]
     # sampled steps read no band areas
     select_next(pool, breach, AttackSampleConfig("ensemble", 2_000, 1))
-    assert len(computed) == 2
+    assert computed == [guards[0], guards[2]]
+
+
+def test_a_restart_under_the_held_guard_clips_no_band(scenario, monkeypatch):
+    # no pick of the stock 1,000-candidate pool deepens the seed pair's guard
+    pool = generate_candidate_pool(scenario, 1000, 2.0, seed=42)
+    computed = _counting_band_areas(monkeypatch)
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    for _ in range(3):
+        breached = list(seed_pair)
+        for _ in range(8):
+            index, score = greedy_select_next(scenario, pool, breached, EXACT)
+            assert (index, repr(score.value)) == _full_scoring(scenario, pool, breached)
+            breached.append(pool.boundaries[index])
+    assert computed == [regions.deepest_guard(scenario, seed_pair)]
+
+
+def test_a_restart_after_a_deeper_guard_clips_the_bands_again(scenario, monkeypatch):
+    # the stock pool's second pick deepens the guard; the state then holds the deeper guard's
+    # band areas only, so each restart from the seed pair clips its bands once more
+    pool = generate_candidate_pool(scenario, 50, seed=42)
+    computed = _counting_band_areas(monkeypatch)
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    for _ in range(2):
+        breached = list(seed_pair)
+        for _ in range(4):
+            index, score = greedy_select_next(scenario, pool, breached, EXACT)
+            assert (index, repr(score.value)) == _full_scoring(scenario, pool, breached)
+            breached.append(pool.boundaries[index])
+    shallow, deep = regions.deepest_guard(scenario, seed_pair), pool._selection.breach.guard
+    assert shallow < deep and computed == [shallow, deep] * 2
 
 
 def test_pool_construction_clips_nothing(scenario, monkeypatch):
@@ -839,7 +870,8 @@ def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(
             guards[-1].add(breach.guard)
             # held band areas score every candidate as the scorer's own band clips do
             held = regions.plus_band_areas(scenario, breach.guard, pool.planes)
-            assert (repr(breach.scores(pool.planes, held).tolist())
+            exposed = breach.exposed(pool.planes, held)
+            assert (repr(regions.shares(exposed, breach.area).tolist())
                     == repr(breach.scores(pool.planes).tolist()))
             index, score = select_next(pool, breach, EXACT)
             fresh = select_next(CandidatePool(pool.hidden_points, pool.boundaries), breach, EXACT)
