@@ -20,6 +20,7 @@ import configparser
 import csv
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -317,7 +318,8 @@ def cmd_pool(settings: Settings, args, out) -> int:
                      hidden.v, hidden.w, score.value))
         breach = breach.extend(boundary)
 
-    baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed)
+    baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed,
+                                        settings.pool_eps_d)
     breach = seed
     for step, (hidden, boundary) in enumerate(baseline, start=3):
         (value,) = score_candidates(breach, planes_of([boundary]), cfg)
@@ -449,19 +451,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads a value such as -50,3 or -2e1 as a flag unless "=" joins it to the flag
+    # before it, so join it; every long flag but --help (--he, --hel) takes a value
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--(?!he)[a-z-]+", argv[i - 1]) and re.match(r"-(?!-)", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     given = vars(args)
     given["attack_seed"] = given.get("pool_seed")  # --seed sets both seeds
     flags = {f.name: given[f.name] for f in fields(Settings) if given.get(f.name) is not None}
     try:
         settings = replace(load_settings(args.scenario_path), **flags)
-        handler = {
-            "boundary": cmd_boundary,
-            "plan": cmd_plan,
-            "table": cmd_table,
-            "pool": cmd_pool,
-            "verify": cmd_verify,
-        }[args.command]
+        handler = {"boundary": cmd_boundary, "plan": cmd_plan, "table": cmd_table,
+                   "pool": cmd_pool, "verify": cmd_verify}[args.command]
         code = handler(settings, args, sys.stdout)
         sys.stdout.flush()
         return code

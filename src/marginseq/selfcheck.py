@@ -32,9 +32,9 @@ from .separators import (
 from .versioning import (
     anchor_admissible,
     check_boundary_feasibility,
+    draw_hidden_points,
     find_bmax,
     plan_sequence,
-    sample_hidden_point,
     verify_plan,
 )
 
@@ -74,13 +74,10 @@ def boundary_deviation(a: DecisionBoundary, b: DecisionBoundary) -> float:
 
 
 def check_oracle_agreement(scenario: ScenarioConfig) -> CheckResult:
-    rng = philox(9001, 0)
     worst = 0.0
-    for i in range(_ORACLE_POINTS):
-        if i % 8 == 0:
-            h = HiddenPoint(sample_hidden_point(scenario, rng).v, 0.0)
-        else:
-            h = sample_hidden_point(scenario, rng)
+    # eps_d = 1 leaves the whole band; every eighth point is moved onto w = 0
+    for i, h in enumerate(draw_hidden_points(scenario, _ORACLE_POINTS, 1.0, 9001, 0)):
+        h = HiddenPoint(h.v, 0.0) if i % 8 == 0 else h
         closed, _ = boundary_from_hidden(scenario, h)
         numeric = oracle_boundary(scenario, h)
         worst = max(worst, boundary_deviation(closed, numeric))

@@ -55,10 +55,10 @@ DEFAULT_EPS_D = 2.0
 # find_bmax stops bisecting once its bracket is this narrow
 BMAX_TOL = 1e-6
 
-# generate_candidate_pool refuses, before any draw, a pool whose expected draw count,
-# size / admissible_share, exceeds this.  On a 2-core host its loop tests 1.5-2.7e7
+# draw_hidden_points refuses, before any draw, n points whose expected draw count,
+# n / admissible_share, exceeds this.  On a 2-core host its loop tests 1.5-2.7e7
 # points/s in batches of 1,000 or more, about 0.3 s at the limit, but 3.3e6 points/s in
-# the 64-point batches a pool under 64 candidates draws, about 1.5 s on average.
+# the 64-point batches a draw of under 64 points takes, about 1.5 s on average.
 MAX_POOL_DRAWS = 5_000_000
 
 
@@ -160,16 +160,6 @@ class CandidatePool:
             near = order[np.searchsorted(c, line.c, "left"):np.searchsorted(c, line.c, "right")]
             rows.append(near[(self.planes[near] == (line.a, line.b, line.c)).all(axis=1)])
         return np.concatenate(rows)
-
-
-def sample_hidden_point(scenario: ScenarioConfig, rng: "np.random.Generator") -> HiddenPoint:
-    """Uniform hidden point over the determining band, redrawn if v lands on an end +-(c - 1)."""
-    c, y_lim = scenario.c, scenario.y_lim
-    while True:
-        v = float(rng.uniform(-(c - 1.0), c - 1.0))
-        w = float(rng.uniform(-y_lim, y_lim))
-        if abs(v) < c - 1.0:
-            return HiddenPoint(v, w)
 
 
 def reconstruct_anchor(scenario: ScenarioConfig, k: float, b: float) -> tuple[float, float]:
@@ -375,44 +365,54 @@ def admissible_share(scenario: ScenarioConfig, eps_d: float) -> float:
     return max(0.0, half) / ((c - 1.0) * y)
 
 
-def generate_candidate_pool(
-    scenario: ScenarioConfig, size: int, eps_d: float = DEFAULT_EPS_D, seed: int = 0
-) -> CandidatePool:
-    """Seed-deterministic hidden points uniform over the determining band.
+def draw_hidden_points(
+    scenario: ScenarioConfig, n: int, eps_d: float, seed: int, stream: int
+) -> tuple[HiddenPoint, ...]:
+    """n hidden points uniform over the determining band outside both eps_d exclusion disks.
 
-    Points are rejected inside the eps_d exclusion disks around both training
-    centroids, keeping candidates the required distance from task data; each
-    candidate's boundary is precomputed.  An eps_d that leaves no band point
-    outside both disks, or so small a share of it that size candidates would
-    take more than MAX_POOL_DRAWS draws on average (see
-    :func:`admissible_share`), raises :class:`DomainError` before any draw.
+    Points come, in draw order, from Philox stream (seed, stream) in batches
+    of max(points still needed, 64); a point on a band end v = +-(c - 1) or
+    within eps_d of a training centroid is rejected; no band point lies within
+    1 of one, so an eps_d of 1 rejects only the ends.  An eps_d that leaves no
+    band point, or so small a share of the band that n points would take more
+    than MAX_POOL_DRAWS draws on average (see :func:`admissible_share`),
+    raises :class:`DomainError` before the stream is opened.
     """
-    if size < 1:
-        raise DomainError("pool size must be >= 1")
-    if eps_d <= 1.0:
-        raise DomainError("eps_d must exceed the training disk radius 1")
     c, y_lim = scenario.c, scenario.y_lim
     share = admissible_share(scenario, eps_d)
     if share == 0.0:
         raise DomainError(f"band minus eps_d={eps_d} exclusion disks is empty: eps_d must be "
                           f"below hypot(c, y_lim) = {np.hypot(c, y_lim):.9g}")
-    if size / share > MAX_POOL_DRAWS:
+    if n / share > MAX_POOL_DRAWS:
         raise DomainError(f"band minus eps_d={eps_d} exclusion disks is nearly empty: "
-                          f"{size} candidates need about {size / share:.4g} draws, above the "
+                          f"{n} points need about {n / share:.4g} draws, above the "
                           f"limit of {MAX_POOL_DRAWS}")
-    rng = philox(seed, 0)
+    rng = philox(seed, stream)
     points: list[HiddenPoint] = []
-    while len(points) < size:
-        batch = max(size - len(points), 64)
+    while len(points) < n:
+        batch = max(n - len(points), 64)
         v = rng.uniform(-(c - 1.0), c - 1.0, batch)
         w = rng.uniform(-y_lim, y_lim, batch)
         ok = (np.hypot(v - c, w) > eps_d) & (np.hypot(v + c, w) > eps_d)
         ok &= (np.abs(v) < c - 1.0) & (np.abs(w) <= y_lim)
-        for vi, wi in zip(v[ok], w[ok]):
-            if len(points) < size:
-                points.append(HiddenPoint(float(vi), float(wi)))
+        points += (HiddenPoint(float(vi), float(wi)) for vi, wi in zip(v[ok], w[ok]))
+    return tuple(points[:n])
+
+
+def generate_candidate_pool(
+    scenario: ScenarioConfig, size: int, eps_d: float = DEFAULT_EPS_D, seed: int = 0
+) -> CandidatePool:
+    """Candidates of :func:`draw_hidden_points` on stream 0, with their boundaries.
+
+    eps_d keeps candidates from the task data, so it must exceed the training disk radius 1.
+    """
+    if size < 1:
+        raise DomainError("pool size must be >= 1")
+    if eps_d <= 1.0:
+        raise DomainError("eps_d must exceed the training disk radius 1")
+    points = draw_hidden_points(scenario, size, eps_d, seed, 0)
     boundaries = tuple(boundary_from_hidden(scenario, h)[0] for h in points)
-    return CandidatePool(tuple(points), boundaries)
+    return CandidatePool(points, boundaries)
 
 
 def score_candidates(breach: Breach, planes, cfg: AttackSampleConfig) -> np.ndarray:
@@ -588,11 +588,10 @@ def greedy_select_next(
 
 
 def random_baseline_sequence(
-    scenario: ScenarioConfig, n_versions: int, seed: int = 0
+    scenario: ScenarioConfig, n_versions: int, seed: int = 0, eps_d: float = DEFAULT_EPS_D
 ) -> tuple[tuple[HiddenPoint, DecisionBoundary], ...]:
-    """n independent uniform points of the determining band; no eps_d exclusion disks apply."""
+    """:func:`draw_hidden_points` on stream 1, with boundaries: eps_d applies as to a pool."""
     if n_versions < 0:
         raise DomainError("baseline sequence length must be >= 0")
-    rng = philox(seed, 1)
-    points = [sample_hidden_point(scenario, rng) for _ in range(n_versions)]
+    points = draw_hidden_points(scenario, n_versions, eps_d, seed, 1)
     return tuple((h, boundary_from_hidden(scenario, h)[0]) for h in points)

@@ -108,7 +108,7 @@ def test_sampled_golden_scores_within_3_sigma_of_exact(golden, n_samples):
     rows = parse_csv((DATA / golden).read_text(encoding="utf-8"))
     pool = generate_candidate_pool(scenario, s.pool_size, s.pool_eps_d, s.pool_seed)
     seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, s.plan_k, s.plan_b_max).versions]
-    baseline = random_baseline_sequence(scenario, len(rows) // 2, s.pool_seed)
+    baseline = random_baseline_sequence(scenario, len(rows) // 2, s.pool_seed, s.pool_eps_d)
     cfg = AttackSampleConfig("ensemble", n_samples, s.attack_seed)
     for kind in ("greedy", "random"):
         breached = list(seed_pair)
@@ -146,6 +146,19 @@ def test_boundary_from_hidden_point(capsys):
     assert row["kind"] == "vertical"
     assert row["x0"] == "-49.5"
     assert row["case"] == "w_zero"
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["--h", "-50,3"], ["--h=-50,3"]),
+    (["--k", "-3", "--b", "-2e1"], ["--k=-3", "--b=-2e1"]),
+    (["--k", "-.5", "--b", "-1e-09"], ["--k=-.5", "--b=-1e-09"]),
+])
+def test_boundary_reads_negative_values_after_a_space(capsys, spaced, joined):
+    # argparse alone reads a value that is not a plain decimal, as -50,3, as a flag
+    code, out, err = run_cli(capsys, "boundary", *spaced)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, "boundary", *joined)
+    assert len(parse_csv(out)) == 1
 
 
 def test_boundary_tangent_snap_regression(capsys):

@@ -6,7 +6,11 @@ on failure prints one ``marginseq:`` line on stderr, followed only by the
 tab-indented lines of configparser's parse errors.  Integers are drawn
 either small enough for a run to stay quick or above every size limit, so
 that no run is slow for its size alone.  Flags take values of their own
-type: argparse's usage errors are outside the contract.
+type, and each run is made twice, its flags written ``--flag=value`` and
+``--flag value``, with the same exit code, stdout and stderr; a negative
+value such as ``-2e1`` after a space is the flag's value too.  argparse's
+usage errors, an unknown flag or a flag with no value, exit 2 with a
+``usage:`` line and an ``error:`` line, and no traceback.
 """
 
 import contextlib
@@ -97,30 +101,61 @@ def _check_cell(cell: str) -> None:
     assert math.isfinite(value), cell
 
 
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr; argparse's usage errors exit by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _spaced(argv: list[str]) -> list[str]:
+    """argv with each --flag=value written as the two words --flag value."""
+    return [word for arg in argv for word in (arg.split("=", 1) if arg[:2] == "--" else [arg])]
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(text=_FILES, argv=_COMMANDS)
 def test_every_run_keeps_the_exit_contract(text, argv):
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if text is not None:
             path = os.path.join(tmp, "scenario.ini")
             with open(path, "wb") as fh:
                 fh.write(text)
-            argv = ["--scenario", path, *argv]
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = cli.main(argv)
+            argv = [f"--scenario={path}", *argv]
+        code, out, err = _run(argv)
+        assert _run(_spaced(argv)) == (code, out, err), _spaced(argv)
     assert code in (0, 2, 3, 4), code
-    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    rows = list(csv.reader(io.StringIO(out)))
     for row in rows:
         assert len(row) == len(rows[0]), row
         for cell in row:
             _check_cell(cell)
-    lines = err.getvalue().splitlines()
+    lines = err.splitlines()
     if code == 0:
         assert lines == []
     else:
         assert lines and lines[0].startswith("marginseq: "), lines
         assert not lines[0].startswith("marginseq: marginseq"), lines
         assert all(line.startswith("\t") for line in lines[1:]), lines
+
+
+# a word no parser knows, or a flag that takes a value with none after it
+_BAD_WORDS = st.sampled_from(["--bogus", "--bogus=1", "-x", "extra", "--scenario", "--n", "--svg",
+                              "--h", "--k", "--b", "--sequence-length", "--seed", "--samples"])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(argv=_COMMANDS, bad=_BAD_WORDS, spaced=st.booleans())
+def test_usage_errors_exit_2_with_usage_and_error_lines(argv, bad, spaced):
+    code, out, err = _run([*(_spaced(argv) if spaced else argv), bad])
+    lines = err.splitlines()
+    assert (code, out) == (2, ""), (code, err)
+    assert lines[0].startswith("usage: marginseq"), lines
+    assert re.match(r"marginseq( \w+)?: error: ", lines[-1]), lines
+    assert "Traceback" not in err

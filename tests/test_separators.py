@@ -17,7 +17,8 @@ from marginseq import (
     oracle_boundary,
 )
 from marginseq.selfcheck import boundary_deviation
-from marginseq.versioning import sample_hidden_point
+from marginseq import versioning
+from marginseq.versioning import draw_hidden_points
 from seeded_rng import philox
 
 
@@ -90,9 +91,7 @@ def test_direct_case_slope(scenario):
 
 
 def test_mirror_equivariance(scenario):
-    rng = philox(505)
-    for _ in range(200):
-        h = sample_hidden_point(scenario, rng)
+    for h in draw_hidden_points(scenario, 200, 1.0, 505, 0):
         bd, _ = boundary_from_hidden(scenario, h)
         bd_m, _ = boundary_from_hidden(scenario, h.mirrored())
         expected = bd.mirrored()
@@ -110,9 +109,7 @@ def test_determinism(scenario):
 
 
 def test_support_segment_bisected(scenario):
-    rng = philox(606)
-    for _ in range(300):
-        h = sample_hidden_point(scenario, rng)
+    for h in draw_hidden_points(scenario, 300, 1.0, 606, 0):
         boundary, deriv = boundary_from_hidden(scenario, h)
         (qx, qy), (rx, ry) = deriv.support_segment
         mx, my = (qx + rx) / 2.0, (qy + ry) / 2.0
@@ -129,11 +126,9 @@ def test_support_segment_bisected(scenario):
 
 
 def test_margin_property(scenario):
-    rng = philox(707)
     angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     cos_a, sin_a = np.cos(angles), np.sin(angles)
-    for _ in range(50):
-        h = sample_hidden_point(scenario, rng)
+    for h in draw_hidden_points(scenario, 50, 1.0, 707, 0):
         boundary, _ = boundary_from_hidden(scenario, h)
         plus_x, plus_y = scenario.c + cos_a, sin_a
         minus_x, minus_y = -scenario.c + cos_a, sin_a
@@ -143,13 +138,10 @@ def test_margin_property(scenario):
 
 
 def test_oracle_matches_closed_form(scenario):
-    rng = philox(808)
     worst = 0.0
-    for i in range(150):
+    for i, h in enumerate(draw_hidden_points(scenario, 150, 1.0, 808, 0)):
         if i % 10 == 0:
-            h = HiddenPoint(sample_hidden_point(scenario, rng).v, 0.0)
-        else:
-            h = sample_hidden_point(scenario, rng)
+            h = HiddenPoint(h.v, 0.0)
         closed, _ = boundary_from_hidden(scenario, h)
         numeric = oracle_boundary(scenario, h)
         worst = max(worst, boundary_deviation(closed, numeric))
@@ -238,19 +230,24 @@ def test_band_end_next_to_the_plus_disk_refused_when_c_is_small():
 
 
 class _Scripted:
-    """Stands in for a generator whose uniform draws are given in order."""
+    """Stands in for a generator whose uniform batches are given in order."""
 
-    def __init__(self, *values):
-        self._values = iter(values)
+    def __init__(self, *batches):
+        self._batches = iter(batches)
 
-    def uniform(self, low, high):
-        return next(self._values)
+    def uniform(self, low, high, size):
+        batch = next(self._batches)
+        assert len(batch) == size
+        return batch
 
 
-def test_sample_hidden_point_redraws_the_band_ends(scenario):
+def test_draw_hidden_points_redraws_the_band_ends(scenario, monkeypatch):
+    # a batch of 64 whose only point off the band ends v = +-(c - 1) is its third
     end = scenario.c - 1.0
-    rng = _Scripted(-end, 0.5, end, -0.5, 3.0, 4.0)
-    assert sample_hidden_point(scenario, rng) == HiddenPoint(3.0, 4.0)
+    v, w = np.full(64, end), np.full(64, -0.5)
+    v[0], w[0], v[2], w[2] = -end, 0.5, 3.0, 4.0
+    monkeypatch.setattr(versioning, "philox", lambda *key: _Scripted(v, w))
+    assert draw_hidden_points(scenario, 1, 1.0, 0, 0) == (HiddenPoint(3.0, 4.0),)
 
 
 def test_boundary_validation(scenario):

@@ -34,7 +34,7 @@ from marginseq import (
 from marginseq import geometry, regions, versioning
 from marginseq.geometry import clipped_areas
 from marginseq.regions import Breach, guard_extent
-from marginseq.versioning import BMAX_TOL, admissible_share, select_next
+from marginseq.versioning import BMAX_TOL, admissible_share, draw_hidden_points, select_next
 from breach_reference import reference_score, reference_verify_plan
 from mc_reference import per_target_counts
 from seeded_rng import philox
@@ -665,6 +665,39 @@ def test_random_baseline_determinism(scenario):
         assert (h.v - scenario.c) ** 2 + h.w**2 > 1.0
         rebuilt, _ = boundary_from_hidden(scenario, h)
         assert rebuilt == boundary
+
+
+def test_pool_and_baseline_draw_streams_0_and_1(scenario):
+    pool = generate_candidate_pool(scenario, 50, 31.0, seed=9)
+    assert pool.hidden_points == draw_hidden_points(scenario, 50, 31.0, 9, 0)
+    baseline = random_baseline_sequence(scenario, 50, seed=9, eps_d=31.0)
+    assert tuple(h for h, _ in baseline) == draw_hidden_points(scenario, 50, 31.0, 9, 1)
+    assert random_baseline_sequence(scenario, 0, seed=9) == ()
+
+
+@pytest.mark.parametrize("eps_d", [2.0, 31.0])
+def test_random_baseline_keeps_out_of_the_exclusion_disks(scenario, eps_d):
+    # before the baseline applied eps_d, seed 42's 58 points put 14 within 31
+    # of a centroid, and seed 7's one within 2
+    for seed in range(20):
+        for n in (6, 18, 58, 98):
+            baseline = random_baseline_sequence(scenario, n, seed, eps_d)
+            assert len(baseline) == n
+            for h, _ in baseline:
+                assert abs(h.v) < scenario.c - 1.0 and abs(h.w) <= scenario.y_lim
+                assert math.hypot(h.v - scenario.c, h.w) > eps_d
+                assert math.hypot(h.v + scenario.c, h.w) > eps_d
+
+
+@pytest.mark.parametrize("eps_d, match", [(104.4, "nearly empty"), (1000.0, "empty")])
+def test_nearly_empty_band_refuses_the_baseline_before_any_draw(scenario, monkeypatch, eps_d,
+                                                                match):
+    # at eps_d = 104.4, 98 points would take about 1.7e10 draws
+    streams = []
+    monkeypatch.setattr(versioning, "philox", lambda *key: streams.append(key))
+    with pytest.raises(DomainError, match=match):
+        random_baseline_sequence(scenario, 98, seed=1, eps_d=eps_d)
+    assert streams == []
 
 
 def test_random_baseline_same_side_fraction(scenario):
