@@ -77,16 +77,16 @@ class ConvexPolygon:
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence[float]]) -> "ConvexPolygon":
-        verts = [Point2(float(p[0]), float(p[1])) for p in points]
-        for p in verts:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise DomainError("polygon vertices must be finite")
-        verts = _merge_close(verts)
-        verts = _drop_collinear(verts)
-        if len(verts) < 3:
-            return cls.empty()
+        verts = _cleaned(points)
         if _signed_area(verts) < 0.0:
             verts.reverse()
+        return cls._checked(verts)
+
+    @classmethod
+    def _checked(cls, verts: list[Point2]) -> "ConvexPolygon":
+        """The polygon of cleaned, counter-clockwise verts: empty below three, else convex."""
+        if len(verts) < 3:
+            return cls.empty()
         poly = cls(tuple(verts))
         if not poly._is_convex():
             raise DomainError("vertices do not describe a convex polygon")
@@ -106,6 +106,15 @@ class ConvexPolygon:
             if cross < -COLLINEAR_REL * math.hypot(ux, uy) * math.hypot(vx, vy):
                 return False
         return True
+
+
+def _cleaned(points: Iterable[Sequence[float]]) -> list[Point2]:
+    """points as finite Point2s, near-duplicates merged and collinear ones dropped."""
+    verts = [Point2(float(p[0]), float(p[1])) for p in points]
+    for p in verts:
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            raise DomainError("polygon vertices must be finite")
+    return _drop_collinear(_merge_close(verts))
 
 
 def _merge_close(verts: list[Point2]) -> list[Point2]:
@@ -138,10 +147,8 @@ def _drop_collinear(verts: list[Point2]) -> list[Point2]:
 
 def _signed_area(verts: Sequence[Point2]) -> float:
     acc = 0.0
-    n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        acc += p.x * q.y - q.x * p.y
+    for (px, py), (qx, qy) in zip(verts, _turned(verts)):
+        acc += px * qy - qx * py
     return acc / 2.0
 
 
@@ -168,35 +175,42 @@ def clip_convex(poly: ConvexPolygon, half: HalfPlane) -> ConvexPolygon:
     a huge thin sliver, such as a near-horizontal line's region in its own
     left band, can come back empty, which no library path meets because
     :func:`regions.guard_extent` refuses such a separator before any clip.
+    The clip keeps the counter-clockwise order of poly: a corner kept about
+    1e-9 wide at coordinates near 100 can give the clip a shoelace that
+    rounds negative, and reversing it would fail the convexity check.
     """
     if poly.is_empty:
         return poly
-    verts = poly.vertices
-    n = len(verts)
-    values = [half.value(p) for p in verts]
-    scale = max(
-        1.0,
-        abs(half.c),
-        abs(half.a) * max(abs(p.x) for p in verts),
-        abs(half.b) * max(abs(p.y) for p in verts),
-    )
+    out = _clip_points(poly.vertices, half.a, half.b, half.c)
+    if len(out) < 3:
+        return ConvexPolygon.empty()
+    return ConvexPolygon._checked(_cleaned(out))
+
+
+def _clip_points(verts: Sequence[Point2], a: float, b: float, c: float) -> list[Point2]:
+    """The points :func:`clip_convex` of non-empty verts by a*x + b*y <= c emits, uncleaned."""
+    xs, ys = zip(*verts)
+    values = [a * x + b * y - c for x, y in verts]
+    scale = max(1.0, abs(c), abs(a) * max(map(abs, xs)), abs(b) * max(map(abs, ys)))
     eps = MERGE_TOL * scale
     out: list[Point2] = []
-    for i in range(n):
-        s, e = verts[i], verts[(i + 1) % n]
-        fs, fe = values[i], values[(i + 1) % n]
+    for s, e, fs, fe in zip(verts, _turned(verts), values, _turned(values)):
         if fs <= eps:
             out.append(s)
         if (fs < -eps and fe > eps) or (fs > eps and fe < -eps):
             out.append(_edge_crossing(s, e, fs, fe))
-    if len(out) < 3:
-        return ConvexPolygon.empty()
-    return ConvexPolygon.from_points(out)
+    return out
+
+
+def _turned(items: Sequence) -> list:
+    """items from the second on, then the first: what follows each item around a polygon."""
+    return [*items[1:], *items[:1]]
 
 
 def _edge_crossing(s: Point2, e: Point2, fs: float, fe: float) -> Point2:
     t = fs / (fs - fe)
-    return Point2(s.x + t * (e.x - s.x), s.y + t * (e.y - s.y))
+    (sx, sy), (ex, ey) = s, e
+    return Point2(sx + t * (ex - sx), sy + t * (ey - sy))
 
 
 def vertex_stack(rows: Sequence[Sequence[ConvexPolygon]]) -> tuple[np.ndarray, np.ndarray]:
@@ -231,6 +245,7 @@ def clipped_areas(x: np.ndarray, y: np.ndarray, a, b, c) -> np.ndarray:
     edge leaving the last copy has the values of the polygon's closing edge.
     A clip of fewer than three points sums to exactly zero, as t + (-t) = 0,
     which is the area of the empty polygon clip_convex returns for it.
+    :func:`clipped_area` is its scalar twin, for one polygon and half-plane.
     """
     x_ext, y_ext = np.concatenate([x, x[:1]]), np.concatenate([y, y[:1]])
     values = a * x_ext + b * y_ext - c  # each vertex, then the first again
@@ -260,6 +275,25 @@ def clipped_areas(x: np.ndarray, y: np.ndarray, a, b, c) -> np.ndarray:
         np.copyto(prev_y, py, where=emitted)
     total += prev_x * first_y - first_x * prev_y
     return np.abs(total / 2.0)
+
+
+def clipped_area(poly: ConvexPolygon, a: float, b: float, c: float) -> float:
+    """:func:`clipped_areas` of one polygon and one half-plane a*x + b*y <= c, bit for bit.
+
+    The scalar twin of the kernel, for calls too small to pay its fixed
+    numpy cost.  It takes the points :func:`clip_convex` would emit, whose
+    vertex values, tolerance, keep rule, strict crossing rule and crossing
+    formula are the kernel's, in the kernel's order, and sums their shoelace
+    without any :meth:`ConvexPolygon.from_points` clean-up.  The kernel's
+    first term, from prev = (0, 0), is a zero added to +0.0, and its later
+    terms are _signed_area's, pair by pair and in order, closing back to the
+    first point, so the sums are equal.  The kernel's padding repeats of
+    the last vertex add cross(p, p) = 0 exactly and leave the tolerance's
+    max|x| and max|y| as they are.  An empty polygon has area 0.0.
+    """
+    if poly.is_empty:
+        return 0.0
+    return abs(_signed_area(_clip_points(poly.vertices, a, b, c)))
 
 
 def halfplane_intersection(halves: Sequence[HalfPlane], bound: ConvexPolygon) -> ConvexPolygon:

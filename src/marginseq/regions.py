@@ -24,6 +24,7 @@ from .errors import DomainError, GeometryError, UndefinedEstimateError
 from .geometry import (
     ConvexPolygon,
     clip_convex,
+    clipped_area,
     clipped_areas,
     halfplane_intersection,
     polygon_area,
@@ -41,6 +42,13 @@ MC_BLOCK = 1 << 17
 # length.  Over 100,000 candidates an exact step took the least time at 4096 (2-core
 # host), with a tracemalloc peak 0.1 MiB above 1024's; at 16384 the peak rose 7 MiB.
 SCORE_BLOCK = 4096
+
+# Most cells (rows x live polygons) a _clipped_areas call scores one at a time by
+# clipped_area, at about 6 us a cell, rather than pay clipped_areas' fixed 120-200 us
+# (2-core host).  Scoring a cell alone and the kernel's call cost met at 20-30 cells of
+# 4-5 vertices, and an exact greedy round over 1000 candidates took the least time
+# from 12 to 48: 2.16 ms at 24 against 3.33 ms with no scalar route (eps_d = 2).
+SCALAR_CELLS = 24
 
 MODE_ENSEMBLE = "ensemble"
 
@@ -201,7 +209,8 @@ def _clipped_areas(rows, planes: np.ndarray) -> np.ndarray:
     polygons per plane or a single row that every plane shares, which
     :func:`clipped_areas` then takes once, broadcast.  One call per block of
     SCORE_BLOCK planes covers every polygon that is non-empty in some row;
-    a polygon empty in every row has area 0.0 unclipped.
+    a polygon empty in every row has area 0.0 unclipped.  A call of at most
+    SCALAR_CELLS cells of those polygons scores each by :func:`clipped_area`.
 
     Proof that no value depends on which cells are computed together.
     :func:`clipped_areas` computes a cell from that polygon's vertices and
@@ -212,14 +221,23 @@ def _clipped_areas(rows, planes: np.ndarray) -> np.ndarray:
     max nor the sum (see :func:`clipped_areas`), and writes an empty polygon
     as zeros, whose area is exactly 0.0, the value it is given unclipped.
     Broadcasting a shared row performs the same operations on the same
-    values as repeating it.  So a cell's area is the same whatever the block,
-    the other polygons and the width, and band areas :func:`plus_band_areas`
-    gives are the areas the scorer would compute for the same band and
-    half-plane, bit for bit.
+    values as repeating it.  :func:`clipped_area`, the kernel's scalar twin,
+    agrees with it bit for bit by construction: the same operations on the
+    same values in the same order, the kernel's padding repeats adding
+    cross(p, p) = 0 exactly.  So a cell's area is the same whatever the
+    route, the block, the other polygons and the width, and band areas
+    :func:`plus_band_areas` gives are the areas the scorer would compute for
+    the same band and half-plane, bit for bit.
     """
     areas = np.zeros((len(planes), len(rows[0])))
     live = [j for j in range(len(rows[0])) if any(not row[j].is_empty for row in rows)]
     if not live:
+        return areas
+    if len(planes) * len(live) <= SCALAR_CELLS:
+        for i, (a, b, c) in enumerate(planes.tolist()):
+            row = rows[i if len(rows) > 1 else 0]
+            for j in live:
+                areas[i, j] = clipped_area(row[j], a, b, c)
         return areas
     x, y = vertex_stack([[row[j] for j in live] for row in rows])
     for start in range(0, len(planes), SCORE_BLOCK):
@@ -273,7 +291,8 @@ class Breach:
     a dominated one's clip leaves inside as it is, and every breach :meth:`of`
     builds keeps ``band_rectangles(scenario, guard)`` as its pieces.  A
     target's score takes at most two clipped areas per band however many
-    versions are breached, each from :func:`clipped_areas`, which builds no
+    versions are breached, each from :func:`clipped_areas` or, for a few
+    cells, its scalar twin :func:`clipped_area`, neither of which builds a
     clipped polygon: the band's, which :func:`plus_band_areas` gives alone
     for a caller to hold per guard and pass to :meth:`exposed`, and its
     inside polygon's, none once that is empty.

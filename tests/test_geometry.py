@@ -18,7 +18,7 @@ from marginseq import (
     rectangle,
     tangents_to_unit_circle,
 )
-from marginseq.geometry import clipped_areas, vertex_stack
+from marginseq.geometry import clipped_area, clipped_areas, vertex_stack
 from seeded_rng import philox
 
 UNIT_SQUARE = ConvexPolygon.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -245,6 +245,36 @@ def test_shared_and_per_row_polygons_give_the_same_bits():
     shared = clipped_areas(x, y, a, b, c)
     x, y = vertex_stack([polys] * len(halves))
     assert _bits(clipped_areas(x, y, a, b, c)) == _bits(shared)
+
+
+def _near_vertex_cases(n):
+    """_random_cases(n), the line of two cells in three moved to pass through one of the
+    polygon's vertices or 1e-13 to 1e-9 off one."""
+    rng = philox(3131)
+    cases = []
+    for i, (poly, half) in enumerate(_random_cases(n)):
+        a, b = half.a, half.b
+        px, py = poly.vertices[int(rng.integers(len(poly.vertices)))]
+        off = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -9) * math.hypot(a, b))
+        moved = [HalfPlane(a, b, a * px + b * py), HalfPlane(a, b, a * px + b * py + off)]
+        cases.append((poly, [*moved, half][i % 3]))
+    return cases
+
+
+def test_scalar_twin_equals_the_kernel_bit_for_bit():
+    # the kernel takes every polygon padded to the widest, as the scorer stacks them
+    band = rectangle(-200.0, -0.1, -30.0, 30.0)
+    corner = (rectangle(0.0, 0.1, -30.0, 30.0), HalfPlane(-22.353882690234826, -1.0,
+                                                          -32.2353882687472))
+    cases = [*BATCH_CASES.values(), corner, (band, corner[1]), *_near_vertex_cases(20_000)]
+    polys, halves = zip(*cases)
+    x, y = vertex_stack([[p] for p in polys])
+    assert x.shape[0] == 8
+    kernel = clipped_areas(x, y, *(np.array([getattr(h, f) for h in halves]) for f in "abc"))
+    twin = [clipped_area(p, h.a, h.b, h.c) for p, h in cases]
+    assert _bits(twin) == _bits(kernel[0])
+    # the corner about 1e-9 wide that clip_convex once refused
+    assert twin[len(BATCH_CASES)] == 2.220446049250313e-16
 
 
 def test_vertex_stack_pads_with_the_last_vertex():

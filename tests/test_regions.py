@@ -155,7 +155,8 @@ def test_breach_refuses_a_sliver_separator_before_any_clip(scenario, monkeypatch
     for module in (geometry, regions):
         monkeypatch.setattr(module, "clip_convex",
                             lambda p, h, real=module.clip_convex: clips.append(h) or real(p, h))
-    monkeypatch.setattr(regions, "clipped_areas", lambda *args: clips.append(args))
+    for kernel in ("clipped_areas", "clipped_area"):  # the batched and the scalar route
+        monkeypatch.setattr(regions, kernel, lambda *args: clips.append(args))
     calls = {
         "within": lambda: Breach.within(scenario, line),
         "of": lambda: Breach.of(scenario, [*seed, line]),
@@ -811,6 +812,37 @@ def test_shared_and_per_row_polygons_score_the_same_bits_in_any_block(scenario, 
         assert repr(breach.scores(planes).tolist()) == expected
         assert repr(shares(breach.exposed(planes, held), breach.area).tolist()) == expected
         assert repr(paired_scores([breach] * len(planes), planes).tolist()) == expected
+
+
+def test_calls_on_each_side_of_the_scalar_crossover_score_the_same_bits(scenario,
+                                                                        monkeypatch):
+    # few cells are scored one at a time, many by the batched kernel: shared rows, held
+    # band areas and per-row breaches give every row the bits of one 60-row kernel call
+    seed, sequence = _deeper_mid_chain(scenario)
+    planes = planes_of(generate_candidate_pool(scenario, 60, 2.0, seed=5).boundaries)
+    routes = []
+    for kernel in ("clipped_areas", "clipped_area"):
+        monkeypatch.setattr(regions, kernel, lambda *args, real=getattr(regions, kernel),
+                            name=kernel: routes.append(name) or real(*args))
+    for breach in Breach.of(scenario, seed).chain(sequence):
+        whole = breach.scores(planes).tolist()
+        for rows in (1, 2, 3, 5, 6, 7, 8, 12, 13, 24, 25):
+            part, held = planes[:rows], regions.plus_band_areas(scenario, breach.guard,
+                                                                planes[:rows])
+            for got in (breach.scores(part), paired_scores([breach] * rows, part),
+                        shares(breach.exposed(part, held), breach.area)):
+                assert repr(got.tolist()) == repr(whole[:rows])
+    assert {"clipped_areas", "clipped_area"} <= set(routes)
+
+
+def test_a_clip_keeping_a_corner_1e_9_wide_keeps_its_order(scenario):
+    # the sliver band's clip keeps a corner about 1e-9 wide near (0.1, 30) whose shoelace
+    # rounds negative: clip_convex reversed it and refused it as not convex
+    line = DecisionBoundary.sloped(-22.353882690234826, 32.2353882687472, scenario)
+    bands = regions.plus_band_areas(scenario, regions.deepest_guard(scenario, [line]),
+                                    planes_of([line]))[0]
+    assert bands.tolist() == [0.0, 2.220446049250313e-16]
+    assert repr(Breach.within(scenario, line).area) == repr(float(bands[0] + bands[1]))
 
 
 def test_paired_scores_domain_errors(scenario):
