@@ -43,6 +43,8 @@ W_ZERO_TOL = 1e-12
 
 # Circle points the oracle scans to bracket the hull hinges.
 ORACLE_RESOLUTION = 100_000
+# The oracle's coarse scan takes every ORACLE_STRIDE-th of them (see _visibility_flips).
+ORACLE_STRIDE = 64
 
 CASE_W_ZERO = "w_zero"
 CASE_W_POS_TANGENT = "w_pos_tangent"
@@ -257,15 +259,56 @@ def _scan_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, np.cos(theta), np.sin(theta)
 
 
+def _visibility_flips(c: float, v: float, w: float) -> np.ndarray:
+    """Scan indices i, ascending, where visibility from (v, w) differs at i and i + 1, cyclically.
+
+    A point at angle t on the "+" disk is visible when g(t) = cos(t)*(v -
+    c) + sin(t)*w - 1 > 0, each value from its scan-table entry with the
+    same roundings.  g is a sinusoid less 1, so the visible angles are one
+    arc, bounded by two flips.  A coarse scan of every ORACLE_STRIDE-th
+    angle finds the coarse cells where visibility flips; when there are two,
+    only the cells each side of each one are scanned at full resolution,
+    which gives the full scan's flips whenever rounding flips g's sign only
+    near its two zeros.  Any other count, of coarse flips or of the flips
+    the windows find (an arc narrower than one coarse cell, or rounding
+    wider than one), scans every angle.
+    """
+    _, cos_t, sin_t = _scan_table()
+    n, m = len(cos_t), -(-len(cos_t) // ORACLE_STRIDE)  # coarse angle k is k * ORACLE_STRIDE
+
+    def visible(idx):
+        scan = cos_t[idx] * (v - c)
+        scan += sin_t[idx] * w
+        scan -= 1.0
+        return scan > 0.0
+
+    def cyclic_flips(every):  # a slice of the table, its last angle followed by its first
+        vis = visible(every)
+        return np.flatnonzero(vis != np.roll(vis, -1))
+
+    coarse = cyclic_flips(slice(None, None, ORACLE_STRIDE))
+    if len(coarse) == 2:
+        found = set()
+        for k in coarse:  # coarse cells k - 1, k and k + 1
+            start, stop = ((k - 1) % m) * ORACLE_STRIDE, ((k + 2) % m) * ORACLE_STRIDE
+            idx = (start + np.arange((stop - start) % n + 1)) % n
+            vis = visible(idx)
+            found.update(idx[:-1][vis[:-1] != vis[1:]].tolist())
+        if len(found) == 2:
+            return np.array(sorted(found), dtype=np.intp)
+    return cyclic_flips(slice(None))
+
+
 def oracle_boundary(scenario: ScenarioConfig, h: HiddenPoint) -> DecisionBoundary:
     """Separator found by numeric search, independent of the slope algebra.
 
-    Scans ORACLE_RESOLUTION circle points to bracket where the "+" disk stops
-    being visible from h, refines both hinge angles by bisection, and then
-    minimizes the distance from (-c, 0) to the hull boundary exactly over
-    the two bridge segments and the vertex h.  (The retained arc never holds
-    the minimum: its closest-to-(-c,0) end is a hinge, already an endpoint
-    of a bridge segment.)  The minimizing connection is then bisected.
+    Scans ORACLE_RESOLUTION circle points (see :func:`_visibility_flips`) to
+    bracket where the "+" disk stops being visible from h, refines both
+    hinge angles by bisection, and then minimizes the distance from (-c, 0)
+    to the hull boundary exactly over the two bridge segments and the
+    vertex h.  (The retained arc never holds the minimum: its
+    closest-to-(-c,0) end is a hinge, already an endpoint of a bridge
+    segment.)  The minimizing connection is then bisected.
     """
     validate_hidden_point(scenario, h)
     c = scenario.c
@@ -278,13 +321,8 @@ def oracle_boundary(scenario: ScenarioConfig, h: HiddenPoint) -> DecisionBoundar
     def g(t):
         return math.cos(t) * (v - c) + math.sin(t) * w - 1.0
 
-    theta, cos_t, sin_t = _scan_table()
-    # g over the whole scan, in place; the same roundings as g term by term
-    scan = cos_t * (v - c)
-    scan += sin_t * w
-    scan -= 1.0
-    vis = scan > 0.0
-    flips = np.nonzero(vis != np.roll(vis, -1))[0]
+    theta = _scan_table()[0]
+    flips = _visibility_flips(c, v, w)
     if len(flips) != 2:
         raise GeometryError("expected exactly two visibility transitions on the disk")
 

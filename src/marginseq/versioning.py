@@ -58,7 +58,9 @@ BMAX_TOL = 1e-6
 # draw_hidden_points refuses, before any draw, n points whose expected draw count,
 # n / admissible_share, exceeds this.  On a 2-core host its loop tests 1.5-2.7e7
 # points/s in batches of 1,000 or more, about 0.3 s at the limit, but 3.3e6 points/s in
-# the 64-point batches a draw of under 64 points takes, about 1.5 s on average.
+# the 64-point batches a draw of under 64 points takes, about 1.5 s on average.  The
+# count is geometric, so a run is also cut off once it has drawn 4 times this many
+# points, about 6 s at the slowest rate.
 MAX_POOL_DRAWS = 5_000_000
 
 
@@ -103,15 +105,19 @@ class PlanVerification:
 class _Selection:
     """What a pool holds between the steps of one sequence; see :func:`select_next`.
 
-    Each array has one entry per pool row.  ``bands``, read-only, holds the
-    rows' :func:`plus_band_areas` under the breach's guard, or None.
+    Each array has one entry per pool row.  ``bands`` maps a guard to the
+    rows' :func:`plus_band_areas` under it, read-only, for at most two
+    guards: the root's and the last other one read.
     """
 
+    root: Breach  # the breach the state was built for: no retreat goes shorter
     breach: Breach  # the breach last scored from
     remaining: np.ndarray  # whether each row is still a candidate
-    bands: np.ndarray | None
+    bands: dict  # guard -> band areas
     exposed: np.ndarray  # each row's last exact numerator, 0.0 before its first
     at: np.ndarray  # the union area each numerator was taken at, 0.0 before the first
+    meet: np.ndarray  # the area of the deepest breach both it and the held breach extend
+    most: int  # the most priors any held numerator was taken with
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,7 +382,8 @@ def draw_hidden_points(
     1 of one, so an eps_d of 1 rejects only the ends.  An eps_d that leaves no
     band point, or so small a share of the band that n points would take more
     than MAX_POOL_DRAWS draws on average (see :func:`admissible_share`),
-    raises :class:`DomainError` before the stream is opened.
+    raises :class:`DomainError` before the stream is opened; a draw still
+    short of n points after 4 * MAX_POOL_DRAWS draws raises it then.
     """
     c, y_lim = scenario.c, scenario.y_lim
     share = admissible_share(scenario, eps_d)
@@ -389,8 +396,14 @@ def draw_hidden_points(
                           f"limit of {MAX_POOL_DRAWS}")
     rng = philox(seed, stream)
     points: list[HiddenPoint] = []
+    drawn = 0
     while len(points) < n:
+        if drawn >= 4 * MAX_POOL_DRAWS:
+            raise DomainError(f"band minus eps_d={eps_d} exclusion disks is nearly empty: "
+                              f"{drawn} draws gave {len(points)} of {n} points, and the "
+                              f"limit is {4 * MAX_POOL_DRAWS} draws")
         batch = max(n - len(points), 64)
+        drawn += batch
         v = rng.uniform(-(c - 1.0), c - 1.0, batch)
         w = rng.uniform(-y_lim, y_lim, batch)
         ok = (np.hypot(v - c, w) > eps_d) & (np.hypot(v + c, w) > eps_d)
@@ -438,39 +451,51 @@ def _extends(held: Breach | None, scenario: ScenarioConfig, priors) -> bool:
 
 
 def _selection(pool: CandidatePool, breach: Breach) -> _Selection:
-    """The pool's selection state advanced to breach, or rebuilt for it; see :func:`select_next`."""
+    """The pool's selection state moved to breach, or rebuilt for it; see :func:`select_next`."""
     state = pool._selection
-    if _extends(state and state.breach, breach.scenario, breach.priors):
-        state.remaining[pool.rows_of(breach.priors[len(state.breach.priors):])] = False
-        if breach.guard != state.breach.guard:
-            state.bands = None
-            state.exposed[:], state.at[:] = 0.0, 0.0
-        state.breach = breach
+    held = state and state.breach
+    moves = state and _extends(state.root, breach.scenario, breach.priors)
+    if moves and _extends(held, breach.scenario, breach.priors):  # an advance
+        state.remaining[pool.rows_of(breach.priors[len(held.priors):])] = False
+    elif moves and _extends(breach, held.scenario, held.priors):  # a retreat
+        state.remaining[:] = True
+        state.remaining[pool.rows_of(breach.priors)] = False
+        np.minimum(state.meet, breach.area, out=state.meet)
+    else:
+        remaining = np.ones(len(pool.planes), dtype=bool)
+        remaining[pool.rows_of(breach.priors)] = False
+        guard_extent(breach.scenario, *pool.planes[remaining].T)
+        same = state and state.root.scenario == breach.scenario and breach.guard in state.bands
+        bands = {breach.guard: state.bands[breach.guard]} if same else {}
+        zeros = np.zeros(len(pool.planes))
+        state = _Selection(breach, breach, remaining, bands, zeros, zeros.copy(), zeros.copy(), 0)
+        object.__setattr__(pool, "_selection", state)
         return state
-    remaining = np.ones(len(pool.planes), dtype=bool)
-    remaining[pool.rows_of(breach.priors)] = False
-    guard_extent(breach.scenario, *pool.planes[remaining].T)
-    same = state and (state.breach.scenario, state.breach.guard) == (breach.scenario, breach.guard)
-    zeros = np.zeros(len(pool.planes))
-    state = _Selection(breach, remaining, state.bands if same else None, zeros, zeros.copy())
-    object.__setattr__(pool, "_selection", state)
+    if breach.guard != held.guard:
+        state.exposed[:], state.at[:], state.meet[:], state.most = 0.0, 0.0, 0.0, 0
+    state.breach = breach
     return state
 
 
 def _exact_step(pool: CandidatePool, state: _Selection) -> tuple[np.ndarray, np.ndarray]:
     """The rows an exact step scores, ascending, and their scores; see :func:`select_next`."""
     breach = state.breach
-    if state.bands is None:
-        state.bands = plus_band_areas(breach.scenario, breach.guard, pool.planes)
-        state.bands.setflags(write=False)
+    bands = state.bands.get(breach.guard)
+    if bands is None:
+        bands = plus_band_areas(breach.scenario, breach.guard, pool.planes)
+        bands.setflags(write=False)
+        root = state.root.guard
+        state.bands = {g: v for g, v in state.bands.items() if g == root} | {breach.guard: bands}
     area = breach.area
+    state.most = max(state.most, len(breach.priors))
     size = breach.guard + 2.0 * breach.scenario.y_lim  # L in select_next's proof
-    margin = MERGE_TOL * (len(breach.priors) + 1000) * max(size, pool._flat) * size
-    upper = np.min(state.exposed + (area - state.at), where=state.remaining, initial=math.inf)
-    rows = np.flatnonzero(state.remaining & (state.exposed - margin <= upper + margin))
-    exposed = breach.exposed(pool.planes[rows], state.bands[rows])
+    margin = MERGE_TOL * (state.most + 1000) * max(size, pool._flat) * size
+    upper = np.min(state.exposed + (area - state.meet), where=state.remaining, initial=math.inf)
+    lower = state.exposed - (state.at - state.meet)
+    rows = np.flatnonzero(state.remaining & (lower - margin <= upper + margin))
+    exposed = breach.exposed(pool.planes[rows], bands[rows])
     values = shares(exposed, area)
-    state.exposed[rows], state.at[rows] = exposed, area
+    state.exposed[rows], state.at[rows], state.meet[rows] = exposed, area, area
     return rows, values
 
 
@@ -488,63 +513,80 @@ def select_next(
     it with :meth:`Breach.extend`; a :meth:`Breach.within` breach, which
     cannot grow, raises :class:`DomainError`.
 
-    The pool holds one selection state: the breach last scored from, the
-    rows it left and, per row, its band areas and its last exact numerator
-    N_old (the :meth:`Breach.exposed` area that :meth:`Breach.scores`
-    divides) with the union area A_old it was taken at.  A breach of the
-    same scenario whose priors the held ones are, object for object, a
-    prefix of, as :meth:`Breach.extend` and :func:`greedy_select_next` give,
-    advances the state: it drops the new priors' rows, and under a deeper
-    guard it resets every N_old and A_old to 0.0 and drops the band areas.
-    Any other breach rebuilds the state, keeping the band areas under the
-    held scenario and guard, as a restart does; only a rebuild checks the
-    rows' validity (:func:`guard_extent`).  An exact step without band
-    areas reads them by :func:`plus_band_areas`; a sampled step scores every
-    row by :func:`score_candidates` and reads none.  An exact step scores,
-    in ascending row order, only the rows whose lower bound N_old - m is at
-    most the least upper bound, min(N_old + (A - A_old) + m), A the
-    breach's area; dividing by A gives the bounds on the ratio.  Here m =
-    MERGE_TOL * (len(priors) + 1000) * K * L, with L = guard + 2 * y_lim and
-    K = max(L, 1 / min |(a, b)|) over the pool's rows.  The first step of a
-    state keeps every row, as 0 <= N <= A.  The [0, 1] range check of
-    :func:`shares` covers every ratio a step computes; a pruned row's ratio
-    is never computed.
+    The pool holds one selection state: the root breach it was built for,
+    the breach last scored from, the rows it left, the rows' band areas
+    under at most two guards (the root's and the last other one read) and,
+    per row, its last exact numerator N_old (the :meth:`Breach.exposed`
+    area that :meth:`Breach.scores` divides), the union area A_old it was
+    taken at, and M, the area of the deepest breach that both N_old's
+    breach and the held breach extend.  A breach of the same scenario whose
+    priors the root's are, object for object, a prefix of moves the state.
+    When the held priors are a prefix of its own, as :meth:`Breach.extend`
+    and :func:`greedy_select_next` give, it advances and drops the new
+    priors' rows.  When its priors are a prefix of the held ones, a
+    *retreat* such as a restart from the seed pair, the dropped priors'
+    rows are candidates again and every M becomes min(M, A), A its area.
+    Under a guard other than the held breach's, either move resets every
+    N_old, A_old and M to 0.0.  Any other breach rebuilds the state,
+    keeping the band areas under its guard if they are held; only a rebuild
+    checks the rows' validity (:func:`guard_extent`), and a retreat, going
+    no shorter than the root, gives back only rows a rebuild checked.  An
+    exact step whose guard's band areas are not held reads them by
+    :func:`plus_band_areas`; a sampled step scores every row by
+    :func:`score_candidates` and reads none.  An exact step scores, in
+    ascending row order, only the rows whose lower bound N_old - (A_old -
+    M) - m is at most the least upper bound, min(N_old + (A - M) + m), A
+    the breach's area; dividing by A gives the bounds on the ratio.  A row
+    scored sets M = A_old = A, so along advances alone the bounds are
+    [N_old - m, N_old + (A - A_old) + m].  Here m = MERGE_TOL * (P + 1000)
+    * K * L, with P the most priors of the breach and of every breach a
+    held N_old was taken at, L = guard + 2 * y_lim and K = max(L, 1 / min
+    |(a, b)|) over the pool's rows.  The first step of a state keeps every
+    row, as 0 <= N <= A.  The [0, 1] range check of :func:`shares` covers
+    every ratio a step computes; a pruned row's ratio is never computed.
 
     Proof that the pick and its score are those of scoring every row.  Every
     polygon lies in one band, [-guard, -delta] or [0, delta] by [-y_lim,
     y_lim], whose width plus height, and so its diameter and its points'
     norms, are at most L.  (1) Under one guard an extended breach's inside
     polygons are the held ones clipped further (:meth:`Breach.chain`, which
-    :meth:`Breach.of` equals bit for bit).  A clip keeps vertices and adds
+    :meth:`Breach.of` equals bit for bit, so a retreat's breach has the
+    polygons of the held breach's prefix).  A clip keeps vertices and adds
     crossings on edges, and :meth:`ConvexPolygon.from_points` only drops
     points, so each lies in the held one but for crossings rounded off its
     edges; the band areas are the same held values.  So a target's exact
-    area in the union grows by at least 0 and at most area(held inside) -
-    area(new inside), A - A_old, summed over the bands.  The reset values
-    are the empty union's, N_old = A_old = 0, whose inside is the band, and
-    bound N the same way.  (2) :func:`clipped_areas` keeps a vertex within
-    eps = MERGE_TOL * scale of the target's line and cuts at the rest, so a
-    cell's area is the polygon's area on the exact line's side to within
-    the strip of half-width eps / |(a, b)| <= MERGE_TOL * K * (1 + 2e-12)
-    about the line: at most 2 * MERGE_TOL * K * L * (1 + 2e-12), and exact
-    when the line passes farther than eps from the polygon.  An N and its
-    N_old differ in four such cells.  Shoelace sums of at most len(priors)
-    + 6 points of norm L, crossings rounded off their edges over at most
-    len(priors) clips per band, and the few sums and differences add about
-    40 * (len(priors) + 5) * u * L^2, u = 2**-53.  So N lies within E of
-    [N_old, N_old + A - A_old], with E < m / 100, and the rounding of the
-    bounds themselves is far below m.  (3) The row with the least upper
-    bound is kept, since (1) and (2) give A - A_old >= -2E, and its N, so
-    the best kept N*, is at most that bound less m - E.  A pruned row's N
-    is at least its lower bound plus m - E, above the least upper bound, so
-    it exceeds N* by more than m.  A is at most the bands' area, 2 * y_lim
-    * guard <= L^2 <= K * L, so m / A >= 1e-9: a pruned row's ratio exceeds
-    the best's by more than 1e-9, far above the quotient's rounding.  It is
-    positive, and at most 1 + E / A as N <= A + E, so clipping to [0, 1]
-    keeps it strictly above the best, and the range check would pass it.
-    So no pruned row can win or tie.  Each kept row's value is the one full
-    scoring gives it, bit for bit (see :meth:`Breach.exposed`), and the
-    rows are in ascending order, so the first minimum is the same row.
+    area in the union grows by at least 0 and at most the area the union
+    grows by.  Since the last reset every breach the state moved through
+    has one guard, and N_old's breach and the held breach both extend a
+    breach of area M: a retreat to B leaves the shorter of B and the
+    breach they met at, and areas grow along a chain, so min(M, A) is its
+    area up to rounding.  So N - N_M lies in [0, A - M] and N_old - N_M in
+    [0, A_old - M], N_M the target's area in that breach.  The reset
+    values are the empty union's, N_old = A_old = M = 0, whose inside is
+    the band, and bound N the same way.  (2) :func:`clipped_areas` keeps a
+    vertex within eps = MERGE_TOL * scale of the target's line and cuts at
+    the rest, so a cell's area is the polygon's area on the exact line's
+    side to within the strip of half-width eps / |(a, b)| <= MERGE_TOL * K
+    * (1 + 2e-12) about the line: at most 2 * MERGE_TOL * K * L * (1 +
+    2e-12), and exact when the line passes farther than eps from the
+    polygon.  An N and its N_old differ in four such cells.  Shoelace sums
+    of at most P + 6 points of norm L, crossings rounded off their edges
+    over at most P clips per band, and the few sums and differences of N,
+    N_old, A, A_old and M add about 80 * (P + 5) * u * L^2, u = 2**-53.
+    So N lies within E of [N_old - (A_old - M), N_old + (A - M)], with E <
+    m / 100, and the rounding of the bounds themselves is far below m.
+    (3) The row with the least upper bound is kept, since (1) and (2) give
+    A - M >= -2E and A_old - M >= -2E, and its N, so the best kept N*, is
+    at most that bound less m - E.  A pruned row's N is at least its lower
+    bound plus m - E, above the least upper bound, so it exceeds N* by more
+    than m.  A is at most the bands' area, 2 * y_lim * guard <= L^2 <= K *
+    L, so m / A >= 1e-9: a pruned row's ratio exceeds the best's by more
+    than 1e-9, far above the quotient's rounding.  It is positive, and at
+    most 1 + E / A as N <= A + E, so clipping to [0, 1] keeps it strictly
+    above the best, and the range check would pass it.  So no pruned row
+    can win or tie.  Each kept row's value is the one full scoring gives
+    it, bit for bit (see :meth:`Breach.exposed`), and the rows are in
+    ascending order, so the first minimum is the same row.
     """
     if math.isnan(breach.guard):
         raise DomainError("greedy selection requires a breach of at least one breached version")

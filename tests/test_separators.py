@@ -17,7 +17,7 @@ from marginseq import (
     oracle_boundary,
 )
 from marginseq.selfcheck import boundary_deviation
-from marginseq import versioning
+from marginseq import separators, versioning
 from marginseq.versioning import draw_hidden_points
 from seeded_rng import philox
 
@@ -210,6 +210,35 @@ def test_oracle_vertical_continuity(scenario):
         numeric = oracle_boundary(scenario, HiddenPoint(v, 0.0))
         assert numeric.kind == "vertical"
         assert numeric.x0 == pytest.approx((-100.0 + v + 1.0) / 2.0, abs=1e-9)
+
+
+def _full_scan_flips(c, v, w):
+    """Every scan angle's visibility from (v, w), and the indices i where i and i + 1 differ."""
+    _, cos_t, sin_t = separators._scan_table()
+    vis = cos_t * (v - c) + sin_t * w - 1.0 > 0.0
+    return np.nonzero(vis != np.roll(vis, -1))[0]
+
+
+def test_oracle_scan_finds_the_full_scans_flips(scenario):
+    c, stride = scenario.c, separators.ORACLE_STRIDE
+    cell = 2.0 * math.pi * stride / separators.ORACLE_RESOLUTION
+    points = [(h.v, h.w) for h in draw_hidden_points(scenario, 300, 1.0, 11, 0)]
+    points += [(v, 0.0) for v in (-98.99, -50.0, 0.0, 50.0, 98.0, 98.99)]
+    # just off the "+" disk, where the visible arc is narrow and g's zeros are shallow
+    for gap, angle in [(1e-3, 2.0), (1e-6, 3.0), (1e-9, 3.1), (1e-12, math.pi)]:
+        points.append((c + (1.0 + gap) * math.cos(angle), (1.0 + gap) * math.sin(angle)))
+    # an arc of about 14 angles, centred in a coarse cell: no coarse angle sees the disk, so
+    # the coarse scan finds no flip and the oracle scans every angle
+    mid = 100.5 * cell
+    narrow = (c + (1.0 + 1e-7) * math.cos(mid), (1.0 + 1e-7) * math.sin(mid))
+    points.append(narrow)
+    for v, w in points:
+        got = separators._visibility_flips(c, v, w)
+        np.testing.assert_array_equal(got, _full_scan_flips(c, v, w))
+        assert got.dtype == np.intp
+    flips = separators._visibility_flips(c, *narrow)
+    assert len(flips) == 2 and flips[0] // stride == flips[1] // stride == 100
+    assert 10 <= flips[1] - flips[0] <= 20
 
 
 @pytest.mark.parametrize("c", [2.0 + 2.0**-51, 3.0, 100.0, 2.0**53 + 2.0, 1e200])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginseq import (
     AttackSampleConfig,
@@ -332,6 +334,33 @@ def test_nearly_empty_pool_verdict_follows_expected_draws(scenario, monkeypatch)
     assert streams == []
     assert len(generate_candidate_pool(scenario, 100, 104.0, seed=1).boundaries) == 100
     assert streams == [(1, 0)]
+
+
+def test_a_draw_that_runs_past_four_times_the_limit_is_refused(scenario, monkeypatch):
+    # at eps_d = 103.093 one point takes 908 draws on average, inside a limit of 1,000; the
+    # draws come 64 a batch, so the 63rd batch is the last: seed 22 finds no point by then
+    # and is refused, seed 47 finds its point in that batch and gets the pool it got before
+    assert 908 < 1 / admissible_share(scenario, 103.093) < 909
+    before = generate_candidate_pool(scenario, 1, 103.093, seed=47)
+    monkeypatch.setattr(versioning, "MAX_POOL_DRAWS", 1000)
+    drawn = []
+    real = versioning.philox
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def uniform(self, low, high, size):
+            drawn.append(size)
+            return self.rng.uniform(low, high, size)
+
+    monkeypatch.setattr(versioning, "philox", lambda *key: Counting(real(*key)))
+    with pytest.raises(DomainError, match="nearly empty: 4032 draws gave 0 of 1 points"):
+        generate_candidate_pool(scenario, 1, 103.093, seed=22)
+    assert sum(drawn) == 2 * 63 * 64  # v and w of 63 batches
+    drawn.clear()
+    assert repr(generate_candidate_pool(scenario, 1, 103.093, seed=47)) == repr(before)
+    assert sum(drawn) == 2 * 63 * 64
 
 
 def _line_pool(scenario, offsets):
@@ -784,13 +813,15 @@ def test_pool_band_areas_held_per_guard(scenario, monkeypatch):
     for _ in range(6):
         guards.append(breach.guard)
         index, _ = select_next(pool, breach, EXACT)
-        held = pool._selection.bands
+        held = pool._selection.bands[breach.guard]
         np.testing.assert_array_equal(held, regions.plus_band_areas(scenario, breach.guard,
                                                                     pool.planes))
         assert held.shape == (50, 2) and not held.flags.writeable
         breach = breach.extend(pool.boundaries[index])
     assert guards[1] == guards[0] < guards[2] == guards[5]
     assert computed == [guards[0], guards[2]]
+    # the root's guard and the deeper one are held, both read-only
+    assert sorted(pool._selection.bands) == [guards[0], guards[2]]
     # sampled steps read no band areas
     select_next(pool, breach, AttackSampleConfig("ensemble", 2_000, 1))
     assert computed == [guards[0], guards[2]]
@@ -810,9 +841,9 @@ def test_a_restart_under_the_held_guard_clips_no_band(scenario, monkeypatch):
     assert computed == [regions.deepest_guard(scenario, seed_pair)]
 
 
-def test_a_restart_after_a_deeper_guard_clips_the_bands_again(scenario, monkeypatch):
-    # the stock pool's second pick deepens the guard; the state then holds the deeper guard's
-    # band areas only, so each restart from the seed pair clips its bands once more
+def test_a_restart_after_a_deeper_guard_clips_no_band(scenario, monkeypatch):
+    # the stock pool's second pick deepens the guard; the state holds the band areas of the
+    # seed pair's guard beside the deeper one's, so a restart from the seed pair clips none
     pool = generate_candidate_pool(scenario, 50, seed=42)
     computed = _counting_band_areas(monkeypatch)
     seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
@@ -823,7 +854,7 @@ def test_a_restart_after_a_deeper_guard_clips_the_bands_again(scenario, monkeypa
             assert (index, repr(score.value)) == _full_scoring(scenario, pool, breached)
             breached.append(pool.boundaries[index])
     shallow, deep = regions.deepest_guard(scenario, seed_pair), pool._selection.breach.guard
-    assert shallow < deep and computed == [shallow, deep] * 2
+    assert shallow < deep and computed == [shallow, deep]
 
 
 def test_pool_construction_clips_nothing(scenario, monkeypatch):
@@ -957,18 +988,59 @@ def test_pruned_exact_steps_equal_full_scoring(scenario, eps_d, deepening_picks)
     assert deepened == deepening_picks
 
 
+_STOCK = ScenarioConfig(100.0, 0.1, 30.0)
+_STOCK_PAIR = [bd for bd, _ in plan_sequence(_STOCK, 2, 7.0, 12.0).versions]
+_MOVES = ("greedy", "other", "deeper", "retreat", "copies")
+
+
+@settings(max_examples=100, deadline=None)
+@given(eps_d=st.sampled_from([2.0, 31.0]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pruned_steps_of_a_random_walk_equal_full_scoring(eps_d, seed, data):
+    # a walk over the breaches of one pool: the greedy pick, a candidate that is not the
+    # pick, one that deepens the guard, a retreat to a prefix of the path, or equal copies
+    # of the breached versions, which rebuild the state with a longer root; every step's
+    # pick and score repr is that of scoring every candidate of a fresh Breach.of
+    pool = generate_candidate_pool(_STOCK, 40, eps_d, seed)
+    guards = guard_extent(_STOCK, *pool.planes.T)
+    path = [Breach.of(_STOCK, _STOCK_PAIR)]
+    for move in data.draw(st.lists(st.sampled_from(_MOVES), min_size=1, max_size=12)):
+        priors = list(path[-1].priors)
+        index, score = select_next(pool, path[-1], EXACT)
+        assert (index, repr(score.value)) == _full_scoring(_STOCK, pool, priors)
+        taken = set(pool.rows_of(priors).tolist())
+        others = [i for i in range(len(pool.boundaries)) if i not in taken | {index}]
+        if move == "deeper":
+            others = [i for i in others if guards[i] > path[-1].guard]
+        if move == "retreat" and len(path) > 1:
+            del path[data.draw(st.integers(1, len(path) - 1)):]
+        elif move == "copies":
+            copies = [DecisionBoundary(bd.plus) for bd in priors]
+            path = Breach.of(_STOCK, copies[:2]).chain(copies[2:])
+        elif move in ("other", "deeper") and others:
+            path.append(path[-1].extend(pool.boundaries[data.draw(st.sampled_from(others))]))
+        else:
+            path.append(path[-1].extend(pool.boundaries[index]))
+    index, score = select_next(pool, path[-1], EXACT)
+    assert (index, repr(score.value)) == _full_scoring(_STOCK, pool, list(path[-1].priors))
+
+
 def test_exact_steps_score_only_rows_that_can_win(scenario, monkeypatch):
     pool = generate_candidate_pool(scenario, 1000, 2.0, seed=42)
     scored = _counting_rows(monkeypatch)
     seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
-    for _ in range(2):  # a restart rebuilds the state: its first step scores every row
+    rounds = []
+    for _ in range(2):
         breached, steps = list(seed_pair), []
         for _ in range(8):
             before = len(scored)
             index, _ = greedy_select_next(scenario, pool, breached, EXACT)
             steps.append(sum(scored[before:]))
             breached.append(pool.boundaries[index])
-        assert steps[0] == 1000 and max(steps[1:]) <= 2
+        rounds.append(steps)
+    # the state's first step scores every row; a restart retreats to the seed pair and keeps
+    # the bounds its rows' numerators give
+    assert rounds[0][0] == 1000 and max(rounds[0][1:]) <= 2
+    assert max(rounds[1]) <= 2
     # a step repeated on the same breach keeps only rows within the margin of the least
     greedy_select_next(scenario, pool, breached, EXACT)
     before = len(scored)
@@ -986,6 +1058,27 @@ def test_exact_steps_score_only_rows_that_can_win(scenario, monkeypatch):
         breached.append(pool.boundaries[index])
     assert guards[0] == guards[1] < guards[2] == guards[3]
     assert steps == [50, 1, 48, 1]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5, 7, 3141])
+def test_a_restart_scores_few_rows_on_the_benchmark_pools(scenario, monkeypatch, seed):
+    # the 1000-candidate pools greedy-exact draws at eps_d = 31 from the 32-bit seed
+    # np.random.SeedSequence(seed) derives; their picks keep the seed pair's guard, so the
+    # restart after a round of 8 steps is a retreat whose bounds stay tight
+    (pool_seed,) = np.random.SeedSequence(seed).generate_state(1, dtype=np.uint32)
+    pool = generate_candidate_pool(scenario, 1000, 31.0, int(pool_seed))
+    scored = _counting_rows(monkeypatch)
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    firsts = []
+    for _ in range(2):
+        breached = list(seed_pair)
+        for step in range(8):
+            before = len(scored)
+            index, _ = greedy_select_next(scenario, pool, breached, EXACT)
+            if step == 0:
+                firsts.append(sum(scored[before:]))
+            breached.append(pool.boundaries[index])
+    assert firsts[0] == 1000 and firsts[1] <= 30
 
 
 def test_a_deeper_guard_resets_the_bounds(scenario, monkeypatch):
