@@ -508,6 +508,11 @@ def check_zero_transfer(
     return x_i >= scenario.delta
 
 
+def _left_cut(scenario: ScenarioConfig, rows: np.ndarray, guard: float) -> float:
+    """:func:`mc_left_cut` of the priors' (a, b, c) rows, as :func:`planes_of` gives them."""
+    return -float(strip_reach(scenario, *rows.T).max()) - 1e-9 * guard
+
+
 def mc_left_cut(scenario: ScenarioConfig, priors: list[DecisionBoundary], guard: float) -> float:
     """Abscissa left of which :func:`mc_counts` draws no point.
 
@@ -516,7 +521,14 @@ def mc_left_cut(scenario: ScenarioConfig, priors: list[DecisionBoundary], guard:
     cut would all be rejected, so only their count is drawn; see
     :func:`mc_counts` for the proof.
     """
-    return -float(strip_reach(scenario, *planes_of(priors).T).max()) - 1e-9 * guard
+    return _left_cut(scenario, planes_of(priors), guard)
+
+
+def _inside(a: float, b: float, c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each point (x, y) lies in the half-plane a*x + b*y <= c, in three passes."""
+    s = a * x
+    s += b * y
+    return s <= c
 
 
 def mc_counts(
@@ -540,7 +552,31 @@ def mc_counts(
     only, which accept exactly the points every prior would, and every row
     counts hits on the same accepted points.  Any partition of the block
     range across workers merges to exactly the counts of a single
-    sequential pass.
+    sequential pass.  The priors' (a, b, c) rows are built once per call,
+    for the guard, the cut and the test.
+
+    How a block counts.  A point lies in a half-plane (a, b, c) when s <=
+    c, s = a*x + b*y taken as a*x, then += b*y: three numpy passes, for
+    the priors' acceptance and the targets' hits alike.  With one target
+    row, the block counts the points that both the acceptance mask and the
+    row's test pass, over every drawn point, and gathers nothing.  With
+    several rows, it gathers the accepted points once, and each row tests
+    those in a loop of its own.  Either way a point counts for a row when
+    it is accepted and in the row's half-plane, so the route, which the
+    row count alone picks, changes no count.
+
+    Proof that s <= c is the test of :meth:`DecisionBoundary.signed_value`.
+    A prior accepts a point when -(a*x + b*y - c) >= 0, and a target hits it
+    when a*x + b*y - c <= 0; both take the same float s, as a*x + b*y is
+    evaluated in the same order, and negation is exact (-(-0.0) >= 0 too),
+    so both hold exactly when fl(s - c) <= 0.  Let c be finite.  If s is
+    finite and s <= c, the exact s - c is <= 0, and rounding, being
+    monotone, keeps it so.  If s is finite and s > c, the exact s - c is >
+    0 and rounds to a positive float or +inf: with subnormals, fl(s - c) is
+    0 only when s == c.  If s = +inf, fl(s - c) = +inf and s <= c is false;
+    if s = -inf, fl(s - c) = -inf and s <= c is true.  If s is NaN, as inf -
+    inf from two products that overflowed, so is fl(s - c), and every
+    comparison is false.  So fl(s - c) <= 0 exactly when s <= c.
 
     Points left of one cut, :func:`mc_left_cut`, would all be rejected, so
     only their count is drawn.  A block's m points split into a fixed
@@ -549,8 +585,9 @@ def mc_counts(
     at or right of the cut is Binomial(m - m_sliver, q), q = (-delta -
     cut) / (guard - delta) or 0 when the cut lies right of the band, and
     given that number they are uniform on [cut, -delta].  So the stream
-    draws that number k, then m_sliver + k uniform pairs: the counts have
-    the distribution of testing every point of the box.  The seeded digits
+    draws that number k, then m_sliver + k uniform pairs, copied once into
+    contiguous x and y rows that are scaled in place: the counts have the
+    distribution of testing every point of the box.  The seeded digits
     depend on numpy's ``Generator.binomial`` as well as
     ``Generator.random``.
 
@@ -568,17 +605,20 @@ def mc_counts(
     """
     if not priors:
         raise DomainError("Monte Carlo transferability requires at least one prior")
-    a, b, c = np.asarray(planes, dtype=float).reshape(-1, 3).T
-    guard_extent(scenario, a, b, c)
-    guard = deepest_guard(scenario, priors)
+    planes = np.asarray(planes, dtype=float).reshape(-1, 3)
+    guard_extent(scenario, *planes.T)
+    rows = planes_of(priors)
+    guard = float(guard_extent(scenario, *rows.T).max())  # deepest_guard
     d, y = scenario.delta, scenario.y_lim
     p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
-    cut = mc_left_cut(scenario, priors, guard)
+    cut = _left_cut(scenario, rows, guard)
     q = max(0.0, (-d - cut) / (guard - d))
-    tested = undominated(priors)
+    widest = {}
+    tested = rows[[_admit(widest, bd) for bd in priors]].tolist()  # undominated
+    targets = planes.tolist()
 
     accepted = 0
-    hits = np.zeros(len(a), dtype=np.int64)
+    hits = np.zeros(len(targets), dtype=np.int64)
     for j in range(block_start, block_stop):
         m = min(MC_BLOCK, cfg.n_samples - j * MC_BLOCK)
         if m <= 0:
@@ -587,19 +627,25 @@ def mc_counts(
         m_sliver = int(round(m * p_sliver))
         k = int(rng.binomial(m - m_sliver, q))
         u = rng.random((m_sliver + k, 2))
-        x = np.concatenate([u[:m_sliver, 0] * d, cut + u[m_sliver:, 0] * (-d - cut)])
-        yv = -y + u[:, 1] * (2.0 * y)
+        x, yv = u.T.copy()
+        x[:m_sliver] *= d
+        x[m_sliver:] *= -d - cut
+        x[m_sliver:] += cut
+        yv *= 2.0 * y
+        yv += -y
         # the ensemble attacker's territory, OR-ed in place so no per-prior mask is kept
-        mask = tested[0].signed_value(x, yv) >= 0.0
-        for bd in tested[1:]:
-            mask |= bd.signed_value(x, yv) >= 0.0
+        mask = _inside(*tested[0], x, yv)
+        for plane in tested[1:]:
+            mask |= _inside(*plane, x, yv)
+        if len(targets) == 1:
+            accepted += int(np.count_nonzero(mask))
+            mask &= _inside(*targets[0], x, yv)
+            hits[0] += np.count_nonzero(mask)
+            continue
         xs, ys = x[mask], yv[mask]
         accepted += len(xs)
-        # signed_value's a*x + b*y - c, at most MC_BLOCK entries at a time
-        step = MC_BLOCK // max(1, len(xs))
-        for start in range(0, len(a), step):
-            r = slice(start, start + step)
-            hits[r] += (a[r, None] * xs + b[r, None] * ys - c[r, None] <= 0.0).sum(axis=1)
+        for row, plane in enumerate(targets):
+            hits[row] += np.count_nonzero(_inside(*plane, xs, ys))
     return accepted, hits
 
 
@@ -624,9 +670,11 @@ def mc_scores(
 ) -> tuple[np.ndarray, int]:
     """(value per target row, accepted) over the whole sampling budget, from one stream.
 
-    Each value is the target's share of the accepted points.  The rows share
-    one accepted count, so the values are NaN, all of them, when that count
-    is below the acceptance floor, max(1, 1e-6 * n_samples).
+    Each value is the target's share of the accepted points, counted by
+    :func:`mc_counts`: one row under the acceptance mask, several on the
+    accepted points gathered once per block.  The rows share one accepted
+    count, so the values are NaN, all of them, when that count is below the
+    acceptance floor, max(1, 1e-6 * n_samples).
     """
     if cfg.n_samples < 1:
         raise DomainError("Monte Carlo transferability requires n_samples >= 1")
@@ -650,8 +698,9 @@ def mc_transferability(
     rejected, so only their count is drawn (see :func:`mc_counts`);
     ``accepted`` still counts the kept points among n_samples over the whole
     box.  The estimate is the kept fraction the target classifies "+":
-    :func:`mc_scores` of a single row, which raises
-    :class:`UndefinedEstimateError` where that row is NaN.  The sampled box
+    :func:`mc_scores` of a single row, counted under the acceptance mask
+    with no accepted point gathered.  Where that row is NaN it raises
+    :class:`UndefinedEstimateError`.  The sampled box
     depends on the priors alone, so every target scored against the same
     priors and cfg sees the same accepted points.
     """

@@ -619,11 +619,15 @@ def greedy_select_next(
     priors are, object for object, a prefix of breached, it is grown by the
     rest with :meth:`Breach.chain`, which gives what ``of`` would, bit for
     bit, at one clip per non-empty inside polygon per version, and the
-    state advances rather than being rebuilt.
+    state advances rather than being rebuilt.  Failing that, the state's
+    root breach is grown the same way when its priors are such a prefix,
+    as on a restart from the seed pair, and the state retreats.
     """
-    held = pool._selection and pool._selection.breach
-    if _extends(held, scenario, breached):
-        breach = held.chain(breached[len(held.priors):])[-1]
+    state = pool._selection
+    for held in (state and state.breach, state and state.root):
+        if _extends(held, scenario, breached):
+            breach = held.chain(breached[len(held.priors):])[-1]
+            break
     else:
         breach = Breach.of(scenario, breached)
     return select_next(pool, breach, cfg)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from marginseq import (
     AttackSampleConfig,
@@ -406,9 +408,9 @@ def test_mc_counts_partition_merge_identity(scenario):
             assert one == per_target_counts(scenario, priors, target, cfg, n_blocks)
 
 
-def test_mc_counts_rows_in_slices_when_every_point_is_accepted(scenario):
-    # a deep vertical prior accepts nearly every point of its box, more than
-    # half a block, so each row's hits are counted in a slice of its own
+def test_mc_counts_when_every_point_is_accepted(scenario):
+    # a deep vertical prior accepts nearly every point drawn right of its cut,
+    # more than half a block; each row is counted among all of them and alone
     priors = [DecisionBoundary.vertical(-1e4, scenario)]
     targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario)]
     planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
@@ -416,7 +418,9 @@ def test_mc_counts_rows_in_slices_when_every_point_is_accepted(scenario):
     accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
     assert MC_BLOCK // accepted == 1
     for row, target in enumerate(targets):
-        assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+        want = per_target_counts(scenario, priors, target, cfg)
+        assert (accepted, hits[row]) == want
+        assert mc_block_counts(scenario, priors, target, cfg, 0, 2) == want
 
 
 def _pool_subset(scenario, seed):
@@ -450,7 +454,10 @@ def test_mc_counts_equal_the_uncut_reference(scenario, name):
     accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
     assert accepted > 0
     for row, target in enumerate(targets):
-        assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+        want = per_target_counts(scenario, priors, target, cfg)
+        assert (accepted, hits[row]) == want
+        # a single row is counted under the acceptance mask, with no gathered points
+        assert mc_block_counts(scenario, priors, target, cfg, 0, 2) == want
 
 
 @pytest.mark.parametrize("name", sorted(_CUT_PRIORS))
@@ -475,6 +482,61 @@ def test_near_box_rates_agree_with_the_full_box(scenario, name):
     for k_near, k_full in zip(near, full):
         p = (k_near + k_full) / (2 * n)
         assert abs(k_near - k_full) / n <= 4.0 * math.sqrt(p * (1.0 - p) * 2.0 / n)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _half_plane_cases(draw):
+    """(a, b, c, x, y): a finite half-plane and points of any float coordinates.
+
+    Half the cases put c on or a few ulps from one point's a*x + b*y, where
+    the three tests could part, and where a tiny s makes s - c subnormal.
+    """
+    a, b = draw(_FINITE), draw(_FINITE)
+    n = draw(st.integers(1, 8))
+    x = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)))
+    with np.errstate(all="ignore"):
+        s = a * x + b * y
+    finite = s[np.isfinite(s)].tolist()
+    if finite and draw(st.booleans()):
+        c = draw(st.sampled_from(finite))
+        steps = draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            c = math.nextafter(c, math.copysign(math.inf, steps))
+        assume(math.isfinite(c))
+    else:
+        c = draw(_FINITE)
+    return a, b, c, x, y
+
+
+_TINY = 5e-324  # the least subnormal
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_half_plane_cases())
+# signed zeros in every coefficient and coordinate
+@example((-0.0, 0.0, -0.0, np.array([0.0, -0.0, -0.0]), np.array([-0.0, 0.0, -0.0])))
+# s and c a subnormal apart, on either side, and equal
+@example((1.0, 1.0, _TINY,
+          np.array([0.0, 2 * _TINY, _TINY, -_TINY]), np.array([0.0, 0.0, 0.0, _TINY])))
+# products that overflow to +inf and -inf, and inf - inf = NaN
+@example((1e300, 1e300, 0.0,
+          np.array([1e300, -1e300, 1e300, 1.0]), np.array([1.0, 1.0, -1e300, 1e300])))
+# infinite and NaN coordinates, and a zero coefficient times inf
+@example((0.0, 2.0, 1.0,
+          np.array([math.inf, -math.inf, math.nan, 0.0]), np.array([0.0, 0.0, 0.0, math.inf])))
+def test_half_plane_test_is_one_comparison(case):
+    # the "+" side test, the hit test and mc_counts' three-pass test agree
+    a, b, c, x, y = case
+    with np.errstate(all="ignore"):
+        plus_side = -(a * x + b * y - c) >= 0.0
+        hit = a * x + b * y - c <= 0.0
+        inside = regions._inside(a, b, c, x, y)
+    np.testing.assert_array_equal(plus_side, hit)
+    np.testing.assert_array_equal(hit, inside)
 
 
 class _RecordedStream:
