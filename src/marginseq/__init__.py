@@ -65,7 +65,6 @@ from .versioning import (
     random_baseline_sequence,
     reconstruct_anchor,
     reconstruct_hidden_point,
-    score_candidates,
     verify_plan,
 )
 

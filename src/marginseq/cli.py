@@ -25,17 +25,17 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError, MarginSeqError, ScenarioFileError
-from .regions import MODE_ENSEMBLE, AttackSampleConfig, Breach, planes_of
+from .regions import MODE_ENSEMBLE, AttackSampleConfig, Breach
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
     DEFAULT_EPS_D,
+    audit_sequence,
     check_boundary_feasibility,
     generate_candidate_pool,
     plan_sequence,
     random_baseline_sequence,
     reconstruct_anchor,
-    score_candidates,
     select_next,
     verify_plan,
 )
@@ -56,13 +56,15 @@ MAX_PLAN_VERSIONS = 1000
 # win, about 1 ms at the stock eps_d.
 MAX_POOL_SIZE = 100_000
 
-# cmd_pool holds one breach per sequence and extends it by one version a row, and the
+# cmd_pool's greedy loop holds one breach and extends it by one version a pick, and the
 # pool's selection state drops each pick and bounds every later score, so most of a
-# greedy step's time goes to growing the breach, not to scoring the pool.  One cost
-# grows with the versions breached: Breach.extend, which rebuilds its dominance record
-# from them; MAX_SAMPLED_WORK counts a sampled step's tests against them.  On a 2-core
-# host, with 3,000 candidates, 100 versions take 0.40-0.60 s end to end, of which
-# drawing the pool takes about 0.13 s and starting the interpreter about 0.15 s.
+# greedy step's time goes to growing the breach, not to scoring the pool.  The random
+# rows are scored against the seed pair's breach grown by one Breach.chain
+# (audit_sequence).  One cost grows with the versions breached: each greedy
+# Breach.extend rebuilds its dominance record from them, where the chain builds it once;
+# MAX_SAMPLED_WORK counts a sampled step's tests against them.  On a 2-core host, with
+# 3,000 candidates, 100 versions take 0.28-0.36 s end to end, of which drawing the pool
+# takes about 0.13 s and starting the interpreter about 0.15 s.
 MAX_SEQUENCE_LENGTH = 100
 
 # The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
@@ -72,9 +74,11 @@ MAX_SEQUENCE_LENGTH = 100
 # steps, 1.8 million, take 1.5-1.9 s.
 MAX_CANDIDATES_SCORED = 300_000
 
-# A sampled step of cmd_pool tests each point it draws against every undominated
-# breached version, at most length, and each it keeps against every candidate, one in a
-# random step.  Over the length - 2 greedy and random steps that is at most
+# A sampled step t of cmd_pool tests each point it draws against every undominated
+# breached version, at most t - 1.  A greedy step then tests each point it keeps against
+# every remaining candidate, at most pool size; a random row, counted alone, tests every
+# drawn point against its one target.  That is at most pool size + 2 * (t - 1) + 1 tests
+# per sample at step t, and over the length - 2 steps at most
 # samples * (length - 2) * (pool size + 2 * length) tests, which this bounds; nothing
 # else bounds samples.  The stock 50 candidates over 8 versions run at up to 3,333,333.
 # On a 2-core host runs at the limit take 3.2-4.3 s as 3,000 candidates over 100
@@ -307,26 +311,18 @@ def cmd_pool(settings: Settings, args, out) -> int:
     seed_plan = plan_sequence(scenario, 2, settings.plan_k, settings.plan_b_max)
     seed = Breach.of(scenario, [bd for bd, _ in seed_plan.versions])
 
-    rows = []
+    greedy = []
     breach = seed
-    for step in range(3, length + 1):
+    for _ in range(length - 2):
         index, score = select_next(pool, breach, cfg)
-        boundary = pool.boundaries[index]
-        hidden = pool.hidden_points[index]
-        kind, k, b, x0 = _boundary_fields(boundary)
-        rows.append(("greedy", step, index, kind, k, b, x0,
-                     hidden.v, hidden.w, score.value))
-        breach = breach.extend(boundary)
+        greedy.append((index, pool.hidden_points[index], pool.boundaries[index], score.value))
+        breach = breach.extend(pool.boundaries[index])
 
     baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed,
                                         settings.pool_eps_d)
-    breach = seed
-    for step, (hidden, boundary) in enumerate(baseline, start=3):
-        (value,) = score_candidates(breach, planes_of([boundary]), cfg)
-        kind, k, b, x0 = _boundary_fields(boundary)
-        rows.append(("random", step, None, kind, k, b, x0,
-                     hidden.v, hidden.w, float(value)))
-        breach = breach.extend(boundary)
+    values = audit_sequence(seed, [boundary for _, boundary in baseline], cfg)
+    random = [(None, hidden, boundary, float(value))
+              for (hidden, boundary), value in zip(baseline, values)]
 
     writer = ReportWriter(
         scenario,
@@ -334,8 +330,9 @@ def cmd_pool(settings: Settings, args, out) -> int:
          "hidden_v", "hidden_w", "compound_at"],
         out,
     )
-    for row in rows:
-        writer.row(*row)
+    for row, steps in (("greedy", greedy), ("random", random)):
+        for step, (index, hidden, boundary, value) in enumerate(steps, start=3):
+            writer.row(row, step, index, *_boundary_fields(boundary), hidden.v, hidden.w, value)
     return 0
 
 

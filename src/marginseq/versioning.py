@@ -428,20 +428,20 @@ def generate_candidate_pool(
     return CandidatePool(points, boundaries)
 
 
-def score_candidates(breach: Breach, planes, cfg: AttackSampleConfig) -> np.ndarray:
-    """Transferability from the held breach of each candidate under cfg.
+def audit_sequence(seed: Breach, sequence, cfg: AttackSampleConfig) -> np.ndarray:
+    """Transferability of each separator of sequence from seed grown by the ones before it.
 
-    Candidates are given as one "+" half-plane (a, b, c) per row.  This only
-    picks the scorer; both check every target's guard (see
-    :func:`guard_extent`).  Exact area ratios from one :meth:`Breach.scores`
-    batch when cfg.n_samples == 0; otherwise Monte Carlo estimates from one
-    shared stream over the breach's separators (:func:`mc_scores`).  Scores
-    are NaN, all of them, when the breach leaves the ratio undefined.
+    Row i scores sequence[i] against breach i of one :meth:`Breach.chain` of
+    seed by sequence[:-1]: exact ratios from one :func:`paired_scores` call
+    when cfg.n_samples == 0, else each row's :func:`mc_scores` alone over
+    its breach's separators.  An undefined ratio is NaN.
     """
-    planes = np.asarray(planes, dtype=float).reshape(-1, 3)
-    if cfg.n_samples:
-        return mc_scores(breach.scenario, breach.priors, planes, cfg)[0]
-    return breach.scores(planes)
+    breaches = seed.chain(sequence[:-1]) if sequence else []
+    planes = planes_of(sequence)
+    if not cfg.n_samples:
+        return paired_scores(breaches, planes)
+    return np.array([mc_scores(seed.scenario, breach.priors, row[None], cfg)[0][0]
+                     for breach, row in zip(breaches, planes, strict=True)])
 
 
 def _extends(held: Breach | None, scenario: ScenarioConfig, priors) -> bool:
@@ -532,8 +532,8 @@ def select_next(
     checks the rows' validity (:func:`guard_extent`), and a retreat, going
     no shorter than the root, gives back only rows a rebuild checked.  An
     exact step whose guard's band areas are not held reads them by
-    :func:`plus_band_areas`; a sampled step scores every row by
-    :func:`score_candidates` and reads none.  An exact step scores, in
+    :func:`plus_band_areas`; a sampled step scores every row by one
+    :func:`mc_scores` call and reads none.  An exact step scores, in
     ascending row order, only the rows whose lower bound N_old - (A_old -
     M) - m is at most the least upper bound, min(N_old + (A - M) + m), A
     the breach's area; dividing by A gives the bounds on the ratio.  A row
@@ -595,7 +595,7 @@ def select_next(
         raise PoolExhaustedError("every pool candidate has been consumed")
     if cfg.n_samples:
         rows = np.flatnonzero(state.remaining)
-        values = score_candidates(breach, pool.planes[rows], cfg)
+        values = mc_scores(breach.scenario, breach.priors, pool.planes[rows], cfg)[0]
     else:
         rows, values = _exact_step(pool, state)
     best = int(np.argmin(values))  # the first NaN, if any

@@ -396,8 +396,9 @@ def test_attack_mode_is_not_configurable(tmp_path, capsys):
 def test_pool_two_versions_prints_header_only(tmp_path, capsys):
     # the seed pair is the whole sequence: no greedy and no random rows
     header = "schema,c,delta,y_lim,row,step,pool_index,kind,k,b,x0,hidden_v,hidden_w,compound_at\n"
-    code, out, err = run_cli(capsys, "pool", "--sequence-length", "2")
-    assert (code, out, err) == (0, header, "")
+    for extra in ([], ["--samples", "1000"]):  # the exact audit of no rows, and the sampled
+        code, out, err = run_cli(capsys, "pool", "--sequence-length", "2", *extra)
+        assert (code, out, err) == (0, header, "")
     cfg = tmp_path / "two.ini"
     cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[plan]\nn_versions = 2\n")
     code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")

@@ -23,7 +23,6 @@ from marginseq import (
     plan_sequence,
     polygon_area,
     rectangle,
-    score_candidates,
     union_area,
 )
 from marginseq import geometry, regions
@@ -35,10 +34,12 @@ from marginseq.regions import (
     mc_block_counts,
     mc_counts,
     mc_left_cut,
+    mc_scores,
     paired_scores,
     planes_of,
     shares,
 )
+from marginseq.versioning import audit_sequence
 from breach_reference import reference_breach, reference_score, reference_within
 from guard_reference import reference_valid
 from mc_reference import full_box_counts, per_target_counts
@@ -103,7 +104,6 @@ def test_region_guard_violation(scenario):
 def _entry_points(scenario, line):
     """Every route that takes a separator's guard, each called on line."""
     seed = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
-    plane = [(line.plus.a, line.plus.b, line.plus.c)]
     sampled = AttackSampleConfig("ensemble", 2000, 3)
     exact = AttackSampleConfig("ensemble", 0, 0)
     return {
@@ -113,10 +113,10 @@ def _entry_points(scenario, line):
         "breach-target": lambda: Breach.of(scenario, seed).scores(planes_of([line])),
         "breach-chain": lambda: Breach.of(scenario, seed).chain([line]),
         "paired-target": lambda: paired_scores([Breach.of(scenario, seed)], planes_of([line])),
-        "exact-prior": lambda: score_candidates(Breach.of(scenario, [line]), planes_of(seed),
-                                                exact),
-        "exact-scores": lambda: score_candidates(Breach.of(scenario, seed), plane, exact),
-        "sampled-scores": lambda: score_candidates(Breach.of(scenario, seed), plane, sampled),
+        # the sequence audit: line as a version the audit breaches, and as a target
+        "exact-prior": lambda: audit_sequence(Breach.of(scenario, seed), [line, seed[0]], exact),
+        "exact-scores": lambda: audit_sequence(Breach.of(scenario, seed), [line], exact),
+        "sampled-scores": lambda: audit_sequence(Breach.of(scenario, seed), [line], sampled),
         "mc-prior": lambda: mc_transferability(scenario, [line], seed[0], sampled),
         "mc-target": lambda: mc_transferability(scenario, seed, line, sampled),
     }
@@ -623,8 +623,8 @@ def test_mc_accepted_count_is_the_same_for_every_target(scenario):
 def test_sampled_scores_undefined_when_breach_accepts_nothing(scenario):
     empty_prior = offset_boundary(scenario, 7.0, 31.0)
     planes = [(bd.plus.a, bd.plus.b, bd.plus.c) for bd in canonical_pair(scenario)]
-    values = score_candidates(Breach.of(scenario, [empty_prior]), planes,
-                              AttackSampleConfig("ensemble", 100_000, 9))
+    values, _ = mc_scores(scenario, [empty_prior], planes,
+                          AttackSampleConfig("ensemble", 100_000, 9))
     assert np.isnan(values).all() and len(values) == 2
 
 

@@ -30,13 +30,18 @@ from marginseq import (
     plan_sequence,
     random_baseline_sequence,
     reconstruct_hidden_point,
-    score_candidates,
     verify_plan,
 )
 from marginseq import geometry, regions, versioning
 from marginseq.geometry import clipped_areas
 from marginseq.regions import Breach, guard_extent
-from marginseq.versioning import BMAX_TOL, admissible_share, draw_hidden_points, select_next
+from marginseq.versioning import (
+    BMAX_TOL,
+    admissible_share,
+    audit_sequence,
+    draw_hidden_points,
+    select_next,
+)
 from breach_reference import reference_score, reference_verify_plan
 from mc_reference import per_target_counts
 from seeded_rng import philox
@@ -679,10 +684,41 @@ def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps
             # the stock pool from the seed pair
             assert deep_guard.sum() == 7
         assert np.isnan(expected).all() or not np.isnan(expected).any()
-        np.testing.assert_array_equal(score_candidates(Breach.of(scenario, breached), planes, cfg),
+        np.testing.assert_array_equal(regions.mc_scores(scenario, breached, planes, cfg)[0],
                                       expected)
         index, _ = greedy_select_next(scenario, pool, breached, cfg)
         breached.append(pool.boundaries[index])
+
+
+@pytest.mark.parametrize("size, eps_d, pool_seed, n_samples",
+                         [(1000, eps_d, seed, 0) for eps_d in (2.0, 31.0) for seed in (0, 1, 2)]
+                         + [(50, 2.0, 42, 20_000)])
+def test_audit_of_the_greedy_picks_gives_their_scores(scenario, size, eps_d, pool_seed, n_samples):
+    # pick first, then score: one audit of the picked sequence gives each pick's score, and
+    # a sampled row counted alone equals its count among every remaining candidate
+    seed = Breach.of(scenario, [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions])
+    pool = generate_candidate_pool(scenario, size, eps_d, pool_seed)
+    cfg = AttackSampleConfig("ensemble", n_samples, pool_seed)
+    picks, scores, breach = [], [], seed
+    for _ in range(8):
+        index, score = select_next(pool, breach, cfg)
+        picks.append(pool.boundaries[index])
+        scores.append(score.value)
+        breach = breach.extend(pool.boundaries[index])
+    assert repr(audit_sequence(seed, picks, cfg).tolist()) == repr(scores)
+
+
+def test_audit_rows_score_against_the_breach_of_their_prefix(scenario):
+    pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    seed = Breach.of(scenario, pair)
+    for cfg in (EXACT, AttackSampleConfig("ensemble", 1_000, 3)):
+        assert audit_sequence(seed, [], cfg).shape == (0,)
+    for baseline_seed in range(20):
+        sequence = [bd for _, bd in random_baseline_sequence(scenario, 8, baseline_seed)]
+        got = audit_sequence(seed, sequence, EXACT).tolist()
+        want = [Breach.of(scenario, pair + sequence[:i]).scores(regions.planes_of([bd]))[0]
+                for i, bd in enumerate(sequence)]
+        assert repr(got) == repr([float(v) for v in want])
 
 
 def test_random_baseline_determinism(scenario):
@@ -1180,7 +1216,8 @@ def test_select_next_needs_breached_versions(scenario):
 def test_sampled_scores_of_a_within_breach_are_directional_estimates(scenario):
     source, *targets = [bd for bd, _ in plan_sequence(scenario, 6, 7.0, 12.0).versions]
     cfg = AttackSampleConfig("ensemble", 20_000, 5)
-    got = score_candidates(Breach.within(scenario, source), regions.planes_of(targets), cfg)
+    got, _ = regions.mc_scores(scenario, Breach.within(scenario, source).priors,
+                               regions.planes_of(targets), cfg)
     want = [mc_transferability(scenario, [source], bd, cfg).value for bd in targets]
     assert repr(got.tolist()) == repr(want)
     assert 0.0 < min(v for v in want if v > 0.0) < max(want) < 1.0
