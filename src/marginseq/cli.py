@@ -62,7 +62,7 @@ MAX_POOL_SIZE = 100_000
 # rows are scored against the seed pair's breach grown by one Breach.chain
 # (audit_sequence).  One cost grows with the versions breached: each greedy
 # Breach.extend rebuilds its dominance record from them, where the chain builds it once;
-# MAX_SAMPLED_WORK counts a sampled step's tests against them.  On a 2-core host, with
+# MAX_SAMPLED_WORK counts a sampled row's tests against them.  On a 2-core host, with
 # 3,000 candidates, 100 versions take 0.28-0.36 s end to end, of which drawing the pool
 # takes about 0.13 s and starting the interpreter about 0.15 s.
 MAX_SEQUENCE_LENGTH = 100
@@ -74,16 +74,14 @@ MAX_SEQUENCE_LENGTH = 100
 # steps, 1.8 million, take 1.5-1.9 s.
 MAX_CANDIDATES_SCORED = 300_000
 
-# A sampled step t of cmd_pool tests each point it draws against every undominated
-# breached version, at most t - 1.  A greedy step then tests each point it keeps against
-# every remaining candidate, at most pool size; a random row, counted alone, tests every
-# drawn point against its one target.  That is at most pool size + 2 * (t - 1) + 1 tests
-# per sample at step t, and over the length - 2 steps at most
-# samples * (length - 2) * (pool size + 2 * length) tests, which this bounds; nothing
-# else bounds samples.  The stock 50 candidates over 8 versions run at up to 3,333,333.
-# On a 2-core host runs at the limit take 3.2-4.3 s as 3,000 candidates over 100
-# versions, 2.6-3.4 s as 12 over 12 and 2.0 s stock; no other shape of README's grid
-# took longer.
+# A sampled row of cmd_pool, a greedy pick's estimate or a random row, tests each point
+# it draws against every undominated breached version, at most t - 1 at step t, and its
+# one target: at most length tests per sample.  Over the 2 * (length - 2) rows that is
+# at most samples * 2 * (length - 2) * length tests, which this bounds; nothing else
+# bounds samples.  The stock 8 versions run at up to 13,750,000.  On a 2-core host runs
+# at the limit take 1.6-2.1 s as 12 candidates over 12 versions, 4 over 4 and the stock
+# 50 over 8, and 1.5-1.7 s as 100,000 over 3; no other shape of README's grid took
+# longer.
 MAX_SAMPLED_WORK = 1_320_000_000
 
 
@@ -300,11 +298,10 @@ def cmd_pool(settings: Settings, args, out) -> int:
     if scored > MAX_CANDIDATES_SCORED:
         raise DomainError(f"{length - 2} greedy steps over {settings.pool_size} candidates would "
                           f"score {scored}, above the limit of {MAX_CANDIDATES_SCORED}")
-    tested = settings.attack_samples * (length - 2) * (settings.pool_size + 2 * length)
+    tested = settings.attack_samples * 2 * (length - 2) * length
     if tested > MAX_SAMPLED_WORK:
-        raise DomainError(f"{settings.attack_samples} samples over {length} versions and "
-                          f"{settings.pool_size} candidates would make {tested} point tests, "
-                          f"above the limit of {MAX_SAMPLED_WORK}")
+        raise DomainError(f"{settings.attack_samples} samples over {length} versions would "
+                          f"make {tested} point tests, above the limit of {MAX_SAMPLED_WORK}")
     cfg = AttackSampleConfig(MODE_ENSEMBLE, settings.attack_samples, settings.attack_seed)
     pool = generate_candidate_pool(scenario, settings.pool_size, settings.pool_eps_d,
                                    settings.pool_seed)

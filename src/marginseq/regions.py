@@ -156,9 +156,9 @@ def undominated(boundaries) -> list[DecisionBoundary]:
 
     Separator j is dominated when an earlier separator i has the same "+"
     normal, (a_i, b_i) == (a_j, b_j), and c_i >= c_j: i's "+" side holds j's
-    and j's "-" side holds i's.  :func:`mc_counts` tests only these priors
-    and :meth:`Breach.of` clips only by their "-" sides; the sampling box,
-    :func:`mc_left_cut`, :func:`deepest_guard` and ``Breach.priors`` still
+    and j's "-" side holds i's.  :func:`mc_block_counts` tests only these
+    priors and :meth:`Breach.of` clips only by their "-" sides; the sampling
+    box, :func:`mc_left_cut`, :func:`deepest_guard` and ``Breach.priors`` still
     come from every separator, so every count and polygon is unchanged.  A
     dominated separator listed before its dominator is kept.  +0.0 and -0.0
     compare equal, so a vertical pair whose b differs in sign shares a normal.
@@ -514,12 +514,12 @@ def _left_cut(scenario: ScenarioConfig, rows: np.ndarray, guard: float) -> float
 
 
 def mc_left_cut(scenario: ScenarioConfig, priors: list[DecisionBoundary], guard: float) -> float:
-    """Abscissa left of which :func:`mc_counts` draws no point.
+    """Abscissa left of which :func:`mc_block_counts` draws no point.
 
     ``priors`` are valid separators (see :func:`guard_extent`), so each has
     a < 0, and ``guard`` is the sampling box's depth.  Points left of the
     cut would all be rejected, so only their count is drawn; see
-    :func:`mc_counts` for the proof.
+    :func:`mc_block_counts` for the proof.
     """
     return _left_cut(scenario, planes_of(priors), guard)
 
@@ -531,39 +531,34 @@ def _inside(a: float, b: float, c: float, x: np.ndarray, y: np.ndarray) -> np.nd
     return s <= c
 
 
-def mc_counts(
+def mc_block_counts(
     scenario: ScenarioConfig,
     priors: list[DecisionBoundary],
-    planes,
+    target: DecisionBoundary,
     cfg: AttackSampleConfig,
     block_start: int,
     block_stop: int,
-) -> tuple[int, np.ndarray]:
-    """(accepted, hits per target) over a contiguous range of sampling blocks.
+) -> tuple[int, int]:
+    """(accepted, hits) of one target over a contiguous range of sampling blocks.
 
-    The priors are the breached separators and the targets one "+"
-    half-plane (a, b, c) per row, as :class:`Breach` takes them; an invalid
-    one raises :class:`GeometryError`.  n_samples counts uniform points over
-    the box cut on the left by the priors' :func:`deepest_guard`, as are
+    The priors are the breached separators, as :class:`Breach` takes them,
+    and the target is one separator; an invalid one raises
+    :class:`GeometryError`.  n_samples counts uniform points over the box
+    cut on the left by the priors' :func:`deepest_guard`, as are
     :meth:`Breach.of`'s bands, which no prior region reaches, so the box
-    holds the whole breached territory whatever the targets.  Block j holds
+    holds the whole breached territory whatever the target.  Block j holds
     min(MC_BLOCK, the rest) of them and draws from a Philox stream keyed
     (seed, j); it tests each point against the :func:`undominated` priors
-    only, which accept exactly the points every prior would, and every row
-    counts hits on the same accepted points.  Any partition of the block
-    range across workers merges to exactly the counts of a single
-    sequential pass.  The priors' (a, b, c) rows are built once per call,
-    for the guard, the cut and the test.
+    only, which accept exactly the points every prior would.  Any partition
+    of the block range across workers merges to exactly the counts of a
+    single sequential pass.  The priors' (a, b, c) rows are built once per
+    call, for the guard, the cut and the test.
 
     How a block counts.  A point lies in a half-plane (a, b, c) when s <=
     c, s = a*x + b*y taken as a*x, then += b*y: three numpy passes, for
-    the priors' acceptance and the targets' hits alike.  With one target
-    row, the block counts the points that both the acceptance mask and the
-    row's test pass, over every drawn point, and gathers nothing.  With
-    several rows, it gathers the accepted points once, and each row tests
-    those in a loop of its own.  Either way a point counts for a row when
-    it is accepted and in the row's half-plane, so the route, which the
-    row count alone picks, changes no count.
+    the priors' acceptance and the target's hits alike.  The block counts
+    the points the acceptance mask passes, then those the target's test
+    passes too.
 
     Proof that s <= c is the test of :meth:`DecisionBoundary.signed_value`.
     A prior accepts a point when -(a*x + b*y - c) >= 0, and a target hits it
@@ -605,8 +600,8 @@ def mc_counts(
     """
     if not priors:
         raise DomainError("Monte Carlo transferability requires at least one prior")
-    planes = np.asarray(planes, dtype=float).reshape(-1, 3)
-    guard_extent(scenario, *planes.T)
+    (hit,) = planes_of([target]).tolist()
+    guard_extent(scenario, *hit)
     rows = planes_of(priors)
     guard = float(guard_extent(scenario, *rows.T).max())  # deepest_guard
     d, y = scenario.delta, scenario.y_lim
@@ -615,10 +610,8 @@ def mc_counts(
     q = max(0.0, (-d - cut) / (guard - d))
     widest = {}
     tested = rows[[_admit(widest, bd) for bd in priors]].tolist()  # undominated
-    targets = planes.tolist()
 
-    accepted = 0
-    hits = np.zeros(len(targets), dtype=np.int64)
+    accepted = hits = 0
     for j in range(block_start, block_stop):
         m = min(MC_BLOCK, cfg.n_samples - j * MC_BLOCK)
         if m <= 0:
@@ -637,51 +630,10 @@ def mc_counts(
         mask = _inside(*tested[0], x, yv)
         for plane in tested[1:]:
             mask |= _inside(*plane, x, yv)
-        if len(targets) == 1:
-            accepted += int(np.count_nonzero(mask))
-            mask &= _inside(*targets[0], x, yv)
-            hits[0] += np.count_nonzero(mask)
-            continue
-        xs, ys = x[mask], yv[mask]
-        accepted += len(xs)
-        for row, plane in enumerate(targets):
-            hits[row] += np.count_nonzero(_inside(*plane, xs, ys))
+        accepted += int(np.count_nonzero(mask))
+        mask &= _inside(*hit, x, yv)
+        hits += int(np.count_nonzero(mask))
     return accepted, hits
-
-
-def mc_block_counts(
-    scenario: ScenarioConfig,
-    priors: list[DecisionBoundary],
-    target: DecisionBoundary,
-    cfg: AttackSampleConfig,
-    block_start: int,
-    block_stop: int,
-) -> tuple[int, int]:
-    """(accepted, hits) of one target: :func:`mc_counts` of a single row."""
-    accepted, hits = mc_counts(scenario, priors, planes_of([target]), cfg, block_start, block_stop)
-    return accepted, int(hits[0])
-
-
-def mc_scores(
-    scenario: ScenarioConfig,
-    priors: list[DecisionBoundary],
-    planes,
-    cfg: AttackSampleConfig,
-) -> tuple[np.ndarray, int]:
-    """(value per target row, accepted) over the whole sampling budget, from one stream.
-
-    Each value is the target's share of the accepted points, counted by
-    :func:`mc_counts`: one row under the acceptance mask, several on the
-    accepted points gathered once per block.  The rows share one accepted
-    count, so the values are NaN, all of them, when that count is below the
-    acceptance floor, max(1, 1e-6 * n_samples).
-    """
-    if cfg.n_samples < 1:
-        raise DomainError("Monte Carlo transferability requires n_samples >= 1")
-    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, -(-cfg.n_samples // MC_BLOCK))
-    if accepted < max(1.0, _MIN_ACCEPTANCE * cfg.n_samples):
-        return np.full(len(hits), np.nan), accepted
-    return hits / accepted, accepted
 
 
 def mc_transferability(
@@ -695,20 +647,22 @@ def mc_transferability(
     Uniform points over the two "-" bands (stratified proportionally to band
     area) are kept when inside at least one prior region, the ensemble
     attacker's territory.  Points left of :func:`mc_left_cut` would all be
-    rejected, so only their count is drawn (see :func:`mc_counts`);
+    rejected, so only their count is drawn (see :func:`mc_block_counts`);
     ``accepted`` still counts the kept points among n_samples over the whole
-    box.  The estimate is the kept fraction the target classifies "+":
-    :func:`mc_scores` of a single row, counted under the acceptance mask
-    with no accepted point gathered.  Where that row is NaN it raises
-    :class:`UndefinedEstimateError`.  The sampled box
-    depends on the priors alone, so every target scored against the same
-    priors and cfg sees the same accepted points.
+    box.  The estimate is the kept fraction the target classifies "+".  An
+    accepted count below the acceptance floor, max(1, 1e-6 * n_samples),
+    raises :class:`UndefinedEstimateError`.  The sampled box depends on the
+    priors alone, so every target scored against the same priors and cfg
+    sees the same accepted points.
     """
-    (value,), accepted = mc_scores(scenario, priors, planes_of([target]), cfg)
-    if math.isnan(value):
+    if cfg.n_samples < 1:
+        raise DomainError("Monte Carlo transferability requires n_samples >= 1")
+    n_blocks = -(-cfg.n_samples // MC_BLOCK)
+    accepted, hits = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
+    if accepted < max(1.0, _MIN_ACCEPTANCE * cfg.n_samples):
         raise UndefinedEstimateError(
             f"only {accepted} of {cfg.n_samples} samples satisfied the attacker mode"
         )
-    value = float(value)
+    value = hits / accepted
     half_width = 1.96 * math.sqrt(value * (1.0 - value) / accepted)
     return MonteCarloEstimate(value, half_width, accepted)

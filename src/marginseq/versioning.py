@@ -36,7 +36,7 @@ from .regions import (
     Breach,
     TransferabilityScore,
     guard_extent,
-    mc_scores,
+    mc_transferability,
     paired_scores,
     philox,
     planes_of,
@@ -433,15 +433,19 @@ def audit_sequence(seed: Breach, sequence, cfg: AttackSampleConfig) -> np.ndarra
 
     Row i scores sequence[i] against breach i of one :meth:`Breach.chain` of
     seed by sequence[:-1]: exact ratios from one :func:`paired_scores` call
-    when cfg.n_samples == 0, else each row's :func:`mc_scores` alone over
-    its breach's separators.  An undefined ratio is NaN.
+    when cfg.n_samples == 0, else each row's :func:`mc_transferability`
+    over its breach's separators.  An undefined ratio is NaN.
     """
     breaches = seed.chain(sequence[:-1]) if sequence else []
-    planes = planes_of(sequence)
     if not cfg.n_samples:
-        return paired_scores(breaches, planes)
-    return np.array([mc_scores(seed.scenario, breach.priors, row[None], cfg)[0][0]
-                     for breach, row in zip(breaches, planes, strict=True)])
+        return paired_scores(breaches, planes_of(sequence))
+    values = []
+    for breach, target in zip(breaches, sequence, strict=True):
+        try:
+            values.append(mc_transferability(seed.scenario, breach.priors, target, cfg).value)
+        except UndefinedEstimateError:
+            values.append(math.nan)
+    return np.array(values)
 
 
 def _extends(held: Breach | None, scenario: ScenarioConfig, priors) -> bool:
@@ -502,16 +506,20 @@ def _exact_step(pool: CandidatePool, state: _Selection) -> tuple[np.ndarray, np.
 def select_next(
     pool: CandidatePool, breach: Breach, cfg: AttackSampleConfig
 ) -> tuple[int, TransferabilityScore]:
-    """Pool index minimizing transferability from the held breach.
+    """Pool index minimizing exact transferability from the held breach, and its score.
 
     Candidates whose boundary equals a breached one, found by
     :meth:`CandidatePool.rows_of`, are excluded.  Ties break toward the
-    lowest pool index.  A step whose scores are undefined (NaN) has nothing
-    to pick by: it raises :class:`UndefinedEstimateError` naming the step,
-    the (len(breach.priors) + 1)-th version, and, when sampled, the sample
-    count.  A sequence holds one breach of its breached versions and grows
-    it with :meth:`Breach.extend`; a :meth:`Breach.within` breach, which
-    cannot grow, raises :class:`DomainError`.
+    lowest pool index.  The pick does not depend on cfg.n_samples.  When it
+    is 0 the score is the pick's exact ratio; otherwise it is
+    :func:`mc_transferability` of the pick alone over the breach's
+    separators, with cfg.  A step whose exact scores are undefined (NaN)
+    has nothing to pick by, and a pick whose estimate is undefined has no
+    score: either raises :class:`UndefinedEstimateError` naming the step,
+    the (len(breach.priors) + 1)-th version, and, for the estimate, the
+    sample count.  A sequence holds one breach of its breached versions and
+    grows it with :meth:`Breach.extend`; a :meth:`Breach.within` breach,
+    which cannot grow, raises :class:`DomainError`.
 
     The pool holds one selection state: the root breach it was built for,
     the breach last scored from, the rows it left, the rows' band areas
@@ -530,20 +538,19 @@ def select_next(
     N_old, A_old and M to 0.0.  Any other breach rebuilds the state,
     keeping the band areas under its guard if they are held; only a rebuild
     checks the rows' validity (:func:`guard_extent`), and a retreat, going
-    no shorter than the root, gives back only rows a rebuild checked.  An
-    exact step whose guard's band areas are not held reads them by
-    :func:`plus_band_areas`; a sampled step scores every row by one
-    :func:`mc_scores` call and reads none.  An exact step scores, in
-    ascending row order, only the rows whose lower bound N_old - (A_old -
-    M) - m is at most the least upper bound, min(N_old + (A - M) + m), A
-    the breach's area; dividing by A gives the bounds on the ratio.  A row
-    scored sets M = A_old = A, so along advances alone the bounds are
-    [N_old - m, N_old + (A - A_old) + m].  Here m = MERGE_TOL * (P + 1000)
-    * K * L, with P the most priors of the breach and of every breach a
-    held N_old was taken at, L = guard + 2 * y_lim and K = max(L, 1 / min
-    |(a, b)|) over the pool's rows.  The first step of a state keeps every
-    row, as 0 <= N <= A.  The [0, 1] range check of :func:`shares` covers
-    every ratio a step computes; a pruned row's ratio is never computed.
+    no shorter than the root, gives back only rows a rebuild checked.  A
+    step whose guard's band areas are not held reads them by
+    :func:`plus_band_areas`.  A step scores, in ascending row order, only
+    the rows whose lower bound N_old - (A_old - M) - m is at most the least
+    upper bound, min(N_old + (A - M) + m), A the breach's area; dividing by
+    A gives the bounds on the ratio.  A row scored sets M = A_old = A, so
+    along advances alone the bounds are [N_old - m, N_old + (A - A_old) +
+    m].  Here m = MERGE_TOL * (P + 1000) * K * L, with P the most priors of
+    the breach and of every breach a held N_old was taken at, L = guard + 2
+    * y_lim and K = max(L, 1 / min |(a, b)|) over the pool's rows.  The
+    first step of a state keeps every row, as 0 <= N <= A.  The [0, 1]
+    range check of :func:`shares` covers every ratio a step computes; a
+    pruned row's ratio is never computed.
 
     Proof that the pick and its score are those of scoring every row.  Every
     polygon lies in one band, [-guard, -delta] or [0, delta] by [-y_lim,
@@ -593,18 +600,22 @@ def select_next(
     state = _selection(pool, breach)
     if not state.remaining.any():
         raise PoolExhaustedError("every pool candidate has been consumed")
-    if cfg.n_samples:
-        rows = np.flatnonzero(state.remaining)
-        values = mc_scores(breach.scenario, breach.priors, pool.planes[rows], cfg)[0]
-    else:
-        rows, values = _exact_step(pool, state)
+    rows, values = _exact_step(pool, state)
     best = int(np.argmin(values))  # the first NaN, if any
-    score = TransferabilityScore(float(values[best]))
-    if not score.defined:
-        why = (f"no candidate reached the Monte Carlo acceptance floor with n_samples = "
-               f"{cfg.n_samples}" if cfg.n_samples else "the breached versions expose no area")
-        raise UndefinedEstimateError(f"step {len(breach.priors) + 1}: {why}")
-    return int(rows[best]), score
+    score = float(values[best])
+    step = len(breach.priors) + 1
+    if math.isnan(score):
+        raise UndefinedEstimateError(f"step {step}: the breached versions expose no area")
+    index = int(rows[best])
+    if cfg.n_samples:
+        try:
+            score = mc_transferability(breach.scenario, breach.priors, pool.boundaries[index],
+                                       cfg).value
+        except UndefinedEstimateError:
+            raise UndefinedEstimateError(
+                f"step {step}: the pick's estimate did not reach the Monte Carlo acceptance "
+                f"floor with n_samples = {cfg.n_samples}") from None
+    return index, TransferabilityScore(score)
 
 
 def greedy_select_next(

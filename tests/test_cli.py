@@ -371,11 +371,11 @@ def test_pool_deterministic_and_modes(capsys):
 
 
 def test_pool_sampled_step_without_estimate_exits(capsys):
-    # one sample per candidate accepts nothing: the step has no score to pick by
+    # one sample accepts nothing: the exact pick has no estimate to print
     code, out, err = run_cli(capsys, "pool", "--samples", "1", "--sequence-length", "5")
     assert (code, out) == (2, "")
-    assert err == ("marginseq: step 3: no candidate reached the Monte Carlo acceptance floor"
-                   " with n_samples = 1\n")
+    assert err == ("marginseq: step 3: the pick's estimate did not reach the Monte Carlo"
+                   " acceptance floor with n_samples = 1\n")
 
 
 def test_attack_mode_is_not_configurable(tmp_path, capsys):
@@ -495,7 +495,7 @@ def _sampled_run(tmp_path, given, samples, length):
 
 @pytest.mark.parametrize("given", ["flag", "file"])
 @pytest.mark.parametrize("samples, length, why", [
-    (MAX_SAMPLED_WORK // 396 + 1, 8, f"limit of {MAX_SAMPLED_WORK}"),
+    (MAX_SAMPLED_WORK // 96 + 1, 8, f"limit of {MAX_SAMPLED_WORK}"),
     (100_000_000_000, 3, f"limit of {MAX_SAMPLED_WORK}"),
     (-1, 8, "n_samples must be >= 0"),
 ])
@@ -509,14 +509,14 @@ def test_pool_sampled_work_limit(tmp_path, capsys, monkeypatch, given, samples, 
 
 @pytest.mark.parametrize("given", ["flag", "file"])
 def test_pool_sampled_work_at_the_limit_runs(tmp_path, capsys, monkeypatch, given):
-    # 6 greedy and 6 random steps of 1,000 samples over 50 candidates and up to 8
-    # versions make 1,000 * 6 * (50 + 2 * 8) = 396,000 point tests
-    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", 396_000)
+    # 6 greedy and 6 random rows of 1,000 samples over up to 8 versions make
+    # 1,000 * 2 * 6 * 8 = 96,000 point tests
+    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", 96_000)
     code, out, _ = run_cli(capsys, *_sampled_run(tmp_path, given, 1000, 8))
     assert code == 0 and len(parse_csv(out)) == 12
     code, out, err = run_cli(capsys, *_sampled_run(tmp_path, given, 1001, 8))
     assert (code, out) == (2, "")
-    assert "would make 396396 point tests, above the limit of 396000" in err
+    assert "would make 96096 point tests, above the limit of 96000" in err
 
 
 def test_pool_empty_by_geometry_exits(tmp_path, capsys):

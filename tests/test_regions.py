@@ -32,9 +32,7 @@ from marginseq.regions import (
     Breach,
     guard_extent,
     mc_block_counts,
-    mc_counts,
     mc_left_cut,
-    mc_scores,
     paired_scores,
     planes_of,
     shares,
@@ -394,33 +392,30 @@ def test_mc_counts_partition_merge_identity(scenario):
                    DecisionBoundary.sloped(0.2, -1.0, scenario)]
         own = [guard_extent(scenario, t.plus.a, t.plus.b, t.plus.c) for t in targets]
         assert own[-1] > max(own[:-1])
-        planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
         cfg = AttackSampleConfig("ensemble", 3 * MC_BLOCK + 1234, 77)
         n_blocks = -(-cfg.n_samples // MC_BLOCK)
-        accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, n_blocks)
-        left = mc_counts(scenario, priors, planes, cfg, 0, 2)
-        right = mc_counts(scenario, priors, planes, cfg, 2, n_blocks)
-        assert accepted == left[0] + right[0]
-        np.testing.assert_array_equal(hits, left[1] + right[1])
-        for row, target in enumerate(targets):
-            one = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
-            assert (accepted, hits[row]) == one
-            assert one == per_target_counts(scenario, priors, target, cfg, n_blocks)
+        accepted = set()
+        for target in targets:
+            whole = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
+            left = mc_block_counts(scenario, priors, target, cfg, 0, 2)
+            right = mc_block_counts(scenario, priors, target, cfg, 2, n_blocks)
+            assert whole == (left[0] + right[0], left[1] + right[1])
+            assert whole == per_target_counts(scenario, priors, target, cfg, n_blocks)
+            accepted.add(whole[0])
+        # every target counts its hits among the same accepted points
+        assert len(accepted) == 1
 
 
 def test_mc_counts_when_every_point_is_accepted(scenario):
     # a deep vertical prior accepts nearly every point drawn right of its cut,
-    # more than half a block; each row is counted among all of them and alone
+    # more than half a block; each target counts its hits among all of them
     priors = [DecisionBoundary.vertical(-1e4, scenario)]
     targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario)]
-    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
     cfg = AttackSampleConfig("ensemble", MC_BLOCK + 1000, 78)
-    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
-    assert MC_BLOCK // accepted == 1
-    for row, target in enumerate(targets):
-        want = per_target_counts(scenario, priors, target, cfg)
-        assert (accepted, hits[row]) == want
-        assert mc_block_counts(scenario, priors, target, cfg, 0, 2) == want
+    for target in targets:
+        counts = mc_block_counts(scenario, priors, target, cfg, 0, 2)
+        assert MC_BLOCK // counts[0] == 1
+        assert counts == per_target_counts(scenario, priors, target, cfg)
 
 
 def _pool_subset(scenario, seed):
@@ -449,15 +444,11 @@ _CUT_PRIORS = {
 def test_mc_counts_equal_the_uncut_reference(scenario, name):
     priors = _CUT_PRIORS[name](scenario)
     targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario), priors[0]]
-    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
     cfg = AttackSampleConfig("ensemble", MC_BLOCK + 1000, 79)
-    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 2)
-    assert accepted > 0
-    for row, target in enumerate(targets):
-        want = per_target_counts(scenario, priors, target, cfg)
-        assert (accepted, hits[row]) == want
-        # a single row is counted under the acceptance mask, with no gathered points
-        assert mc_block_counts(scenario, priors, target, cfg, 0, 2) == want
+    for target in targets:
+        counts = mc_block_counts(scenario, priors, target, cfg, 0, 2)
+        assert counts[0] > 0
+        assert counts == per_target_counts(scenario, priors, target, cfg)
 
 
 @pytest.mark.parametrize("name", sorted(_CUT_PRIORS))
@@ -466,14 +457,13 @@ def test_near_box_rates_agree_with_the_full_box(scenario, name):
     # every point; pooled over seeds, their acceptance and hit rates agree
     priors = _CUT_PRIORS[name](scenario)
     targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario), priors[0]]
-    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
     near = np.zeros(1 + len(targets), dtype=np.int64)
     full = np.zeros_like(near)
     n_samples, n_seeds = 20_000, 40
     for seed in range(n_seeds):
         cfg = AttackSampleConfig("ensemble", n_samples, 500 + seed)
-        accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, 1)
-        near += [accepted, *hits]
+        counts = [mc_block_counts(scenario, priors, t, cfg, 0, 1) for t in targets]
+        near += [counts[0][0], *(h for _, h in counts)]
         cfg = AttackSampleConfig("ensemble", n_samples, 600 + seed)
         counts = [full_box_counts(scenario, priors, t, cfg) for t in targets]
         full += [counts[0][0], *(h for _, h in counts)]
@@ -529,7 +519,7 @@ _TINY = 5e-324  # the least subnormal
 @example((0.0, 2.0, 1.0,
           np.array([math.inf, -math.inf, math.nan, 0.0]), np.array([0.0, 0.0, 0.0, math.inf])))
 def test_half_plane_test_is_one_comparison(case):
-    # the "+" side test, the hit test and mc_counts' three-pass test agree
+    # the "+" side test, the hit test and mc_block_counts' three-pass test agree
     a, b, c, x, y = case
     with np.errstate(all="ignore"):
         plus_side = -(a * x + b * y - c) >= 0.0
@@ -567,14 +557,20 @@ def test_mc_counts_draw_only_right_of_the_cut(scenario, monkeypatch, name, n_sam
               "deep-vertical": [DecisionBoundary.vertical(-1e4, scenario)],
               "pair": list(canonical_pair(scenario))}[name]
     targets = [*canonical_pair(scenario), DecisionBoundary.sloped(0.2, -1.0, scenario), priors[0]]
-    planes = [(t.plus.a, t.plus.b, t.plus.c) for t in targets]
     cfg = AttackSampleConfig("ensemble", n_samples, 81)
     n_blocks = -(-n_samples // MC_BLOCK)
-    log = []
+    logs, counts = [], []
     philox_ = regions.philox
-    monkeypatch.setattr(regions, "philox", lambda seed, j: _RecordedStream(philox_(seed, j), log))
-    accepted, hits = mc_counts(scenario, priors, planes, cfg, 0, n_blocks)
+    for target in targets:
+        log = []
+        monkeypatch.setattr(regions, "philox",
+                            lambda seed, j, log=log: _RecordedStream(philox_(seed, j), log))
+        counts.append(mc_block_counts(scenario, priors, target, cfg, 0, n_blocks))
+        logs.append(log)
     monkeypatch.undo()
+    # the targets' calls draw the same stream
+    assert all(log == logs[0] for log in logs)
+    log = logs[0]
     assert len(log) == n_blocks
     sizes = [min(MC_BLOCK, n_samples - j * MC_BLOCK) for j in range(n_blocks)]
     # every block stands for its whole share of n_samples, left band and sliver
@@ -587,8 +583,8 @@ def test_mc_counts_draw_only_right_of_the_cut(scenario, monkeypatch, name, n_sam
         assert q > 0.99
     else:
         assert 0.0 < q < 0.05
-    for row, target in enumerate(targets):
-        assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+    for target, got in zip(targets, counts):
+        assert got == per_target_counts(scenario, priors, target, cfg)
 
 
 def test_every_region_vertex_lies_at_or_right_of_the_cut(scenario):
@@ -622,10 +618,13 @@ def test_mc_accepted_count_is_the_same_for_every_target(scenario):
 
 def test_sampled_scores_undefined_when_breach_accepts_nothing(scenario):
     empty_prior = offset_boundary(scenario, 7.0, 31.0)
-    planes = [(bd.plus.a, bd.plus.b, bd.plus.c) for bd in canonical_pair(scenario)]
-    values, _ = mc_scores(scenario, [empty_prior], planes,
-                          AttackSampleConfig("ensemble", 100_000, 9))
-    assert np.isnan(values).all() and len(values) == 2
+    cfg = AttackSampleConfig("ensemble", 100_000, 9)
+    for target in canonical_pair(scenario):
+        with pytest.raises(UndefinedEstimateError):
+            mc_transferability(scenario, [empty_prior], target, cfg)
+        # the sequence audit marks the undefined row NaN
+        values = audit_sequence(Breach.of(scenario, [empty_prior]), [target], cfg)
+        assert np.isnan(values).all() and len(values) == 1
 
 
 def test_mc_seed_determinism(scenario):
@@ -982,10 +981,10 @@ def _assert_chain_matches_reference(scenario, separators, prefixes):
 
 def _assert_mc_matches_reference(scenario, priors, targets, n_samples):
     cfg = AttackSampleConfig("ensemble", n_samples, 83)
-    accepted, hits = mc_counts(scenario, priors, planes_of(targets), cfg, 0, 1)
-    assert accepted > 0
-    for row, target in enumerate(targets):
-        assert (accepted, hits[row]) == per_target_counts(scenario, priors, target, cfg)
+    for target in targets:
+        counts = mc_block_counts(scenario, priors, target, cfg, 0, 1)
+        assert counts[0] > 0
+        assert counts == per_target_counts(scenario, priors, target, cfg)
 
 
 @pytest.mark.parametrize("name", _DOMINANCE)

@@ -598,19 +598,27 @@ def test_greedy_without_a_defined_score_raises_in_either_mode(scenario):
         greedy_select_next(scenario, pool, breached, AttackSampleConfig("ensemble", 1, 42))
 
 
+def _assert_sampled_step_is_exact(scenario, pool, breached, cfg):
+    """A sampled greedy step: the exact step's pick, scored by mc_transferability alone."""
+    index, score = greedy_select_next(scenario, pool, breached, cfg)
+    assert index == _full_scoring(scenario, pool, breached)[0]
+    estimate = mc_transferability(scenario, breached, pool.boundaries[index], cfg)
+    assert repr(score.value) == repr(estimate.value)
+    return index, score
+
+
 def test_greedy_sampled_mode_matches_exact_choice(scenario):
     pool = _line_pool(scenario, [12.7, 0.8])
     plan = plan_sequence(scenario, 2, 7.0, 12.0)
     breached = [bd for bd, _ in plan.versions]
     sampled = AttackSampleConfig("ensemble", 200_000, 99)
-    index, score = greedy_select_next(scenario, pool, breached, sampled)
+    index, score = _assert_sampled_step_is_exact(scenario, pool, breached, sampled)
     assert index == 0
     assert score.value == pytest.approx(0.1747, abs=0.02)
 
 
 def test_greedy_sampled_choice_near_exact_optimum(scenario):
-    # a sampled selection may miss the exact argmin only by less than the
-    # estimate's interval width
+    # a sampled step picks the exact argmin, whatever its estimate
     pool = _line_pool(scenario, [12.7, 11.9, 12.3, 0.8, 6.0])
     plan = plan_sequence(scenario, 2, 7.0, 12.0)
     breached = [bd for bd, _ in plan.versions]
@@ -620,9 +628,22 @@ def test_greedy_sampled_choice_near_exact_optimum(scenario):
         for bd in pool.boundaries
     ]
     sampled = AttackSampleConfig("ensemble", 100_000, 1234)
-    index, score = greedy_select_next(scenario, pool, breached, sampled)
-    width = 2.0 * 1.96 * math.sqrt(score.value * (1.0 - score.value) / 500.0)
-    assert exact_scores[index] <= min(exact_scores) + max(width, 0.05)
+    index, _ = _assert_sampled_step_is_exact(scenario, pool, breached, sampled)
+    assert index == int(np.argmin(exact_scores))
+
+
+@pytest.mark.parametrize("n_samples", [1_000, 20_000])
+def test_sampled_picks_are_the_exact_picks_on_seeded_pools(scenario, n_samples):
+    # 6 sampled steps over the 50-candidate pools of seeds 0-19, each scored from the
+    # breach of the steps before it, the attack seed equal to the pool seed
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    for pool_seed in range(20):
+        pool = generate_candidate_pool(scenario, 50, 2.0, pool_seed)
+        cfg = AttackSampleConfig("ensemble", n_samples, pool_seed)
+        breached = list(seed_pair)
+        for _ in range(6):
+            index, _ = _assert_sampled_step_is_exact(scenario, pool, breached, cfg)
+            breached.append(pool.boundaries[index])
 
 
 def test_greedy_rejects_an_invalid_separator_in_either_mode(scenario):
@@ -667,14 +688,14 @@ def _per_candidate_scores(scenario, breached, planes, cfg):
 @pytest.mark.parametrize("pool_seed, steps, n_samples",
                          [(42, 1, 30_000), (42, 1, 200), (1, 2, 30_000), (2, 2, 30_000)])
 def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps, n_samples):
-    # one shared stream gives every row the digits of its own estimate, and
-    # the shared accepted count makes NaN all or nothing
+    # every row's estimate is its point-by-point count, the rows share one accepted count,
+    # which makes NaN all or nothing, and a sampled step's score is its pick's row
     pool = generate_candidate_pool(scenario, 50, seed=pool_seed)
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     cfg = AttackSampleConfig("ensemble", n_samples, 1000 + pool_seed)
     for _ in range(steps):
-        remaining = [bd for bd in pool.boundaries if bd not in breached]
-        planes = np.array([(bd.plus.a, bd.plus.b, bd.plus.c) for bd in remaining])
+        rows = [i for i, bd in enumerate(pool.boundaries) if bd not in breached]
+        planes = pool.planes[rows]
         prior_guard = max(guard_extent(scenario, bd.plus.a, bd.plus.b, bd.plus.c)
                           for bd in breached)
         deep_guard = guard_extent(scenario, *planes.T) > prior_guard
@@ -684,9 +705,8 @@ def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps
             # the stock pool from the seed pair
             assert deep_guard.sum() == 7
         assert np.isnan(expected).all() or not np.isnan(expected).any()
-        np.testing.assert_array_equal(regions.mc_scores(scenario, breached, planes, cfg)[0],
-                                      expected)
-        index, _ = greedy_select_next(scenario, pool, breached, cfg)
+        index, score = _assert_sampled_step_is_exact(scenario, pool, breached, cfg)
+        assert repr(score.value) == repr(float(expected[rows.index(index)]))
         breached.append(pool.boundaries[index])
 
 
@@ -1160,18 +1180,17 @@ def test_sampled_and_exact_steps_share_one_state(scenario, monkeypatch):
     computed = _counting_band_areas(monkeypatch)
     sampled = AttackSampleConfig("ensemble", 20_000, 42)
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    guards = []
     for cfg in (sampled, EXACT, sampled, sampled, EXACT, EXACT):
-        index, score = greedy_select_next(scenario, pool, breached, cfg)
+        guards.append(regions.deepest_guard(scenario, breached))
         if cfg.n_samples:
-            # no bounds: the pick of every remaining row's estimate from a fresh pool
-            want = _fresh_step(scenario, pool, breached, cfg)
-            assert (index, repr(score.value)) == (want[0], repr(want[1].value))
+            index, _ = _assert_sampled_step_is_exact(scenario, pool, breached, cfg)
         else:
+            index, score = greedy_select_next(scenario, pool, breached, cfg)
             assert (index, repr(score.value)) == _full_scoring(scenario, pool, breached)
         breached.append(pool.boundaries[index])
-    # the first sampled step read no band areas; the first exact one read them once, and a
-    # pick that deepened the guard made a later exact step read them again
-    assert len(computed) == len(set(computed)) >= 1
+    # either step reads the band areas of a guard once; the second pick deepens the guard
+    assert guards[0] < guards[-1] and computed == list(dict.fromkeys(guards))
 
 
 def test_pruned_steps_of_a_breach_that_exposes_nothing_stay_undefined(scenario):
@@ -1216,8 +1235,13 @@ def test_select_next_needs_breached_versions(scenario):
 def test_sampled_scores_of_a_within_breach_are_directional_estimates(scenario):
     source, *targets = [bd for bd, _ in plan_sequence(scenario, 6, 7.0, 12.0).versions]
     cfg = AttackSampleConfig("ensemble", 20_000, 5)
-    got, _ = regions.mc_scores(scenario, Breach.within(scenario, source).priors,
-                               regions.planes_of(targets), cfg)
+    priors = Breach.within(scenario, source).priors
+    n_blocks = -(-cfg.n_samples // regions.MC_BLOCK)
+    got = []
+    for bd in targets:
+        accepted, hits = regions.mc_block_counts(scenario, priors, bd, cfg, 0, n_blocks)
+        assert (accepted, hits) == per_target_counts(scenario, [source], bd, cfg)
+        got.append(hits / accepted)
     want = [mc_transferability(scenario, [source], bd, cfg).value for bd in targets]
-    assert repr(got.tolist()) == repr(want)
+    assert repr(got) == repr(want)
     assert 0.0 < min(v for v in want if v > 0.0) < max(want) < 1.0
