@@ -36,6 +36,7 @@ from .versioning import (
     plan_sequence,
     random_baseline_sequence,
     reconstruct_anchor,
+    require_estimates,
     select_next,
     verify_plan,
 )
@@ -58,13 +59,13 @@ MAX_POOL_SIZE = 100_000
 
 # cmd_pool's greedy loop holds one breach and extends it by one version a pick, and the
 # pool's selection state drops each pick and bounds every later score, so most of a
-# greedy step's time goes to growing the breach, not to scoring the pool.  The random
-# rows are scored against the seed pair's breach grown by one Breach.chain
-# (audit_sequence).  One cost grows with the versions breached: each greedy
-# Breach.extend rebuilds its dominance record from them, where the chain builds it once;
-# MAX_SAMPLED_WORK counts a sampled row's tests against them.  On a 2-core host, with
-# 3,000 candidates, 100 versions take 0.28-0.36 s end to end, of which drawing the pool
-# takes about 0.13 s and starting the interpreter about 0.15 s.
+# greedy step's time goes to growing the breach, not to scoring the pool.  Each sequence,
+# greedy and random, is then scored by one audit_sequence call against the seed pair's
+# breach grown by one Breach.chain.  One cost grows with the versions breached: each
+# greedy Breach.extend rebuilds its dominance record from them, where the chain builds
+# it once; MAX_SAMPLED_WORK counts a sampled row's tests against them.  On a 2-core host,
+# with 3,000 candidates, 100 versions take 0.21-0.36 s end to end, of which drawing the
+# pool takes about 0.13 s and starting the interpreter about 0.15 s.
 MAX_SEQUENCE_LENGTH = 100
 
 # The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
@@ -74,12 +75,12 @@ MAX_SEQUENCE_LENGTH = 100
 # steps, 1.8 million, take 1.5-1.9 s.
 MAX_CANDIDATES_SCORED = 300_000
 
-# A sampled row of cmd_pool, a greedy pick's estimate or a random row, tests each point
+# A sampled row of either of cmd_pool's two audits, greedy or random, tests each point
 # it draws against every undominated breached version, at most t - 1 at step t, and its
 # one target: at most length tests per sample.  Over the 2 * (length - 2) rows that is
 # at most samples * 2 * (length - 2) * length tests, which this bounds; nothing else
 # bounds samples.  The stock 8 versions run at up to 13,750,000.  On a 2-core host runs
-# at the limit take 1.6-2.1 s as 12 candidates over 12 versions, 4 over 4 and the stock
+# at the limit take 1.3-2.6 s as 12 candidates over 12 versions, 4 over 4 and the stock
 # 50 over 8, and 1.5-1.7 s as 100,000 over 3; no other shape of README's grid took
 # longer.
 MAX_SAMPLED_WORK = 1_320_000_000
@@ -125,8 +126,9 @@ def _value(parser: configparser.ConfigParser, section: str, key: str, kind):
     try:
         value = kind(raw)
         finite = math.isfinite(value)
-    except ValueError:
-        raise ScenarioFileError(f"[{section}] {key}={raw!r} is not a valid number")
+    except ValueError:  # int() also refuses a float such as 1e3
+        what = "an integer" if kind is int else "a valid number"
+        raise ScenarioFileError(f"[{section}] {key}={raw!r} is not {what}")
     except OverflowError:  # an integer beyond float range
         finite = False
     if not finite:
@@ -139,7 +141,7 @@ def load_settings(path: str | None) -> Settings:
         return DEFAULT_SETTINGS
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             parser.read_file(fh)
     except OSError as exc:
         raise ScenarioFileError(f"cannot read scenario file {path}: {exc}")
@@ -308,18 +310,19 @@ def cmd_pool(settings: Settings, args, out) -> int:
     seed_plan = plan_sequence(scenario, 2, settings.plan_k, settings.plan_b_max)
     seed = Breach.of(scenario, [bd for bd, _ in seed_plan.versions])
 
-    greedy = []
-    breach = seed
+    picks, breach = [], seed
     for _ in range(length - 2):
-        index, score = select_next(pool, breach, cfg)
-        greedy.append((index, pool.hidden_points[index], pool.boundaries[index], score.value))
-        breach = breach.extend(pool.boundaries[index])
-
+        picks.append(select_next(pool, breach)[0])
+        breach = breach.extend(pool.boundaries[picks[-1]])
     baseline = random_baseline_sequence(scenario, length - 2, settings.pool_seed,
                                         settings.pool_eps_d)
-    values = audit_sequence(seed, [boundary for _, boundary in baseline], cfg)
-    random = [(None, hidden, boundary, float(value))
-              for (hidden, boundary), value in zip(baseline, values)]
+    sequences = {"greedy": [(i, pool.hidden_points[i], pool.boundaries[i]) for i in picks],
+                 "random": [(None, hidden, boundary) for hidden, boundary in baseline]}
+    # one audit scores each sequence, exact or sampled, row i against the seed pair grown
+    # by the rows before it; every greedy row must have a score
+    scores = {row: audit_sequence(seed, [boundary for *_, boundary in steps], cfg)
+              for row, steps in sequences.items()}
+    require_estimates(scores["greedy"], 3, cfg)
 
     writer = ReportWriter(
         scenario,
@@ -327,9 +330,10 @@ def cmd_pool(settings: Settings, args, out) -> int:
          "hidden_v", "hidden_w", "compound_at"],
         out,
     )
-    for row, steps in (("greedy", greedy), ("random", random)):
-        for step, (index, hidden, boundary, value) in enumerate(steps, start=3):
-            writer.row(row, step, index, *_boundary_fields(boundary), hidden.v, hidden.w, value)
+    for row, steps in sequences.items():
+        for step, ((index, hidden, boundary), value) in enumerate(zip(steps, scores[row]), start=3):
+            writer.row(row, step, index, *_boundary_fields(boundary), hidden.v, hidden.w,
+                       float(value))
     return 0
 
 

@@ -375,9 +375,9 @@ class Breach:
         """:meth:`of` the breached separators and one more: the last of :meth:`chain`."""
         return self.chain([boundary])[-1]
 
-    def score(self, target: DecisionBoundary) -> TransferabilityScore:
-        """Share of the breached territory that target classifies "+"."""
-        return TransferabilityScore(float(self.scores(planes_of([target]))[0]))
+    def score(self, target: DecisionBoundary) -> float:
+        """Share of the breached territory that target classifies "+"; NaN when undefined."""
+        return float(self.scores(planes_of([target]))[0])
 
     def scores(self, planes: np.ndarray) -> np.ndarray:
         """:meth:`score` of every target, given as one "+" half-plane (a, b, c) per row.
@@ -483,7 +483,7 @@ def _separators(regions: list[Breach]) -> tuple[ScenarioConfig, list[DecisionBou
 def compound_transferability(priors: list[Breach], target: Breach) -> TransferabilityScore:
     """S(target n union of priors) / S(union of priors), exactly, of one-version regions."""
     scenario, separators = _separators([*priors, target])
-    return Breach.of(scenario, separators[:-1]).score(separators[-1])
+    return TransferabilityScore(Breach.of(scenario, separators[:-1]).score(separators[-1]))
 
 
 def union_area(priors: list[Breach]) -> float:

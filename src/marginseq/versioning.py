@@ -308,7 +308,7 @@ def plan_sequence(
         versions.append((DecisionBoundary.sloped(slope, intercept, scenario), anchor))
 
     if n_versions >= 3:
-        alpha = Breach.of(scenario, [versions[0][0], versions[1][0]]).score(versions[2][0]).value
+        alpha = Breach.of(scenario, [versions[0][0], versions[1][0]]).score(versions[2][0])
     else:
         alpha = 0.0
     return SequencePlan(scenario, n_tiers, step, tuple(versions), alpha)
@@ -481,45 +481,17 @@ def _selection(pool: CandidatePool, breach: Breach) -> _Selection:
     return state
 
 
-def _exact_step(pool: CandidatePool, state: _Selection) -> tuple[np.ndarray, np.ndarray]:
-    """The rows an exact step scores, ascending, and their scores; see :func:`select_next`."""
-    breach = state.breach
-    bands = state.bands.get(breach.guard)
-    if bands is None:
-        bands = plus_band_areas(breach.scenario, breach.guard, pool.planes)
-        bands.setflags(write=False)
-        root = state.root.guard
-        state.bands = {g: v for g, v in state.bands.items() if g == root} | {breach.guard: bands}
-    area = breach.area
-    state.most = max(state.most, len(breach.priors))
-    size = breach.guard + 2.0 * breach.scenario.y_lim  # L in select_next's proof
-    margin = MERGE_TOL * (state.most + 1000) * max(size, pool._flat) * size
-    upper = np.min(state.exposed + (area - state.meet), where=state.remaining, initial=math.inf)
-    lower = state.exposed - (state.at - state.meet)
-    rows = np.flatnonzero(state.remaining & (lower - margin <= upper + margin))
-    exposed = breach.exposed(pool.planes[rows], bands[rows])
-    values = shares(exposed, area)
-    state.exposed[rows], state.at[rows], state.meet[rows] = exposed, area, area
-    return rows, values
-
-
-def select_next(
-    pool: CandidatePool, breach: Breach, cfg: AttackSampleConfig
-) -> tuple[int, TransferabilityScore]:
-    """Pool index minimizing exact transferability from the held breach, and its score.
+def select_next(pool: CandidatePool, breach: Breach) -> tuple[int, float]:
+    """Pool index minimizing exact transferability from the held breach, and that ratio.
 
     Candidates whose boundary equals a breached one, found by
     :meth:`CandidatePool.rows_of`, are excluded.  Ties break toward the
-    lowest pool index.  The pick does not depend on cfg.n_samples.  When it
-    is 0 the score is the pick's exact ratio; otherwise it is
-    :func:`mc_transferability` of the pick alone over the breach's
-    separators, with cfg.  A step whose exact scores are undefined (NaN)
-    has nothing to pick by, and a pick whose estimate is undefined has no
-    score: either raises :class:`UndefinedEstimateError` naming the step,
-    the (len(breach.priors) + 1)-th version, and, for the estimate, the
-    sample count.  A sequence holds one breach of its breached versions and
-    grows it with :meth:`Breach.extend`; a :meth:`Breach.within` breach,
-    which cannot grow, raises :class:`DomainError`.
+    lowest pool index.  A step whose exact scores are undefined (NaN) has
+    nothing to pick by: it raises :class:`UndefinedEstimateError` naming
+    the step, the (len(breach.priors) + 1)-th version.  A sequence holds
+    one breach of its breached versions and grows it with
+    :meth:`Breach.extend`; a :meth:`Breach.within` breach, which cannot
+    grow, raises :class:`DomainError`.
 
     The pool holds one selection state: the root breach it was built for,
     the breach last scored from, the rows it left, the rows' band areas
@@ -600,22 +572,38 @@ def select_next(
     state = _selection(pool, breach)
     if not state.remaining.any():
         raise PoolExhaustedError("every pool candidate has been consumed")
-    rows, values = _exact_step(pool, state)
+    bands = state.bands.get(breach.guard)
+    if bands is None:
+        bands = plus_band_areas(breach.scenario, breach.guard, pool.planes)
+        bands.setflags(write=False)
+        root = state.root.guard
+        state.bands = {g: v for g, v in state.bands.items() if g == root} | {breach.guard: bands}
+    area = breach.area
+    state.most = max(state.most, len(breach.priors))
+    size = breach.guard + 2.0 * breach.scenario.y_lim  # L in select_next's proof
+    margin = MERGE_TOL * (state.most + 1000) * max(size, pool._flat) * size
+    upper = np.min(state.exposed + (area - state.meet), where=state.remaining, initial=math.inf)
+    lower = state.exposed - (state.at - state.meet)
+    rows = np.flatnonzero(state.remaining & (lower - margin <= upper + margin))
+    exposed = breach.exposed(pool.planes[rows], bands[rows])
+    values = shares(exposed, area)
+    state.exposed[rows], state.at[rows], state.meet[rows] = exposed, area, area
     best = int(np.argmin(values))  # the first NaN, if any
-    score = float(values[best])
-    step = len(breach.priors) + 1
-    if math.isnan(score):
-        raise UndefinedEstimateError(f"step {step}: the breached versions expose no area")
-    index = int(rows[best])
-    if cfg.n_samples:
-        try:
-            score = mc_transferability(breach.scenario, breach.priors, pool.boundaries[index],
-                                       cfg).value
-        except UndefinedEstimateError:
-            raise UndefinedEstimateError(
-                f"step {step}: the pick's estimate did not reach the Monte Carlo acceptance "
-                f"floor with n_samples = {cfg.n_samples}") from None
-    return index, TransferabilityScore(score)
+    if math.isnan(values[best]):
+        raise UndefinedEstimateError(
+            f"step {len(breach.priors) + 1}: the breached versions expose no area")
+    return int(rows[best]), float(values[best])
+
+
+def require_estimates(values, first_step: int, cfg: AttackSampleConfig):
+    """values, the sampled scores of the picks of steps first_step on, with no NaN: the first
+    NaN, an estimate short of the acceptance floor, raises :class:`UndefinedEstimateError`."""
+    for step, value in enumerate(values, start=first_step):
+        if math.isnan(value):
+            raise UndefinedEstimateError(f"step {step}: the pick's estimate did not reach the "
+                                         f"Monte Carlo acceptance floor with n_samples = "
+                                         f"{cfg.n_samples}")
+    return values
 
 
 def greedy_select_next(
@@ -624,8 +612,10 @@ def greedy_select_next(
     breached: list[DecisionBoundary],
     cfg: AttackSampleConfig,
 ) -> tuple[int, TransferabilityScore]:
-    """:func:`select_next` over ``Breach.of(scenario, breached)``.
+    """:func:`select_next` over ``Breach.of(scenario, breached)``, its pick scored under cfg.
 
+    The score is the exact ratio, or when cfg.n_samples > 0 the pick's
+    :func:`audit_sequence` row, checked by :func:`require_estimates`.
     When the breach of the pool's selection state is of scenario and its
     priors are, object for object, a prefix of breached, it is grown by the
     rest with :meth:`Breach.chain`, which gives what ``of`` would, bit for
@@ -641,7 +631,11 @@ def greedy_select_next(
             break
     else:
         breach = Breach.of(scenario, breached)
-    return select_next(pool, breach, cfg)
+    index, value = select_next(pool, breach)
+    if cfg.n_samples:
+        (value,) = require_estimates(audit_sequence(breach, [pool.boundaries[index]], cfg),
+                                     len(breached) + 1, cfg)
+    return index, TransferabilityScore(float(value))
 
 
 def random_baseline_sequence(

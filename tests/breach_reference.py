@@ -64,7 +64,7 @@ def reference_verify_plan(plan):
     compound, unions = [], []
     for i in range(3, len(versions) + 1):
         breach = Breach.of(plan.scenario, versions[:2]) if i == 3 else breach.extend(versions[i - 2])
-        compound.append((i, breach.score(versions[i - 1]).value))
+        compound.append((i, breach.score(versions[i - 1])))
         unions.append(breach.area)
     base = unions[0] if unions else 1.0
     union_dev = max((abs(u - base) / base for u in unions), default=0.0) if base > 0.0 else math.inf

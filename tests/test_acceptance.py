@@ -120,8 +120,8 @@ def test_criterion_2_zero_transfer_soundness():
         else:
             bd1, bd2, ar1, ar2 = separating_pair(rng)
         assert check_zero_transfer(bd1, bd2, SCENARIO)
-        assert ar1.score(bd2).value == 0.0
-        assert ar2.score(bd1).value == 0.0
+        assert ar1.score(bd2) == 0.0
+        assert ar2.score(bd1) == 0.0
         source, target = (bd1, bd2) if i % 2 == 0 else (bd2, bd1)
         assert mc_transferability(SCENARIO, [source], target, cfg).value == 0.0
     elapsed = time.perf_counter() - start

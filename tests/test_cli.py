@@ -378,6 +378,19 @@ def test_pool_sampled_step_without_estimate_exits(capsys):
                    " acceptance floor with n_samples = 1\n")
 
 
+def test_pool_greedy_picks_do_not_depend_on_samples(capsys):
+    # every greedy step picks by exact scores; only compound_at is sampled
+    picked = ["step", "pool_index", "kind", "k", "b", "x0", "hidden_v", "hidden_w"]
+    for seed in range(5):
+        runs = []
+        for samples in ([], ["--samples", "20000"]):
+            code, out, err = run_cli(capsys, "pool", "--seed", str(seed), *samples)
+            assert (code, err) == (0, ""), (seed, samples)
+            runs.append([[r[name] for name in picked] for r in parse_csv(out)
+                         if r["row"] == "greedy"])
+        assert len(runs[0]) == 6 and runs[0] == runs[1], seed
+
+
 def test_attack_mode_is_not_configurable(tmp_path, capsys):
     # ensemble is the only attacker: no flag, no scenario key, no other mode
     with pytest.raises(SystemExit) as exc:
@@ -622,6 +635,17 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
         assert code == 3, (section, key)
         assert f"[{section}] {key}=" in err
 
+    # an integer key written as a float is named as not an integer
+    for section, key, raw in (("pool", "size", "1e3"), ("plan", "n_versions", "8.0"),
+                              ("attack", "samples", "2.5e4")):
+        floated = tmp_path / f"{key}_float.ini"
+        floated.write_text(
+            f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[{section}]\n{key} = {raw}\n"
+        )
+        code, out, err = run_cli(capsys, "--scenario", str(floated), "pool")
+        assert (code, out) == (3, ""), key
+        assert err == f"marginseq: parse error: [{section}] {key}={raw!r} is not an integer\n"
+
     # a "%" is read as text, not as configparser interpolation syntax
     for raw in ("7%", "%(foo)s"):
         percent = tmp_path / "percent.ini"
@@ -642,6 +666,15 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--scenario", str(notutf8), "table")
     assert (code, out) == (3, "")
     assert "not UTF-8" in err
+
+    # a UTF-8 byte-order mark, as some editors write, is not part of the first line
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes("\ufeff[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[pool]\nsize = 60\n"
+                    .encode("utf-8"))
+    assert load_settings(str(bom)) == dataclasses.replace(DEFAULT_SETTINGS, pool_size=60)
+    code, out, err = run_cli(capsys, "--scenario", str(bom), "table")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "table.csv").read_text(encoding="utf-8")
 
     nofile = tmp_path / "nope.ini"
     code, _, err = run_cli(capsys, "--scenario", str(nofile), "table")

@@ -253,18 +253,18 @@ def test_closed_form_matches_polygon_fuzz(scenario):
 def test_directional_examples(scenario):
     bd1, bd2 = canonical_pair(scenario)
     bd3 = offset_boundary(scenario, 7.0, 12.7)
-    assert Breach.within(scenario, bd1).score(bd2).value == 0.0
-    assert Breach.within(scenario, bd2).score(bd1).value == 0.0
+    assert Breach.within(scenario, bd1).score(bd2) == 0.0
+    assert Breach.within(scenario, bd2).score(bd1) == 0.0
     nested = Breach.within(scenario, bd1).score(bd3)
-    assert nested.value == pytest.approx(AR3_AREA / AR1_AREA, rel=1e-12)
-    assert round(nested.value, 4) == 0.3494
-    assert Breach.within(scenario, bd1).score(bd1).value == 1.0
+    assert nested == pytest.approx(AR3_AREA / AR1_AREA, rel=1e-12)
+    assert round(nested, 4) == 0.3494
+    assert Breach.within(scenario, bd1).score(bd1) == 1.0
 
 
 def test_directional_undefined_for_empty_source(scenario):
     empty = Breach.within(scenario, offset_boundary(scenario, 7.0, 31.0))
     assert empty.area == 0.0
-    assert not empty.score(offset_boundary(scenario, 7.0, 0.7)).defined
+    assert math.isnan(empty.score(offset_boundary(scenario, 7.0, 0.7)))
 
 
 def test_compound_examples(scenario):
@@ -277,7 +277,7 @@ def test_compound_examples(scenario):
     assert round(score.value, 2) == 0.17
     # single prior reduces to the directional ratio
     single = compound_transferability(regions[:1], target)
-    assert single.value == pytest.approx(Breach.within(scenario, bd1).score(bd3).value, rel=1e-12)
+    assert single.value == pytest.approx(Breach.within(scenario, bd1).score(bd3), rel=1e-12)
     # disjoint target
     assert compound_transferability([regions[0]], regions[1]).value == 0.0
 
@@ -319,8 +319,8 @@ def test_zero_transfer_soundness_fuzz(scenario):
         ar2 = Breach.within(scenario, bd2)
         if ar1.area == 0.0 or ar2.area == 0.0:
             continue
-        assert ar1.score(bd2).value == 0.0
-        assert ar2.score(bd1).value == 0.0
+        assert ar1.score(bd2) == 0.0
+        assert ar2.score(bd1) == 0.0
         checked += 1
 
 

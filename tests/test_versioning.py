@@ -432,19 +432,20 @@ def test_greedy_exact_steps_match_scalar_scores(scenario):
 
 
 def _held_and_list_steps(scenario, pool, cfg, steps):
-    """Greedy picks and score reprs from one held breach, each checked against
-    greedy_select_next over the breached list and against a fresh step that scores
-    every candidate."""
+    """Greedy picks from one held breach and greedy_select_next's score reprs under cfg,
+    each checked against greedy_select_next over the breached list and against a fresh
+    step that scores every candidate."""
     breached = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     breach = Breach.of(scenario, breached)
     picks = []
     for _ in range(steps):
-        index, score = select_next(pool, breach, cfg)
+        index, exact = select_next(pool, breach)
         listed, listed_score = greedy_select_next(scenario, pool, breached, cfg)
-        fresh, fresh_score = _fresh_step(scenario, pool, breached, cfg)
-        assert (index, repr(score.value)) == (listed, repr(listed_score.value))
-        assert (index, repr(score.value)) == (fresh, repr(fresh_score.value))
-        picks.append((index, repr(score.value)))
+        fresh = _fresh_step(scenario, pool, breached, cfg)
+        assert (index, repr(listed_score.value)) == (listed, fresh[1]) and index == fresh[0]
+        if not cfg.n_samples:
+            assert repr(exact) == fresh[1]
+        picks.append((index, repr(listed_score.value)))
         breach = breach.extend(pool.boundaries[index])
         breached.append(pool.boundaries[index])
     return picks
@@ -491,10 +492,14 @@ def _counting_breach_of(monkeypatch):
 
 
 def _fresh_step(scenario, pool, breached, cfg):
-    """select_next over a fresh Breach.of and a fresh copy of pool, which holds no state:
-    every candidate scored."""
-    return select_next(CandidatePool(pool.hidden_points, pool.boundaries),
-                       Breach.of(scenario, breached), cfg)
+    """select_next over a fresh Breach.of and a fresh copy of pool, which holds no state
+    (every candidate scored), and the repr of its pick's score under cfg: the exact ratio,
+    or the pick's mc_transferability estimate."""
+    index, value = select_next(CandidatePool(pool.hidden_points, pool.boundaries),
+                               Breach.of(scenario, breached))
+    if cfg.n_samples:
+        value = mc_transferability(scenario, breached, pool.boundaries[index], cfg).value
+    return index, repr(value)
 
 
 def _list_step(scenario, pool, breached, cfg, built):
@@ -503,7 +508,7 @@ def _list_step(scenario, pool, breached, cfg, built):
     want = _fresh_step(scenario, pool, breached, cfg)
     before = len(built)
     got = greedy_select_next(scenario, pool, breached, cfg)
-    assert (got[0], repr(got[1].value)) == (want[0], repr(want[1].value))
+    assert (got[0], repr(got[1].value)) == want
     return got[0], len(built) - before
 
 
@@ -714,14 +719,18 @@ def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps
                          [(1000, eps_d, seed, 0) for eps_d in (2.0, 31.0) for seed in (0, 1, 2)]
                          + [(50, 2.0, 42, 20_000)])
 def test_audit_of_the_greedy_picks_gives_their_scores(scenario, size, eps_d, pool_seed, n_samples):
-    # pick first, then score: one audit of the picked sequence gives each pick's score, and
-    # a sampled row counted alone equals its count among every remaining candidate
+    # pick first, then score: one audit of the picked sequence gives each pick's score, the
+    # exact ratio select_next picked by or greedy_select_next's estimate of the pick
     seed = Breach.of(scenario, [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions])
     pool = generate_candidate_pool(scenario, size, eps_d, pool_seed)
     cfg = AttackSampleConfig("ensemble", n_samples, pool_seed)
     picks, scores, breach = [], [], seed
     for _ in range(8):
-        index, score = select_next(pool, breach, cfg)
+        index, exact = select_next(pool, breach)
+        listed, score = greedy_select_next(scenario, pool, list(breach.priors), cfg)
+        assert listed == index
+        if not n_samples:
+            assert repr(score.value) == repr(exact)
         picks.append(pool.boundaries[index])
         scores.append(score.value)
         breach = breach.extend(pool.boundaries[index])
@@ -815,7 +824,7 @@ def test_pool_holds_its_planes_outside_eq_and_repr(scenario, monkeypatch):
     real = versioning.planes_of
     monkeypatch.setattr(versioning, "planes_of", lambda bds: built.append(len(bds)) or real(bds))
     seed_pair = [pool.boundaries[0], pool.boundaries[1]]
-    select_next(pool, Breach.of(scenario, seed_pair), AttackSampleConfig("ensemble", 0, 0))
+    select_next(pool, Breach.of(scenario, seed_pair))
     assert built == []
     greedy_select_next(scenario, pool, seed_pair, AttackSampleConfig("ensemble", 0, 0))
     assert pool._selection is not None and again._selection is None
@@ -841,9 +850,9 @@ def test_pool_finds_every_taken_candidate_by_float_equality(scenario):
     seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     assert pool.rows_of(seed_pair).tolist() == []
     breach = Breach.of(scenario, seed_pair + [boundaries[1], boundaries[3]])
-    assert select_next(pool, breach, EXACT)[0] == 4
+    assert select_next(pool, breach)[0] == 4
     with pytest.raises(PoolExhaustedError):
-        select_next(pool, breach.extend(boundaries[4]), EXACT)
+        select_next(pool, breach.extend(boundaries[4]))
     # the index agrees with comparing every row with every breached version
     stock = generate_candidate_pool(scenario, 50, seed=42)
     taken = [*stock.boundaries[3:9], *stock.boundaries[3:5], *seed_pair]
@@ -870,7 +879,7 @@ def test_pool_band_areas_held_per_guard(scenario, monkeypatch):
     guards = []
     for _ in range(6):
         guards.append(breach.guard)
-        index, _ = select_next(pool, breach, EXACT)
+        index, _ = select_next(pool, breach)
         held = pool._selection.bands[breach.guard]
         np.testing.assert_array_equal(held, regions.plus_band_areas(scenario, breach.guard,
                                                                     pool.planes))
@@ -880,8 +889,9 @@ def test_pool_band_areas_held_per_guard(scenario, monkeypatch):
     assert computed == [guards[0], guards[2]]
     # the root's guard and the deeper one are held, both read-only
     assert sorted(pool._selection.bands) == [guards[0], guards[2]]
-    # sampled steps read no band areas
-    select_next(pool, breach, AttackSampleConfig("ensemble", 2_000, 1))
+    # a sampled step's estimate reads no band areas
+    sampled = AttackSampleConfig("ensemble", 2_000, 1)
+    greedy_select_next(scenario, pool, list(breach.priors), sampled)
     assert computed == [guards[0], guards[2]]
 
 
@@ -926,9 +936,9 @@ def test_warm_exact_step_clips_only_live_inside_polygons(scenario, monkeypatch):
     pool = generate_candidate_pool(scenario, 1000, 31.0, seed=3)
     breach = Breach.of(scenario, [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions])
     for _ in range(3):
-        index, _ = select_next(pool, breach, EXACT)
+        index, _ = select_next(pool, breach)
         breach = breach.extend(pool.boundaries[index])
-    select_next(pool, breach, EXACT)  # holds the band areas under this guard
+    select_next(pool, breach)  # holds the band areas under this guard
     live = sum(not inside.is_empty for inside in breach.inside)
     assert live == 1  # the sliver band's inside polygon is empty
     calls = []
@@ -941,7 +951,7 @@ def test_warm_exact_step_clips_only_live_inside_polygons(scenario, monkeypatch):
     # equal copies of the breached versions rebuild the selection state, so every row is
     # scored, under the guard whose band areas the pool holds
     copies = [DecisionBoundary(bd.plus) for bd in breach.priors]
-    select_next(pool, Breach.of(scenario, copies), EXACT)
+    select_next(pool, Breach.of(scenario, copies))
     remaining = sum(bd not in breach.priors for bd in pool.boundaries)
     assert len(calls) == math.ceil(remaining / regions.SCORE_BLOCK)
     # the live inside polygon, taken once and broadcast over each block's rows
@@ -995,10 +1005,10 @@ def test_greedy_steps_at_the_benchmark_eps_d_match_scalar_scores_warm_and_fresh(
             exposed = breach.exposed(pool.planes, held)
             assert (repr(regions.shares(exposed, breach.area).tolist())
                     == repr(breach.scores(pool.planes).tolist()))
-            index, score = select_next(pool, breach, EXACT)
-            fresh = select_next(CandidatePool(pool.hidden_points, pool.boundaries), breach, EXACT)
-            assert (index, repr(score.value)) == (fresh[0], repr(fresh[1].value))
-            assert repr(score.value) == repr(reference_score(breach, pool.boundaries[index]))
+            index, score = select_next(pool, breach)
+            fresh = select_next(CandidatePool(pool.hidden_points, pool.boundaries), breach)
+            assert (index, repr(score)) == (fresh[0], repr(fresh[1]))
+            assert repr(score) == repr(reference_score(breach, pool.boundaries[index]))
             breach = breach.extend(pool.boundaries[index])
     # the stock pool and seed 2's pool score later steps under a guard a pick deepened
     assert [len(g) for g in guards] == [2, 1, 1, 2]
@@ -1063,8 +1073,8 @@ def test_pruned_steps_of_a_random_walk_equal_full_scoring(eps_d, seed, data):
     path = [Breach.of(_STOCK, _STOCK_PAIR)]
     for move in data.draw(st.lists(st.sampled_from(_MOVES), min_size=1, max_size=12)):
         priors = list(path[-1].priors)
-        index, score = select_next(pool, path[-1], EXACT)
-        assert (index, repr(score.value)) == _full_scoring(_STOCK, pool, priors)
+        index, score = select_next(pool, path[-1])
+        assert (index, repr(score)) == _full_scoring(_STOCK, pool, priors)
         taken = set(pool.rows_of(priors).tolist())
         others = [i for i in range(len(pool.boundaries)) if i not in taken | {index}]
         if move == "deeper":
@@ -1078,8 +1088,8 @@ def test_pruned_steps_of_a_random_walk_equal_full_scoring(eps_d, seed, data):
             path.append(path[-1].extend(pool.boundaries[data.draw(st.sampled_from(others))]))
         else:
             path.append(path[-1].extend(pool.boundaries[index]))
-    index, score = select_next(pool, path[-1], EXACT)
-    assert (index, repr(score.value)) == _full_scoring(_STOCK, pool, list(path[-1].priors))
+    index, score = select_next(pool, path[-1])
+    assert (index, repr(score)) == _full_scoring(_STOCK, pool, list(path[-1].priors))
 
 
 def test_exact_steps_score_only_rows_that_can_win(scenario, monkeypatch):
@@ -1151,9 +1161,9 @@ def test_a_deeper_guard_resets_the_bounds(scenario, monkeypatch):
     steps = []
     for step in (breach, breach, deeper, deeper):
         before = len(scored)
-        index, score = select_next(pool, step, EXACT)
+        index, score = select_next(pool, step)
         steps.append(sum(scored[before:]))
-        assert (index, repr(score.value)) == _full_scoring(scenario, pool, list(step.priors))
+        assert (index, repr(score)) == _full_scoring(scenario, pool, list(step.priors))
     # held numerators bound only steps under their own guard: the deeper one scores all
     assert steps == [1000, 1, 1000, 1]
 
@@ -1198,12 +1208,12 @@ def test_pruned_steps_of_a_breach_that_exposes_nothing_stay_undefined(scenario):
     breach = Breach.of(scenario, [_exposes_nothing(scenario)])
     for _ in range(2):  # the state's first step, then a step from its held numerators
         with pytest.raises(UndefinedEstimateError, match="expose no area"):
-            select_next(pool, breach, EXACT)
+            select_next(pool, breach)
     # grown by a second version that exposes nothing, the state advances and stays undefined
     grown = breach.extend(DecisionBoundary.sloped(1000.0, -2000.0, scenario))
     assert grown.area == 0.0
     with pytest.raises(UndefinedEstimateError, match=r"^step 3: .*expose no area"):
-        select_next(pool, grown, EXACT)
+        select_next(pool, grown)
     assert pool._selection.breach is grown
 
 
@@ -1221,15 +1231,14 @@ def test_an_invalid_candidate_raises_at_every_first_step_of_a_state(scenario, cf
     # a state held for the valid pool does not carry over to one that holds the runaway
     greedy_select_next(scenario, stock, seed_pair, cfg)
     with pytest.raises(GeometryError, match="left guard"):
-        select_next(pool, stock._selection.breach, cfg)
+        select_next(pool, stock._selection.breach)
 
 
 def test_select_next_needs_breached_versions(scenario):
     pool = generate_candidate_pool(scenario, 50, seed=42)
     within = Breach.within(scenario, pool.boundaries[0])
-    for cfg in (EXACT, AttackSampleConfig("ensemble", 2_000, 1)):
-        with pytest.raises(DomainError):
-            select_next(pool, within, cfg)
+    with pytest.raises(DomainError):
+        select_next(pool, within)
 
 
 def test_sampled_scores_of_a_within_breach_are_directional_estimates(scenario):
