@@ -26,7 +26,7 @@ class PoolExhaustedError(MarginSeqError):
 
 
 class UndefinedEstimateError(MarginSeqError):
-    """No defined score: too few samples accepted, or a greedy step with nothing to pick by."""
+    """A greedy step with nothing to pick by, or a pick with a NaN estimate; scorers return NaN."""
 
 
 class ScenarioFileError(MarginSeqError, ValueError):

@@ -12,6 +12,7 @@ reduces to convex half-plane clipping per band:
 
 That keeps every transferability ratio exact; the Monte Carlo estimator
 exists as an independent, sampling-based cross-check of those exact numbers.
+An undefined ratio or estimate is NaN, exact and sampled alike.
 """
 
 import functools
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, UndefinedEstimateError
+from .errors import DomainError, GeometryError
 from .geometry import (
     ConvexPolygon,
     clip_convex,
@@ -89,7 +90,6 @@ class AttackSampleConfig:
 @dataclass(frozen=True, slots=True)
 class MonteCarloEstimate:
     value: float
-    half_width: float
     accepted: int
 
 
@@ -642,7 +642,7 @@ def mc_transferability(
     target: DecisionBoundary,
     cfg: AttackSampleConfig,
 ) -> MonteCarloEstimate:
-    """Sampled transferability with a 95% binomial interval half-width.
+    """Sampled transferability: the share of accepted samples the target classifies "+".
 
     Uniform points over the two "-" bands (stratified proportionally to band
     area) are kept when inside at least one prior region, the ensemble
@@ -651,7 +651,7 @@ def mc_transferability(
     ``accepted`` still counts the kept points among n_samples over the whole
     box.  The estimate is the kept fraction the target classifies "+".  An
     accepted count below the acceptance floor, max(1, 1e-6 * n_samples),
-    raises :class:`UndefinedEstimateError`.  The sampled box depends on the
+    leaves it undefined: its value is NaN.  The sampled box depends on the
     priors alone, so every target scored against the same priors and cfg
     sees the same accepted points.
     """
@@ -660,9 +660,5 @@ def mc_transferability(
     n_blocks = -(-cfg.n_samples // MC_BLOCK)
     accepted, hits = mc_block_counts(scenario, priors, target, cfg, 0, n_blocks)
     if accepted < max(1.0, _MIN_ACCEPTANCE * cfg.n_samples):
-        raise UndefinedEstimateError(
-            f"only {accepted} of {cfg.n_samples} samples satisfied the attacker mode"
-        )
-    value = hits / accepted
-    half_width = 1.96 * math.sqrt(value * (1.0 - value) / accepted)
-    return MonteCarloEstimate(value, half_width, accepted)
+        return MonteCarloEstimate(math.nan, accepted)
+    return MonteCarloEstimate(hits / accepted, accepted)

@@ -73,6 +73,11 @@ def boundary_deviation(a: DecisionBoundary, b: DecisionBoundary) -> float:
     return max(dev_n, dev_c)
 
 
+def _reading(value: float, spec: str) -> str:
+    """value formatted by spec, or ``undefined`` when it is NaN."""
+    return "undefined" if math.isnan(value) else format(value, spec)
+
+
 def check_oracle_agreement(scenario: ScenarioConfig) -> CheckResult:
     worst = 0.0
     # eps_d = 1 leaves the whole band; every eighth point is moved onto w = 0
@@ -167,8 +172,7 @@ def _zero_transfer_pair(scenario: ScenarioConfig, rng: "np.random.Generator") ->
 
 def check_zero_transfer_pairs(scenario: ScenarioConfig) -> CheckResult:
     rng = philox(9003, 0)
-    breaches, targets = [], []
-    worst_mc = 0.0
+    breaches, targets, estimates = [], [], []
     for _ in range(_ZERO_TRANSFER_PAIRS):
         within = _zero_transfer_pair(scenario, rng)
         bd1, bd2 = (breach.priors[0] for breach in within)
@@ -177,13 +181,14 @@ def check_zero_transfer_pairs(scenario: ScenarioConfig) -> CheckResult:
         breaches += within
         targets += [bd2, bd1]
         cfg = AttackSampleConfig("ensemble", 100_000, 77)
-        worst_mc = max(worst_mc, mc_transferability(scenario, [bd1], bd2, cfg).value)
+        estimates.append(mc_transferability(scenario, [bd1], bd2, cfg).value)
     worst_exact = max(0.0, *paired_scores(breaches, planes_of(targets)).tolist())
+    worst_mc = float(np.max(estimates))  # NaN, an undefined estimate, if any is
     passed = worst_exact == 0.0 and worst_mc == 0.0
     return CheckResult(
         "zero-transfer pairs exact and sampled == 0",
         passed,
-        f"exact_max={worst_exact:.3e} mc_max={worst_mc:.3e}",
+        f"exact_max={worst_exact:.3e} mc_max={_reading(worst_mc, '.3e')}",
     )
 
 
@@ -208,12 +213,15 @@ def check_mc_consistency(scenario: ScenarioConfig) -> CheckResult:
         estimates.append(mc_transferability(scenario, priors, target, cfg))
     worst_sigma = 0.0
     for exact, est in zip(paired_scores(breaches, planes_of(targets)).tolist(), estimates):
+        if math.isnan(est.value):  # undefined, perhaps with nothing accepted
+            worst_sigma = math.nan
+            break
         sigma = math.sqrt(max(exact * (1.0 - exact), 1e-12) / est.accepted)
         worst_sigma = max(worst_sigma, abs(est.value - exact) / (3.0 * sigma))
     return CheckResult(
         "monte carlo within 3 sigma of exact ratios",
         worst_sigma <= 1.0,
-        f"max |dev|/3sigma={worst_sigma:.3f}",
+        f"max |dev|/3sigma={_reading(worst_sigma, '.3f')}",
     )
 
 

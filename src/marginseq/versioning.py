@@ -439,13 +439,8 @@ def audit_sequence(seed: Breach, sequence, cfg: AttackSampleConfig) -> np.ndarra
     breaches = seed.chain(sequence[:-1]) if sequence else []
     if not cfg.n_samples:
         return paired_scores(breaches, planes_of(sequence))
-    values = []
-    for breach, target in zip(breaches, sequence, strict=True):
-        try:
-            values.append(mc_transferability(seed.scenario, breach.priors, target, cfg).value)
-        except UndefinedEstimateError:
-            values.append(math.nan)
-    return np.array(values)
+    return np.array([mc_transferability(seed.scenario, breach.priors, target, cfg).value
+                     for breach, target in zip(breaches, sequence, strict=True)])
 
 
 def _extends(held: Breach | None, scenario: ScenarioConfig, priors) -> bool:

@@ -378,6 +378,23 @@ def test_pool_sampled_step_without_estimate_exits(capsys):
                    " acceptance floor with n_samples = 1\n")
 
 
+def test_pool_random_row_without_estimate_prints_na(capsys):
+    # the random sequence's step-4 breach accepts none of 30 samples: that row alone reads NA,
+    # and the run succeeds, as every greedy pick has an estimate
+    code, out, err = run_cli(capsys, "pool", "--samples", "30", "--seed", "374")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert all(math.isfinite(float(r["compound_at"])) for r in rows if r["row"] == "greedy")
+    assert ([r["compound_at"] == "NA" for r in rows if r["row"] == "random"]
+            == [False, True, False, False, False, False])
+    s = DEFAULT_SETTINGS
+    breached = [bd for bd, _ in plan_sequence(s.scenario, 2, s.plan_k, s.plan_b_max).versions]
+    first, second = (bd for _, bd in random_baseline_sequence(s.scenario, 2, 374, s.pool_eps_d))
+    est = mc_transferability(s.scenario, [*breached, first], second,
+                             AttackSampleConfig("ensemble", 30, 374))
+    assert math.isnan(est.value) and est.accepted == 0
+
+
 def test_pool_greedy_picks_do_not_depend_on_samples(capsys):
     # every greedy step picks by exact scores; only compound_at is sampled
     picked = ["step", "pool_index", "kind", "k", "b", "x0", "hidden_v", "hidden_w"]
@@ -712,6 +729,21 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 4
     assert out.startswith("FAIL forced failure")
+
+
+def test_verify_fails_on_an_undefined_estimate(capsys, monkeypatch):
+    # a NaN estimate with nothing accepted is a failed check, not a pass or a crash
+    from marginseq import selfcheck
+    from marginseq.regions import MonteCarloEstimate
+
+    monkeypatch.setattr(selfcheck, "mc_transferability",
+                        lambda *a: MonteCarloEstimate(math.nan, 0))
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, err) == (4, "")
+    assert ("FAIL zero-transfer pairs exact and sampled == 0"
+            " (exact_max=0.000e+00 mc_max=undefined)\n") in out
+    assert "FAIL monte carlo within 3 sigma of exact ratios (max |dev|/3sigma=undefined)\n" in out
+    assert [line[:4] for line in out.splitlines()].count("FAIL") == 2
 
 
 def test_verify_near_degenerate_scenario(tmp_path, capsys):

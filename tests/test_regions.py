@@ -13,7 +13,6 @@ from marginseq import (
     GeometryError,
     HalfPlane,
     ScenarioConfig,
-    UndefinedEstimateError,
     build_attackable_region,
     check_zero_transfer,
     closed_form_ar_area,
@@ -191,13 +190,11 @@ def _swept_lines(scenario, n):
 
 
 def _valid(call) -> bool:
-    """False when call raises GeometryError; an undefined estimate is a verdict of valid."""
+    """False when call raises GeometryError; an undefined score, NaN, is a verdict of valid."""
     try:
         call()
     except GeometryError:
         return False
-    except UndefinedEstimateError:
-        pass
     return True
 
 
@@ -354,16 +351,30 @@ def test_mc_matches_exact_compound(scenario):
     est = mc_transferability(scenario, [bd1, bd2], target, cfg)
     sigma = math.sqrt(ALPHA_4 * (1.0 - ALPHA_4) / est.accepted)
     assert abs(est.value - ALPHA_4) <= 3.0 * sigma
-    assert est.half_width > 0.0
+    accepted, hits = mc_block_counts(scenario, [bd1, bd2], target, cfg, 0,
+                                     -(-cfg.n_samples // MC_BLOCK))
+    assert (repr(est.value), est.accepted) == (repr(hits / accepted), accepted)
 
 
 def test_mc_undefined_when_priors_accept_nothing(scenario):
     empty_prior = offset_boundary(scenario, 7.0, 31.0)
-    with pytest.raises(UndefinedEstimateError):
-        mc_transferability(
-            scenario, [empty_prior], offset_boundary(scenario, 7.0, 0.7),
-            AttackSampleConfig("ensemble", 100_000, 9),
-        )
+    est = mc_transferability(
+        scenario, [empty_prior], offset_boundary(scenario, 7.0, 0.7),
+        AttackSampleConfig("ensemble", 100_000, 9),
+    )
+    assert math.isnan(est.value) and est.accepted == 0
+
+
+@pytest.mark.parametrize("n_samples, accepted, value", [
+    (3_000_000, 2, math.nan), (3_000_000, 3, 1 / 3), (100, 0, math.nan), (100, 1, 1.0)])
+def test_mc_undefined_exactly_below_the_acceptance_floor(scenario, monkeypatch, n_samples,
+                                                         accepted, value):
+    # the floor is max(1, 1e-6 * n_samples) accepted samples; below it the estimate is NaN
+    # and still carries its accepted count
+    monkeypatch.setattr(regions, "mc_block_counts", lambda *a: (accepted, min(accepted, 1)))
+    bd1, bd2 = canonical_pair(scenario)
+    est = mc_transferability(scenario, [bd1], bd2, AttackSampleConfig("ensemble", n_samples, 1))
+    assert (repr(est.value), est.accepted) == (repr(value), accepted)
 
 
 def test_mc_partition_merge_identity(scenario):
@@ -620,9 +631,8 @@ def test_sampled_scores_undefined_when_breach_accepts_nothing(scenario):
     empty_prior = offset_boundary(scenario, 7.0, 31.0)
     cfg = AttackSampleConfig("ensemble", 100_000, 9)
     for target in canonical_pair(scenario):
-        with pytest.raises(UndefinedEstimateError):
-            mc_transferability(scenario, [empty_prior], target, cfg)
-        # the sequence audit marks the undefined row NaN
+        assert math.isnan(mc_transferability(scenario, [empty_prior], target, cfg).value)
+        # the sequence audit passes the undefined row's NaN on
         values = audit_sequence(Breach.of(scenario, [empty_prior]), [target], cfg)
         assert np.isnan(values).all() and len(values) == 1
 

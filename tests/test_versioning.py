@@ -680,12 +680,9 @@ def _per_candidate_scores(scenario, breached, planes, cfg):
     for a, b, c in planes:
         target = DecisionBoundary(HalfPlane(a, b, c))
         accepted, hits = per_target_counts(scenario, breached, target, cfg)
-        try:
-            values.append(mc_transferability(scenario, breached, target, cfg).value)
-        except UndefinedEstimateError:
-            assert accepted < max(1.0, 1e-6 * cfg.n_samples)
-            values.append(math.nan)
-        else:
+        values.append(mc_transferability(scenario, breached, target, cfg).value)
+        assert math.isnan(values[-1]) == (accepted < max(1.0, 1e-6 * cfg.n_samples))
+        if not math.isnan(values[-1]):
             assert values[-1] == hits / accepted
     return np.array(values)
 
