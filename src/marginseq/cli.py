@@ -49,12 +49,11 @@ SCHEMA_VERSION = "1"
 # 0.65 s end to end and `--n 200` about 0.38 s.  This is the only bound on --n.
 MAX_PLAN_VERSIONS = 1000
 
-# generate_candidate_pool draws its first batch at full size.  On a 2-core host 100,000
-# candidates build in about 1.4 s.  The first exact greedy step over them scores every
-# candidate: 0.1-0.2 s when it clips their band areas under a new guard, 0.05-0.1 s when
-# the pool's selection state holds them, as after a restart under the same guard.  A
-# later step of the same sequence scores only the candidates whose bounds let them still
-# win, about 1 ms at the stock eps_d.
+# generate_candidate_pool draws its first batch at full size, and drawing dominates a
+# run: on a 2-core host 100,000 candidates build in 0.8-1.4 s.  The first exact greedy
+# step scores every candidate (0.05-0.2 s); a later one scores only those whose bounds
+# let them still win, so the 98 steps of 100 versions over 100,000 candidates take
+# 0.13-0.18 s in all at eps_d 2, 31 and 60: 1.2-1.5 s end to end, 5 versions 1.1-1.5 s.
 MAX_POOL_SIZE = 100_000
 
 # cmd_pool's greedy loop holds one breach and extends it by one version a pick, and the
@@ -63,17 +62,10 @@ MAX_POOL_SIZE = 100_000
 # greedy and random, is then scored by one audit_sequence call against the seed pair's
 # breach grown by one Breach.chain.  One cost grows with the versions breached: each
 # greedy Breach.extend rebuilds its dominance record from them, where the chain builds
-# it once; MAX_SAMPLED_WORK counts a sampled row's tests against them.  On a 2-core host,
-# with 3,000 candidates, 100 versions take 0.21-0.36 s end to end, of which drawing the
-# pool takes about 0.13 s and starting the interpreter about 0.15 s.
+# it once; MAX_SAMPLED_WORK counts a sampled row's tests against them.  On a 2-core host
+# 100 versions take 0.21-0.36 s end to end over 3,000 candidates (drawing the pool about
+# 0.13 s, starting the interpreter about 0.15 s) and 1.2-1.5 s over 100,000.
 MAX_SEQUENCE_LENGTH = 100
-
-# The greedy steps of cmd_pool score at most pool size * (length - 2) candidates in all,
-# which the two limits above bound only by their product.  On a 2-core host a run of
-# 300,000 takes 0.40-0.60 s end to end as 3,000 candidates over 98 steps and 1.3-1.8 s
-# as 100,000 over 3 steps, most of it drawing the pool; 100,000 candidates over 18
-# steps, 1.8 million, take 1.5-1.9 s.
-MAX_CANDIDATES_SCORED = 300_000
 
 # A sampled row of either of cmd_pool's two audits, greedy or random, tests each point
 # it draws against every undominated breached version, at most t - 1 at step t, and its
@@ -81,8 +73,8 @@ MAX_CANDIDATES_SCORED = 300_000
 # at most samples * 2 * (length - 2) * length tests, which this bounds; nothing else
 # bounds samples.  The stock 8 versions run at up to 13,750,000.  On a 2-core host runs
 # at the limit take 1.3-2.6 s as 12 candidates over 12 versions, 4 over 4 and the stock
-# 50 over 8, and 1.5-1.7 s as 100,000 over 3; no other shape of README's grid took
-# longer.
+# 50 over 8, 1.5-1.7 s as 100,000 over 3 and 1.4-1.9 s as 100,000 over 100; no other
+# shape of README's grid took longer.
 MAX_SAMPLED_WORK = 1_320_000_000
 
 
@@ -294,12 +286,9 @@ def cmd_pool(settings: Settings, args, out) -> int:
     if settings.pool_size > MAX_POOL_SIZE:
         raise DomainError(f"pool of {settings.pool_size} candidates exceeds the limit of "
                           f"{MAX_POOL_SIZE}")
-    if settings.pool_size < length:
-        raise DomainError("pool size must cover the requested sequence length")
-    scored = settings.pool_size * (length - 2)
-    if scored > MAX_CANDIDATES_SCORED:
-        raise DomainError(f"{length - 2} greedy steps over {settings.pool_size} candidates would "
-                          f"score {scored}, above the limit of {MAX_CANDIDATES_SCORED}")
+    if settings.pool_size < length - 2:  # the seed pair is not drawn from the pool
+        raise DomainError(f"pool size {settings.pool_size} cannot cover the {length - 2} "
+                          f"greedy picks of {length} versions")
     tested = settings.attack_samples * 2 * (length - 2) * length
     if tested > MAX_SAMPLED_WORK:
         raise DomainError(f"{settings.attack_samples} samples over {length} versions would "

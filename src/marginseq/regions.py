@@ -508,20 +508,16 @@ def check_zero_transfer(
     return x_i >= scenario.delta
 
 
-def _left_cut(scenario: ScenarioConfig, rows: np.ndarray, guard: float) -> float:
-    """:func:`mc_left_cut` of the priors' (a, b, c) rows, as :func:`planes_of` gives them."""
-    return -float(strip_reach(scenario, *rows.T).max()) - 1e-9 * guard
-
-
-def mc_left_cut(scenario: ScenarioConfig, priors: list[DecisionBoundary], guard: float) -> float:
+def mc_left_cut(scenario: ScenarioConfig, rows: np.ndarray, guard: float) -> float:
     """Abscissa left of which :func:`mc_block_counts` draws no point.
 
-    ``priors`` are valid separators (see :func:`guard_extent`), so each has
-    a < 0, and ``guard`` is the sampling box's depth.  Points left of the
-    cut would all be rejected, so only their count is drawn; see
+    ``rows`` are the priors' (a, b, c) rows, as :func:`planes_of` gives
+    them.  The priors are valid separators (see :func:`guard_extent`), so
+    each has a < 0, and ``guard`` is the sampling box's depth.  Points left
+    of the cut would all be rejected, so only their count is drawn; see
     :func:`mc_block_counts` for the proof.
     """
-    return _left_cut(scenario, planes_of(priors), guard)
+    return -float(strip_reach(scenario, *rows.T).max()) - 1e-9 * guard
 
 
 def _inside(a: float, b: float, c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -606,7 +602,7 @@ def mc_block_counts(
     guard = float(guard_extent(scenario, *rows.T).max())  # deepest_guard
     d, y = scenario.delta, scenario.y_lim
     p_sliver = d * 2.0 * y / ((guard - d) * 2.0 * y + d * 2.0 * y)
-    cut = _left_cut(scenario, rows, guard)
+    cut = mc_left_cut(scenario, rows, guard)
     q = max(0.0, (-d - cut) / (guard - d))
     widest = {}
     tested = rows[[_admit(widest, bd) for bd in priors]].tolist()  # undominated

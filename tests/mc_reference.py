@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from marginseq.regions import MC_BLOCK, guard_extent, mc_left_cut
+from marginseq.regions import MC_BLOCK, guard_extent, mc_left_cut, planes_of
 from seeded_rng import philox
 
 
@@ -29,7 +29,7 @@ def per_target_counts(scenario, priors, target, cfg, n_blocks=None):
         n_blocks = -(-cfg.n_samples // MC_BLOCK)
     guard, p_sliver = _box(scenario, priors)
     d, y = scenario.delta, scenario.y_lim
-    cut = mc_left_cut(scenario, priors, guard)
+    cut = mc_left_cut(scenario, planes_of(priors), guard)
     q = max(0.0, (-d - cut) / (guard - d))
     accepted = hits = 0
     for j in range(n_blocks):

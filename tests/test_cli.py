@@ -15,7 +15,6 @@ import pytest
 from marginseq import cli
 from marginseq.cli import (
     DEFAULT_SETTINGS,
-    MAX_CANDIDATES_SCORED,
     MAX_PLAN_VERSIONS,
     MAX_POOL_SIZE,
     MAX_SAMPLED_WORK,
@@ -81,12 +80,23 @@ def test_table_reproduces_reference_values(capsys):
         (["pool", "--samples", "20000", "--sequence-length", "5"], "pool_samples20000_len5.csv"),
         (["pool", "--samples", "200000"], "pool_samples200000.csv"),
         (["verify"], "verify.txt"),
+        (["boundary", "--h", "0,0"], "boundary_w_zero.csv"),
+        (["boundary", "--h", "95.2061,-27.8866"], "boundary_w_neg_tangent.csv"),
+        (["boundary", "--h", "-50,3"], "boundary_w_pos_direct.csv"),
     ],
 )
 def test_stock_csv_matches_golden_bytes(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
+def test_plan_svg_matches_golden_bytes(tmp_path, capsys):
+    path = tmp_path / "plan.svg"
+    code, out, _ = run_cli(capsys, "plan", "--n", "10", "--svg", str(path))
+    assert code == 0
+    assert out == (DATA / "plan_n10.csv").read_text(encoding="utf-8")
+    assert path.read_bytes() == (DATA / "plan_n10.svg").read_bytes()
 
 
 def test_long_pool_run_matches_golden_bytes(tmp_path, capsys):
@@ -462,6 +472,25 @@ def test_pool_size_must_cover_sequence(tmp_path, capsys):
     assert "pool size" in err
 
 
+def _pool_of(tmp_path, size):
+    cfg = tmp_path / "pool.ini"
+    cfg.write_text(f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[pool]\nsize = {size}\n")
+    return ["--scenario", str(cfg), "pool"]
+
+
+def test_pool_size_covers_the_greedy_picks_not_the_seed_pair(tmp_path, capsys, monkeypatch):
+    # 8 versions are the seed pair and 6 picks, so 6 candidates are enough
+    code, out, err = run_cli(capsys, *_pool_of(tmp_path, 6), "--sequence-length", "8")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) == 12
+    assert sorted(int(r["pool_index"]) for r in rows if r["row"] == "greedy") == list(range(6))
+    monkeypatch.setattr(cli, "generate_candidate_pool", _undrawn)
+    code, out, err = run_cli(capsys, *_pool_of(tmp_path, 5), "--sequence-length", "8")
+    assert (code, out) == (2, "")
+    assert "pool size 5 cannot cover the 6 greedy picks of 8 versions" in err
+
+
 @pytest.mark.parametrize("size", [MAX_POOL_SIZE + 1, 100_000_000_000])
 def test_pool_size_limit(tmp_path, capsys, size):
     # refused before any candidate is drawn, so no allocation is attempted
@@ -502,14 +531,23 @@ def _undrawn(*args):
     raise AssertionError("the pool was drawn")
 
 
-def test_pool_candidates_scored_limit(tmp_path, capsys, monkeypatch):
-    # 18 greedy steps over 100,000 candidates: each limit alone admits the run
-    monkeypatch.setattr(cli, "generate_candidate_pool", _undrawn)
-    cfg = tmp_path / "big_pool.ini"
-    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[pool]\nsize = 100000\n")
-    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool", "--sequence-length", "20")
-    assert (code, out) == (2, "")
-    assert f"limit of {MAX_CANDIDATES_SCORED}" in err
+class _Drawn(Exception):
+    pass
+
+
+def test_pool_at_the_size_and_length_limits_is_drawn(tmp_path, capsys, monkeypatch):
+    # the largest pool over the longest sequence passes every check made before the draw
+    drawn = []
+
+    def draw(scenario, size, eps_d, seed):
+        drawn.append(size)
+        raise _Drawn
+
+    monkeypatch.setattr(cli, "generate_candidate_pool", draw)
+    with pytest.raises(_Drawn):
+        main([*_pool_of(tmp_path, MAX_POOL_SIZE), "--sequence-length", str(MAX_SEQUENCE_LENGTH)])
+    assert drawn == [MAX_POOL_SIZE]
+    assert capsys.readouterr() == ("", "")
 
 
 def _sampled_run(tmp_path, given, samples, length):

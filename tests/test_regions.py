@@ -606,7 +606,7 @@ def test_every_region_vertex_lies_at_or_right_of_the_cut(scenario):
     for bd in [*versions, *pool.boundaries]:
         region = Breach.within(scenario, bd)
         guard = _guard(scenario, bd)
-        cut = mc_left_cut(scenario, [bd], guard)
+        cut = mc_left_cut(scenario, planes_of([bd]), guard)
         assert cut > -guard
         for piece in region.pieces:
             assert all(p.x >= cut for p in piece.vertices)
