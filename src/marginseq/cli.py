@@ -18,6 +18,7 @@ scenario-file parse error, 4 verification failure.
 import argparse
 import configparser
 import csv
+import functools
 import math
 import os
 import re
@@ -25,7 +26,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError, MarginSeqError, ScenarioFileError
-from .regions import MODE_ENSEMBLE, AttackSampleConfig, Breach
+from .regions import Breach
 from .selfcheck import REFERENCE_ALPHAS, REFERENCE_PLAN, REFERENCE_SCENARIO, run_all
 from .separators import HiddenPoint, ScenarioConfig, boundary_from_hidden
 from .versioning import (
@@ -36,7 +37,6 @@ from .versioning import (
     plan_sequence,
     random_baseline_sequence,
     reconstruct_anchor,
-    require_estimates,
     select_next,
     verify_plan,
 )
@@ -62,20 +62,10 @@ MAX_POOL_SIZE = 100_000
 # greedy and random, is then scored by one audit_sequence call against the seed pair's
 # breach grown by one Breach.chain.  One cost grows with the versions breached: each
 # greedy Breach.extend rebuilds its dominance record from them, where the chain builds
-# it once; MAX_SAMPLED_WORK counts a sampled row's tests against them.  On a 2-core host
-# 100 versions take 0.21-0.36 s end to end over 3,000 candidates (drawing the pool about
-# 0.13 s, starting the interpreter about 0.15 s) and 1.2-1.5 s over 100,000.
+# it once.  On a 2-core host 100 versions take 0.21-0.36 s end to end over 3,000
+# candidates (drawing the pool about 0.13 s, starting the interpreter about 0.15 s) and
+# 1.2-1.5 s over 100,000.
 MAX_SEQUENCE_LENGTH = 100
-
-# A sampled row of either of cmd_pool's two audits, greedy or random, tests each point
-# it draws against every undominated breached version, at most t - 1 at step t, and its
-# one target: at most length tests per sample.  Over the 2 * (length - 2) rows that is
-# at most samples * 2 * (length - 2) * length tests, which this bounds; nothing else
-# bounds samples.  The stock 8 versions run at up to 13,750,000.  On a 2-core host runs
-# at the limit take 1.3-2.6 s as 12 candidates over 12 versions, 4 over 4 and the stock
-# 50 over 8, 1.5-1.7 s as 100,000 over 3 and 1.4-1.9 s as 100,000 over 100; no other
-# shape of README's grid took longer.
-MAX_SAMPLED_WORK = 1_320_000_000
 
 
 @dataclass(frozen=True)
@@ -89,8 +79,6 @@ class Settings:
     pool_size: int = 50
     pool_eps_d: float = DEFAULT_EPS_D
     pool_seed: int = 42
-    attack_samples: int = 0
-    attack_seed: int = 42
 
 
 DEFAULT_SETTINGS = Settings()
@@ -104,8 +92,6 @@ _KEYS = {
     "pool_size": ("pool", "size", int),
     "pool_eps_d": ("pool", "eps_d", float),
     "pool_seed": ("pool", "seed", int),
-    "attack_samples": ("attack", "samples", int),
-    "attack_seed": ("attack", "seed", int),
 }
 
 _SECTIONS = {"scenario": {f.name for f in fields(ScenarioConfig)}}
@@ -289,11 +275,6 @@ def cmd_pool(settings: Settings, args, out) -> int:
     if settings.pool_size < length - 2:  # the seed pair is not drawn from the pool
         raise DomainError(f"pool size {settings.pool_size} cannot cover the {length - 2} "
                           f"greedy picks of {length} versions")
-    tested = settings.attack_samples * 2 * (length - 2) * length
-    if tested > MAX_SAMPLED_WORK:
-        raise DomainError(f"{settings.attack_samples} samples over {length} versions would "
-                          f"make {tested} point tests, above the limit of {MAX_SAMPLED_WORK}")
-    cfg = AttackSampleConfig(MODE_ENSEMBLE, settings.attack_samples, settings.attack_seed)
     pool = generate_candidate_pool(scenario, settings.pool_size, settings.pool_eps_d,
                                    settings.pool_seed)
     seed_plan = plan_sequence(scenario, 2, settings.plan_k, settings.plan_b_max)
@@ -307,11 +288,10 @@ def cmd_pool(settings: Settings, args, out) -> int:
                                         settings.pool_eps_d)
     sequences = {"greedy": [(i, pool.hidden_points[i], pool.boundaries[i]) for i in picks],
                  "random": [(None, hidden, boundary) for hidden, boundary in baseline]}
-    # one audit scores each sequence, exact or sampled, row i against the seed pair grown
-    # by the rows before it; every greedy row must have a score
-    scores = {row: audit_sequence(seed, [boundary for *_, boundary in steps], cfg)
+    # one exact audit scores each sequence, row i against the seed pair grown by the rows
+    # before it
+    scores = {row: audit_sequence(seed, [boundary for *_, boundary in steps])
               for row, steps in sequences.items()}
-    require_estimates(scores["greedy"], 3, cfg)
 
     writer = ReportWriter(
         scenario,
@@ -407,11 +387,14 @@ def _parse_point(text: str) -> tuple[float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="marginseq", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    # each flag has one spelling: an abbreviation such as --h would read as --help to every
+    # command but boundary
+    new = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = new(prog="marginseq", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scenario", dest="scenario_path", metavar="PATH",
                         help="INI scenario file")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new)
 
     p = sub.add_parser("boundary", help="separator for one hidden point, or (k, b) feasibility")
     p.add_argument("--h", type=_parse_point, metavar="V,W", help="hidden point coordinates")
@@ -429,9 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence-length", type=int, dest="n_versions", metavar="SEQUENCE_LENGTH",
                    help="versions to deploy (default plan length)")
     p.add_argument("--seed", type=int, dest="pool_seed", metavar="SEED",
-                   help="override pool and attack seeds")
-    p.add_argument("--samples", type=int, dest="attack_samples", metavar="SAMPLES",
-                   help="override attack sample count (0 = exact)")
+                   help="override the pool seed")
 
     sub.add_parser("verify", help="run the deterministic cross-check suite")
     return parser
@@ -439,14 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # argparse reads a value such as -50,3 or -2e1 as a flag unless "=" joins it to the flag
-    # before it, so join it; every long flag but --help (--he, --hel) takes a value
+    # before it, so join it; every long flag but --help takes a value
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if re.fullmatch(r"--(?!he)[a-z-]+", argv[i - 1]) and re.match(r"-(?!-)", argv[i]):
+        if re.fullmatch(r"--(?!help$)[a-z-]+", argv[i - 1]) and re.match(r"-(?!-)", argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     given = vars(args)
-    given["attack_seed"] = given.get("pool_seed")  # --seed sets both seeds
     flags = {f.name: given[f.name] for f in fields(Settings) if given.get(f.name) is not None}
     try:
         settings = replace(load_settings(args.scenario_path), **flags)

@@ -428,19 +428,15 @@ def generate_candidate_pool(
     return CandidatePool(points, boundaries)
 
 
-def audit_sequence(seed: Breach, sequence, cfg: AttackSampleConfig) -> np.ndarray:
+def audit_sequence(seed: Breach, sequence) -> np.ndarray:
     """Transferability of each separator of sequence from seed grown by the ones before it.
 
     Row i scores sequence[i] against breach i of one :meth:`Breach.chain` of
-    seed by sequence[:-1]: exact ratios from one :func:`paired_scores` call
-    when cfg.n_samples == 0, else each row's :func:`mc_transferability`
-    over its breach's separators.  An undefined ratio is NaN.
+    seed by sequence[:-1], all rows by one :func:`paired_scores` call.  An
+    undefined ratio is NaN.
     """
     breaches = seed.chain(sequence[:-1]) if sequence else []
-    if not cfg.n_samples:
-        return paired_scores(breaches, planes_of(sequence))
-    return np.array([mc_transferability(seed.scenario, breach.priors, target, cfg).value
-                     for breach, target in zip(breaches, sequence, strict=True)])
+    return paired_scores(breaches, planes_of(sequence))
 
 
 def _extends(held: Breach | None, scenario: ScenarioConfig, priors) -> bool:
@@ -590,17 +586,6 @@ def select_next(pool: CandidatePool, breach: Breach) -> tuple[int, float]:
     return int(rows[best]), float(values[best])
 
 
-def require_estimates(values, first_step: int, cfg: AttackSampleConfig):
-    """values, the sampled scores of the picks of steps first_step on, with no NaN: the first
-    NaN, an estimate short of the acceptance floor, raises :class:`UndefinedEstimateError`."""
-    for step, value in enumerate(values, start=first_step):
-        if math.isnan(value):
-            raise UndefinedEstimateError(f"step {step}: the pick's estimate did not reach the "
-                                         f"Monte Carlo acceptance floor with n_samples = "
-                                         f"{cfg.n_samples}")
-    return values
-
-
 def greedy_select_next(
     scenario: ScenarioConfig,
     pool: CandidatePool,
@@ -610,7 +595,8 @@ def greedy_select_next(
     """:func:`select_next` over ``Breach.of(scenario, breached)``, its pick scored under cfg.
 
     The score is the exact ratio, or when cfg.n_samples > 0 the pick's
-    :func:`audit_sequence` row, checked by :func:`require_estimates`.
+    :func:`mc_transferability` estimate; one short of the acceptance floor,
+    NaN, raises :class:`UndefinedEstimateError`.
     When the breach of the pool's selection state is of scenario and its
     priors are, object for object, a prefix of breached, it is grown by the
     rest with :meth:`Breach.chain`, which gives what ``of`` would, bit for
@@ -628,8 +614,11 @@ def greedy_select_next(
         breach = Breach.of(scenario, breached)
     index, value = select_next(pool, breach)
     if cfg.n_samples:
-        (value,) = require_estimates(audit_sequence(breach, [pool.boundaries[index]], cfg),
-                                     len(breached) + 1, cfg)
+        value = mc_transferability(scenario, breach.priors, pool.boundaries[index], cfg).value
+        if math.isnan(value):
+            raise UndefinedEstimateError(f"step {len(breached) + 1}: the pick's estimate did not "
+                                         f"reach the Monte Carlo acceptance floor with "
+                                         f"n_samples = {cfg.n_samples}")
     return index, TransferabilityScore(float(value))
 
 

@@ -17,20 +17,13 @@ from marginseq.cli import (
     DEFAULT_SETTINGS,
     MAX_PLAN_VERSIONS,
     MAX_POOL_SIZE,
-    MAX_SAMPLED_WORK,
     MAX_SEQUENCE_LENGTH,
     load_settings,
     main,
 )
 from marginseq.errors import DomainError, ScenarioFileError
-from marginseq.regions import (
-    AttackSampleConfig,
-    build_attackable_region,
-    compound_transferability,
-    mc_transferability,
-)
+from marginseq.regions import AttackSampleConfig
 from marginseq.separators import ScenarioConfig
-from marginseq.versioning import generate_candidate_pool, plan_sequence, random_baseline_sequence
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -77,8 +70,6 @@ def test_table_reproduces_reference_values(capsys):
         (["pool"], "pool.csv"),
         (["pool", "--sequence-length", "20"], "pool_len20.csv"),
         (["boundary", "--k", "7", "--b", "-0.7"], "boundary_feasibility.csv"),
-        (["pool", "--samples", "20000", "--sequence-length", "5"], "pool_samples20000_len5.csv"),
-        (["pool", "--samples", "200000"], "pool_samples200000.csv"),
         (["verify"], "verify.txt"),
         (["boundary", "--h", "0,0"], "boundary_w_zero.csv"),
         (["boundary", "--h", "95.2061,-27.8866"], "boundary_w_neg_tangent.csv"),
@@ -106,34 +97,6 @@ def test_long_pool_run_matches_golden_bytes(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool", "--sequence-length", "60")
     assert (code, err) == (0, "")
     assert out == (DATA / "pool_size1000_len60.csv").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("golden, n_samples", [("pool_samples20000_len5.csv", 20_000),
-                                                ("pool_samples200000.csv", 200_000)])
-def test_sampled_golden_scores_within_3_sigma_of_exact(golden, n_samples):
-    # each printed score is one Monte Carlo estimate of the exact compound of
-    # its row given the rows printed before it
-    s = DEFAULT_SETTINGS
-    scenario = s.scenario
-    rows = parse_csv((DATA / golden).read_text(encoding="utf-8"))
-    pool = generate_candidate_pool(scenario, s.pool_size, s.pool_eps_d, s.pool_seed)
-    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, s.plan_k, s.plan_b_max).versions]
-    baseline = random_baseline_sequence(scenario, len(rows) // 2, s.pool_seed, s.pool_eps_d)
-    cfg = AttackSampleConfig("ensemble", n_samples, s.attack_seed)
-    for kind in ("greedy", "random"):
-        breached = list(seed_pair)
-        for i, row in enumerate(r for r in rows if r["row"] == kind):
-            target = (pool.boundaries[int(row["pool_index"])] if kind == "greedy"
-                      else baseline[i][1])
-            assert float(row["k"]) == pytest.approx(target.k, rel=1e-8)
-            exact = compound_transferability(
-                [build_attackable_region(scenario, bd) for bd in breached],
-                build_attackable_region(scenario, target)).value
-            est = mc_transferability(scenario, breached, target, cfg)
-            assert float(row["compound_at"]) == pytest.approx(est.value, rel=1e-8)
-            sigma = math.sqrt(max(exact * (1.0 - exact), 1e-12) / est.accepted)
-            assert abs(est.value - exact) <= 3.0 * sigma
-            breached.append(target)
 
 
 def test_table_deterministic_output(capsys):
@@ -380,55 +343,32 @@ def test_pool_deterministic_and_modes(capsys):
     assert other_seed != first
 
 
-def test_pool_sampled_step_without_estimate_exits(capsys):
-    # one sample accepts nothing: the exact pick has no estimate to print
-    code, out, err = run_cli(capsys, "pool", "--samples", "1", "--sequence-length", "5")
-    assert (code, out) == (2, "")
-    assert err == ("marginseq: step 3: the pick's estimate did not reach the Monte Carlo"
-                   " acceptance floor with n_samples = 1\n")
-
-
-def test_pool_random_row_without_estimate_prints_na(capsys):
-    # the random sequence's step-4 breach accepts none of 30 samples: that row alone reads NA,
-    # and the run succeeds, as every greedy pick has an estimate
-    code, out, err = run_cli(capsys, "pool", "--samples", "30", "--seed", "374")
-    assert (code, err) == (0, "")
-    rows = parse_csv(out)
-    assert all(math.isfinite(float(r["compound_at"])) for r in rows if r["row"] == "greedy")
-    assert ([r["compound_at"] == "NA" for r in rows if r["row"] == "random"]
-            == [False, True, False, False, False, False])
-    s = DEFAULT_SETTINGS
-    breached = [bd for bd, _ in plan_sequence(s.scenario, 2, s.plan_k, s.plan_b_max).versions]
-    first, second = (bd for _, bd in random_baseline_sequence(s.scenario, 2, 374, s.pool_eps_d))
-    est = mc_transferability(s.scenario, [*breached, first], second,
-                             AttackSampleConfig("ensemble", 30, 374))
-    assert math.isnan(est.value) and est.accepted == 0
-
-
-def test_pool_greedy_picks_do_not_depend_on_samples(capsys):
-    # every greedy step picks by exact scores; only compound_at is sampled
-    picked = ["step", "pool_index", "kind", "k", "b", "x0", "hidden_v", "hidden_w"]
-    for seed in range(5):
-        runs = []
-        for samples in ([], ["--samples", "20000"]):
-            code, out, err = run_cli(capsys, "pool", "--seed", str(seed), *samples)
-            assert (code, err) == (0, ""), (seed, samples)
-            runs.append([[r[name] for name in picked] for r in parse_csv(out)
-                         if r["row"] == "greedy"])
-        assert len(runs[0]) == 6 and runs[0] == runs[1], seed
+@pytest.mark.parametrize("argv", [
+    ["pool", "--samples", "5"], ["pool", "--samples=5"],  # every pool score is exact
+    # no abbreviation: --h is boundary's flag alone, never --help
+    ["table", "--h"], ["pool", "--seq", "5"], ["--scen", "x.ini", "table"],
+])
+def test_unknown_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: marginseq")
+    assert err.splitlines()[-1].startswith("marginseq: error: ")
 
 
 def test_attack_mode_is_not_configurable(tmp_path, capsys):
-    # ensemble is the only attacker: no flag, no scenario key, no other mode
+    # ensemble is the only attacker and every pool score is exact: no flag, no
+    # scenario section, no other mode
     with pytest.raises(SystemExit) as exc:
         main(["pool", "--attack-mode", "ensemble"])
     assert exc.value.code == 2
     assert "--attack-mode" in capsys.readouterr().err
-    cfg = tmp_path / "mode.ini"
-    cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[attack]\nmode = ensemble\n")
-    code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")
-    assert (code, out) == (3, "")
-    assert "mode" in err
+    cfg = tmp_path / "attack.ini"
+    for key in ("mode = ensemble", "samples = 0", "seed = 42"):
+        cfg.write_text(f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[attack]\n{key}\n")
+        code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")
+        assert (code, out, err) == (3, "", "marginseq: parse error: unknown section [attack]\n")
     with pytest.raises(DomainError, match="attacker mode"):
         AttackSampleConfig("cautious", 0, 0)
 
@@ -436,9 +376,8 @@ def test_attack_mode_is_not_configurable(tmp_path, capsys):
 def test_pool_two_versions_prints_header_only(tmp_path, capsys):
     # the seed pair is the whole sequence: no greedy and no random rows
     header = "schema,c,delta,y_lim,row,step,pool_index,kind,k,b,x0,hidden_v,hidden_w,compound_at\n"
-    for extra in ([], ["--samples", "1000"]):  # the exact audit of no rows, and the sampled
-        code, out, err = run_cli(capsys, "pool", "--sequence-length", "2", *extra)
-        assert (code, out, err) == (0, header, "")
+    code, out, err = run_cli(capsys, "pool", "--sequence-length", "2")
+    assert (code, out, err) == (0, header, "")
     cfg = tmp_path / "two.ini"
     cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[plan]\nn_versions = 2\n")
     code, out, err = run_cli(capsys, "--scenario", str(cfg), "pool")
@@ -550,43 +489,6 @@ def test_pool_at_the_size_and_length_limits_is_drawn(tmp_path, capsys, monkeypat
     assert capsys.readouterr() == ("", "")
 
 
-def _sampled_run(tmp_path, given, samples, length):
-    """argv of a stock pool run of length versions, samples given by flag or by file key."""
-    cfg = tmp_path / "sampled.ini"
-    text = f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[plan]\nn_versions = {length}\n"
-    if given == "file":
-        cfg.write_text(text + f"\n[attack]\nsamples = {samples}\n")
-        return ["--scenario", str(cfg), "pool"]
-    cfg.write_text(text)
-    return ["--scenario", str(cfg), "pool", "--samples", str(samples)]
-
-
-@pytest.mark.parametrize("given", ["flag", "file"])
-@pytest.mark.parametrize("samples, length, why", [
-    (MAX_SAMPLED_WORK // 96 + 1, 8, f"limit of {MAX_SAMPLED_WORK}"),
-    (100_000_000_000, 3, f"limit of {MAX_SAMPLED_WORK}"),
-    (-1, 8, "n_samples must be >= 0"),
-])
-def test_pool_sampled_work_limit(tmp_path, capsys, monkeypatch, given, samples, length, why):
-    # refused before the pool, and so any sample, is drawn
-    monkeypatch.setattr(cli, "generate_candidate_pool", _undrawn)
-    code, out, err = run_cli(capsys, *_sampled_run(tmp_path, given, samples, length))
-    assert (code, out) == (2, "")
-    assert why in err
-
-
-@pytest.mark.parametrize("given", ["flag", "file"])
-def test_pool_sampled_work_at_the_limit_runs(tmp_path, capsys, monkeypatch, given):
-    # 6 greedy and 6 random rows of 1,000 samples over up to 8 versions make
-    # 1,000 * 2 * 6 * 8 = 96,000 point tests
-    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", 96_000)
-    code, out, _ = run_cli(capsys, *_sampled_run(tmp_path, given, 1000, 8))
-    assert code == 0 and len(parse_csv(out)) == 12
-    code, out, err = run_cli(capsys, *_sampled_run(tmp_path, given, 1001, 8))
-    assert (code, out) == (2, "")
-    assert "would make 96096 point tests, above the limit of 96000" in err
-
-
 def test_pool_empty_by_geometry_exits(tmp_path, capsys):
     cfg = tmp_path / "far_pool.ini"
     cfg.write_text("[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n"
@@ -601,12 +503,11 @@ def test_scenario_file_overrides(tmp_path, capsys, monkeypatch):
     cfg.write_text(
         "[scenario]\nc = 50\ndelta = 0.05\ny_lim = 20\n\n"
         "[plan]\nk = 5\nb_max = 4\nn_versions = 6\n\n"
-        "[pool]\nsize = 10\neps_d = 1.5\nseed = 99\n\n"
-        "[attack]\nsamples = 1000\nseed = 3\n"
+        "[pool]\nsize = 10\neps_d = 1.5\nseed = 99\n"
     )
     from_file = cli.Settings(
         scenario=ScenarioConfig(50.0, 0.05, 20.0), plan_k=5.0, plan_b_max=4.0, n_versions=6,
-        pool_size=10, pool_eps_d=1.5, pool_seed=99, attack_samples=1000, attack_seed=3,
+        pool_size=10, pool_eps_d=1.5, pool_seed=99,
     )
     settings = load_settings(str(cfg))
     assert settings == from_file
@@ -622,8 +523,7 @@ def test_scenario_file_overrides(tmp_path, capsys, monkeypatch):
     for argv, changed in (
         (["plan", "--n", "9"], {"n_versions": 9}),
         (["pool", "--sequence-length", "7"], {"n_versions": 7}),
-        (["pool", "--seed", "11"], {"pool_seed": 11, "attack_seed": 11}),
-        (["pool", "--samples", "0"], {"attack_samples": 0}),
+        (["pool", "--seed", "11"], {"pool_seed": 11}),
         (["pool"], {}),
     ):
         seen.clear()
@@ -680,7 +580,7 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
 
     beyond_float = "1" + "0" * 400  # an integer int() reads but no float holds
     for section, key, raw in (("plan", "k", "nan"), ("plan", "b_max", "inf"),
-                              ("pool", "eps_d", "nan"), ("attack", "samples", "inf"),
+                              ("pool", "eps_d", "nan"), ("pool", "seed", "inf"),
                               ("pool", "size", beyond_float), ("plan", "n_versions", beyond_float)):
         nonfinite = tmp_path / f"{key}.ini"
         nonfinite.write_text(
@@ -692,7 +592,7 @@ def test_scenario_file_parse_errors(tmp_path, capsys):
 
     # an integer key written as a float is named as not an integer
     for section, key, raw in (("pool", "size", "1e3"), ("plan", "n_versions", "8.0"),
-                              ("attack", "samples", "2.5e4")):
+                              ("pool", "seed", "2.5e4")):
         floated = tmp_path / f"{key}_float.ini"
         floated.write_text(
             f"[scenario]\nc = 100\ndelta = 0.1\ny_lim = 30\n\n[{section}]\n{key} = {raw}\n"

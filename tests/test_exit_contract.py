@@ -38,9 +38,8 @@ _TEXT = st.sampled_from(["", "seven", "1_0", "0x10", "7%", " 5 "])
 # every key a scenario file may hold, with its stock value where the run stays quick
 _KEYS = {"scenario": {"c": "100", "delta": "0.1", "y_lim": "30"},
          "plan": {"k": "7", "b_max": "12", "n_versions": "8"},
-         "pool": {"size": "50", "eps_d": "2", "seed": "42"},
-         "attack": {"samples": "0", "seed": "42"}}
-_INTS = ("n_versions", "size", "seed", "samples")
+         "pool": {"size": "50", "eps_d": "2", "seed": "42"}}
+_INTS = ("n_versions", "size", "seed")
 
 
 @st.composite
@@ -80,8 +79,8 @@ _COMMANDS = st.one_of(
     st.just(["table"]),
     st.tuples(st.just("plan"), st.lists(_INTEGERS.map("--n={}".format), max_size=1)),
     st.tuples(st.just("pool"), st.lists(st.one_of(
-        _INTEGERS.map("--sequence-length={}".format), _INTEGERS.map("--seed={}".format),
-        _INTEGERS.map("--samples={}".format)), max_size=3)),
+        _INTEGERS.map("--sequence-length={}".format), _INTEGERS.map("--seed={}".format)),
+        max_size=3)),
     st.tuples(st.just("boundary"), st.one_of(
         _POINT.map(lambda p: [f"--h={p}"]),
         st.tuples(_NUMBERS, _NUMBERS).map(lambda kb: [f"--k={kb[0]}", f"--b={kb[1]}"]))),

@@ -102,7 +102,6 @@ def _entry_points(scenario, line):
     """Every route that takes a separator's guard, each called on line."""
     seed = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     sampled = AttackSampleConfig("ensemble", 2000, 3)
-    exact = AttackSampleConfig("ensemble", 0, 0)
     return {
         "region": lambda: build_attackable_region(scenario, line),
         "breach-prior": lambda: Breach.of(scenario, [line]),
@@ -111,9 +110,8 @@ def _entry_points(scenario, line):
         "breach-chain": lambda: Breach.of(scenario, seed).chain([line]),
         "paired-target": lambda: paired_scores([Breach.of(scenario, seed)], planes_of([line])),
         # the sequence audit: line as a version the audit breaches, and as a target
-        "exact-prior": lambda: audit_sequence(Breach.of(scenario, seed), [line, seed[0]], exact),
-        "exact-scores": lambda: audit_sequence(Breach.of(scenario, seed), [line], exact),
-        "sampled-scores": lambda: audit_sequence(Breach.of(scenario, seed), [line], sampled),
+        "exact-prior": lambda: audit_sequence(Breach.of(scenario, seed), [line, seed[0]]),
+        "exact-scores": lambda: audit_sequence(Breach.of(scenario, seed), [line]),
         "mc-prior": lambda: mc_transferability(scenario, [line], seed[0], sampled),
         "mc-target": lambda: mc_transferability(scenario, seed, line, sampled),
     }
@@ -135,7 +133,7 @@ _INVALID_LINES = {
 
 @pytest.mark.parametrize("entry", ["region", "breach-prior", "breach-within", "breach-target",
                                    "breach-chain", "paired-target", "exact-prior", "exact-scores",
-                                   "sampled-scores", "mc-prior", "mc-target"])
+                                   "mc-prior", "mc-target"])
 @pytest.mark.parametrize("name", sorted(_INVALID_LINES))
 def test_invalid_separator_raises_at_every_entry_point(scenario, name, entry):
     call = _entry_points(scenario, _INVALID_LINES[name](scenario))[entry]
@@ -632,9 +630,6 @@ def test_sampled_scores_undefined_when_breach_accepts_nothing(scenario):
     cfg = AttackSampleConfig("ensemble", 100_000, 9)
     for target in canonical_pair(scenario):
         assert math.isnan(mc_transferability(scenario, [empty_prior], target, cfg).value)
-        # the sequence audit passes the undefined row's NaN on
-        values = audit_sequence(Breach.of(scenario, [empty_prior]), [target], cfg)
-        assert np.isnan(values).all() and len(values) == 1
 
 
 def test_mc_seed_determinism(scenario):

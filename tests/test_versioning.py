@@ -470,7 +470,7 @@ def test_greedy_exact_steps_at_stock_eps_d(scenario, seed):
 
 
 def test_held_breach_sampled_steps_equal_list_steps(scenario):
-    # the stock pool at 20,000 samples: the greedy rows of pool_samples20000_len5.csv
+    # the stock pool's first three greedy picks, each scored at 20,000 samples
     pool = generate_candidate_pool(scenario, 50, 2.0, seed=42)
     picks = _held_and_list_steps(scenario, pool, AttackSampleConfig("ensemble", 20_000, 42), 3)
     assert [(index, f"{float(value):.9g}") for index, value in picks] == [
@@ -716,8 +716,9 @@ def test_sampled_scores_equal_per_candidate_estimates(scenario, pool_seed, steps
                          [(1000, eps_d, seed, 0) for eps_d in (2.0, 31.0) for seed in (0, 1, 2)]
                          + [(50, 2.0, 42, 20_000)])
 def test_audit_of_the_greedy_picks_gives_their_scores(scenario, size, eps_d, pool_seed, n_samples):
-    # pick first, then score: one audit of the picked sequence gives each pick's score, the
-    # exact ratio select_next picked by or greedy_select_next's estimate of the pick
+    # pick first, then score: one exact audit of the picked sequence gives each pick's score,
+    # the ratio select_next picked by; sampled, each pick's estimate is its row's estimate
+    # against the breach of the picks before it
     seed = Breach.of(scenario, [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions])
     pool = generate_candidate_pool(scenario, size, eps_d, pool_seed)
     cfg = AttackSampleConfig("ensemble", n_samples, pool_seed)
@@ -731,20 +732,49 @@ def test_audit_of_the_greedy_picks_gives_their_scores(scenario, size, eps_d, poo
         picks.append(pool.boundaries[index])
         scores.append(score.value)
         breach = breach.extend(pool.boundaries[index])
-    assert repr(audit_sequence(seed, picks, cfg).tolist()) == repr(scores)
+    if n_samples:
+        audited = [float(mc_transferability(scenario, prefix.priors, target, cfg).value)
+                   for prefix, target in zip(seed.chain(picks[:-1]), picks, strict=True)]
+    else:
+        audited = audit_sequence(seed, picks).tolist()
+    assert repr(audited) == repr(scores)
 
 
 def test_audit_rows_score_against_the_breach_of_their_prefix(scenario):
     pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
     seed = Breach.of(scenario, pair)
-    for cfg in (EXACT, AttackSampleConfig("ensemble", 1_000, 3)):
-        assert audit_sequence(seed, [], cfg).shape == (0,)
+    assert audit_sequence(seed, []).shape == (0,)
     for baseline_seed in range(20):
         sequence = [bd for _, bd in random_baseline_sequence(scenario, 8, baseline_seed)]
-        got = audit_sequence(seed, sequence, EXACT).tolist()
+        got = audit_sequence(seed, sequence).tolist()
         want = [Breach.of(scenario, pair + sequence[:i]).scores(regions.planes_of([bd]))[0]
                 for i, bd in enumerate(sequence)]
         assert repr(got) == repr([float(v) for v in want])
+
+
+@pytest.mark.parametrize("length, n_samples", [(5, 20_000), (8, 200_000)])
+def test_sampled_pool_scores_within_3_sigma_of_exact(scenario, length, n_samples):
+    # the stock pool's greedy and random sequences, seed 42: each row's Monte Carlo
+    # estimate against the breach of the rows before it lies within 3 sigma of the exact
+    # ratio, the greedy step-4 row, whose guard is deeper than its breach's, included
+    pool = generate_candidate_pool(scenario, 50, 2.0, 42)
+    seed_pair = [bd for bd, _ in plan_sequence(scenario, 2, 7.0, 12.0).versions]
+    breach, greedy = Breach.of(scenario, seed_pair), []
+    for _ in range(length - 2):
+        greedy.append(pool.boundaries[select_next(pool, breach)[0]])
+        breach = breach.extend(greedy[-1])
+    assert regions.deepest_guard(scenario, greedy[1:2]) > regions.deepest_guard(
+        scenario, seed_pair + greedy[:1])
+    random_rows = [bd for _, bd in random_baseline_sequence(scenario, length - 2, 42, 2.0)]
+    cfg = AttackSampleConfig("ensemble", n_samples, 42)
+    for sequence in (greedy, random_rows):
+        breached = list(seed_pair)
+        for target in sequence:
+            exact = Breach.of(scenario, breached).scores(regions.planes_of([target]))[0]
+            est = mc_transferability(scenario, breached, target, cfg)
+            sigma = math.sqrt(max(exact * (1.0 - exact), 1e-12) / est.accepted)
+            assert abs(est.value - exact) <= 3.0 * sigma
+            breached.append(target)
 
 
 def test_random_baseline_determinism(scenario):
